@@ -124,7 +124,3 @@ def run_benchmark(
     out_dir=None,
 ) -> list[SeedResult]:
     return [run_seed(synth_cfg, train_cfg, seed, out_dir=out_dir) for seed in seeds]
-
-
-def tail_top_k(report: EvalReport, subset: int = 100, k: int = 2):
-    return report.top_k.get((subset, k))

@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_run_config
 from .dataset import build_bags, load_metadata, save_bags_csv
 from .dsp import (
-    FeatureConfig,
     downmix_and_validate,
     extract_feature_sets,
     feature_set_columns,
@@ -36,6 +36,7 @@ from .dsp import (
 from .dsp.cache import format_value
 from .dsp.summarize import set_slices
 from .errors import (
+    EmptyFeature,
     MattError,
     RuntimeFailure,
     SampleRateMismatch,
@@ -115,37 +116,31 @@ def build_parser() -> CliParser:
     return parser
 
 
+def _flags(args, names) -> dict:
+    """{name: value} for each flag among names that was given on the command line."""
+    return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
+
+
 def _load_config(args) -> RunConfig:
     cfg = load_run_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.synth = type(cfg.synth)(**{**cfg.synth.__dict__, "seed": args.seed})
-    for attr, key in (
-        ("feature_set", "feature_set"),
-        ("aggregator", "aggregator"),
-        ("label_policy", "label_policy"),
-        ("epochs", "epochs"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    if getattr(args, "mode", None):
-        cfg.eval_mode = args.mode
-    return cfg.validate()
+    run = _flags(args, ("feature_set", "label_policy"))
+    if getattr(args, "mode", None) is not None:
+        run["eval_mode"] = args.mode
+    train = replace(cfg.train, **_flags(args, ("seed", "aggregator", "epochs")))
+    return replace(cfg, train=train, **run).validate()
 
 
 # -- extract-features -- #
 
 def _extract_one(task) -> str:
     """Worker: read one WAV, write its feature part and mel cache atomically."""
-    from .dsp.stft import StftConfig
-
-    track_id, wav_path, part_path, mel_path, sample_rate, n_fft, hop = task
+    track_id, wav_path, part_path, mel_path, feat_cfg = task
     channels, rate = read_wav(wav_path)
-    if rate != sample_rate:
-        raise SampleRateMismatch(f"{wav_path}: {rate} Hz, configured {sample_rate} Hz")
+    if rate != feat_cfg.sample_rate:
+        raise SampleRateMismatch(
+            f"{wav_path}: {rate} Hz, configured {feat_cfg.sample_rate} Hz"
+        )
     signal = downmix_and_validate(channels, rate)
-    feat_cfg = FeatureConfig(sample_rate=sample_rate, stft=StftConfig(n_fft=n_fft, hop=hop))
     result = extract_feature_sets(signal, feat_cfg)
     vector = result.set_vector("1to9").astype(np.float32)
     tmp = f"{part_path}.tmp"
@@ -166,6 +161,7 @@ def cmd_extract_features(args) -> int:
     parts_dir.mkdir(parents=True, exist_ok=True)
     mel_dir.mkdir(parents=True, exist_ok=True)
 
+    feat_cfg = cfg.feature_config()
     tasks = []
     for rec in table.records:
         part = parts_dir / f"{rec.track_id}.part"
@@ -175,8 +171,7 @@ def cmd_extract_features(args) -> int:
         wav = cfg.audio_dir / f"{rec.track_id}.wav"
         if not wav.exists():
             raise ValidationError(f"missing audio file {wav}")
-        tasks.append((rec.track_id, str(wav), str(part), str(mel),
-                      cfg.sample_rate, cfg.n_fft, cfg.hop))
+        tasks.append((rec.track_id, str(wav), str(part), str(mel), feat_cfg))
 
     if tasks:
         workers = max(1, args.workers or 1)
@@ -227,7 +222,8 @@ def cmd_build_bags(args) -> int:
 
 def cmd_gen_synth(args) -> int:
     cfg = _load_config(args)
-    data = generate_synthetic(cfg.synth)
+    synth = replace(cfg.synth, seed=cfg.train.seed)
+    data = generate_synthetic(synth)
     cfg.metadata.parent.mkdir(parents=True, exist_ok=True)
     cfg.feature_dir.mkdir(parents=True, exist_ok=True)
 
@@ -237,10 +233,10 @@ def cmd_gen_synth(args) -> int:
         lines.append(f"{rec.track_id},{rec.album_id},{rec.artist_id},{genre},{rec.split}")
     cfg.metadata.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    columns = [f"synth_dim_{i}" for i in range(cfg.synth.feature_dim)]
+    columns = [f"synth_dim_{i}" for i in range(synth.feature_dim)]
     write_feature_csv(cfg.feature_dir / "synth.csv", columns, data.features)
-    manifest = dict(sorted(cfg.synth.__dict__.items()))
-    manifest["bag_size_range"] = list(cfg.synth.bag_size_range)
+    manifest = dict(sorted(vars(synth).items()))
+    manifest["bag_size_range"] = list(synth.bag_size_range)
     (cfg.feature_dir / "synth.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
@@ -255,7 +251,10 @@ def _load_features(cfg: RunConfig):
     path = cfg.feature_csv()
     if not path.exists():
         raise ValidationError(f"feature cache {path} not found; run extract-features")
-    return read_feature_csv(path)
+    features = read_feature_csv(path)
+    if not features:
+        raise EmptyFeature(f"feature cache {path} has a header but no tracks")
+    return features
 
 
 def _checkpoint_path(cfg: RunConfig, args, default_name: str) -> Path:
@@ -268,13 +267,12 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     table = load_metadata(cfg.metadata)
     features = _load_features(cfg)
-    train_cfg = cfg.train_config()
     if args.segment_level:
-        model, train_log = train_segment_baseline(table, features, train_cfg)
+        model, train_log = train_segment_baseline(table, features, cfg.train)
         name = "baseline.ckpt"
     else:
         bags = build_bags(table, label_policy=cfg.label_policy)
-        model, train_log = train(bags, features, train_cfg)
+        model, train_log = train(bags, features, cfg.train)
         name = "matt.ckpt"
     cfg.checkpoint_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.checkpoint_dir / name
@@ -286,21 +284,20 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _new_model(cfg: RunConfig, input_dim: int, n_genres: int) -> MattModel:
+    t = cfg.train
+    encoder = EncoderConfig(
+        input_dim=input_dim, hidden_dims=t.hidden_dims, output_dim=t.embedding_dim
+    )
+    return MattModel(encoder, n_genres=n_genres, aggregator=t.aggregator, seed=t.seed)
+
+
 def _restore_model(cfg: RunConfig, args, table, features, default_name="matt.ckpt"):
     path = _checkpoint_path(cfg, args, default_name)
     if not Path(path).exists():
         raise ValidationError(f"checkpoint {path} not found; run train")
     raw = load_checkpoint(path)
-    input_dim = len(next(iter(features.values())))
-    encoder = EncoderConfig(
-        input_dim=input_dim, hidden_dims=cfg.hidden_dims, output_dim=cfg.embedding_dim
-    )
-    model = MattModel(
-        encoder,
-        n_genres=len(table.vocabulary),
-        aggregator=cfg.aggregator,
-        seed=cfg.seed,
-    )
+    model = _new_model(cfg, len(next(iter(features.values()))), len(table.vocabulary))
     model.load_params(raw)
     return model
 
@@ -364,11 +361,9 @@ def cmd_grad_check(args) -> int:
         input_dim = cfg.synth.feature_dim
     else:
         input_dim = feature_set_length(cfg.feature_set)
-    encoder = EncoderConfig(
-        input_dim=input_dim, hidden_dims=cfg.hidden_dims, output_dim=cfg.embedding_dim
-    )
-    model = MattModel(encoder, n_genres=16, aggregator=cfg.aggregator, seed=cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
+    seed = cfg.train.seed
+    model = _new_model(cfg, input_dim, n_genres=16)
+    rng = np.random.default_rng(seed)
     all_ok = True
     for m in (1, 2, 7):
         X = rng.standard_normal((m, input_dim))
@@ -382,7 +377,7 @@ def cmd_grad_check(args) -> int:
         _, d_scores = nll_loss(pred, gold)
         model.backward_bag(cache, d_scores)
         report = finite_difference_check(
-            loss_fn, model.params, tolerance=args.tolerance, max_elements=200, seed=cfg.seed
+            loss_fn, model.params, tolerance=args.tolerance, max_elements=200, seed=seed
         )
         worst = max(r.max_rel_error for r in report.values())
         ok = all(r.passed for r in report.values())

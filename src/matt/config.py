@@ -7,7 +7,7 @@ flags override individual keys after the file is parsed.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import InvalidConfig
@@ -19,32 +19,46 @@ from .training import TrainConfig
 
 EVAL_MODES = ("bag", "segment")
 
+# config file keys per section; the field each sets is named like the key
+PATH_KEYS = ("audio_dir", "metadata", "feature_dir", "checkpoint_dir", "report_dir")
+TRAIN_KEYS = (
+    "epochs",
+    "bags_per_batch",
+    "optimizer",
+    "learning_rate",
+    "early_stop_patience",
+    "aggregator",
+    "class_weighting",
+)
+SYNTH_KEYS = (
+    "n_genres",
+    "zipf_exponent",
+    "head_count",
+    "feature_dim",
+    "centroid_separation",
+    "noise_rate",
+)
 
-@dataclass
+
+@dataclass(frozen=True)
 class RunConfig:
+    """Everything one command needs. The run seed is `train.seed`; gen-synth
+    passes it to the generator, so `synth.seed` is never read."""
+
     audio_dir: Path = Path("audio")
     metadata: Path = Path("metadata.csv")
     feature_dir: Path = Path("features")
     checkpoint_dir: Path = Path("checkpoints")
     report_dir: Path = Path("reports")
-    seed: int = 0
     feature_set: str = "1to9"
     sample_rate: int = 44100
     n_fft: int = 2048
     hop: int = 1024
-    hidden_dims: tuple[int, ...] = ()
-    embedding_dim: int = 16
-    epochs: int = 50
-    bags_per_batch: int = 32
-    optimizer: str = "adam"
-    learning_rate: float = 1e-3
-    early_stop_patience: int = 10
     label_policy: str = "majority"
-    aggregator: str = "matt"
-    class_weighting: bool = False
     eval_mode: str = "bag"
     subsets: tuple[int, ...] = (100, 200)
     ks: tuple[int, ...] = (2, 3, 5)
+    train: TrainConfig = field(default_factory=TrainConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
 
     def validate(self):
@@ -53,8 +67,8 @@ class RunConfig:
                 f"unknown feature_set {self.feature_set!r}; "
                 f"expected one of {sorted(FEATURE_SETS)} or 'synth'"
             )
-        if self.aggregator not in ("matt", "mean"):
-            raise InvalidConfig(f"unknown aggregator {self.aggregator!r}")
+        if self.train.aggregator not in ("matt", "mean"):
+            raise InvalidConfig(f"unknown aggregator {self.train.aggregator!r}")
         if self.eval_mode not in EVAL_MODES:
             raise InvalidConfig(f"unknown eval mode {self.eval_mode!r}")
         if self.label_policy not in ("strict", "majority"):
@@ -67,89 +81,69 @@ class RunConfig:
             stft=StftConfig(n_fft=self.n_fft, hop=self.hop),
         )
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            bags_per_batch=self.bags_per_batch,
-            optimizer=self.optimizer,
-            learning_rate=self.learning_rate,
-            seed=self.seed,
-            early_stop_patience=self.early_stop_patience,
-            aggregator=self.aggregator,
-            class_weighting=self.class_weighting,
-            hidden_dims=self.hidden_dims,
-            embedding_dim=self.embedding_dim,
-            feature_set=self.feature_set,
-        )
-
     def feature_csv(self) -> Path:
         return self.feature_dir / f"{self.feature_set}.csv"
 
 
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(p) for p in text.split(","))
+def _typed(text: str, default, where: str):
+    """Parse text as the type of default: bool, comma-separated int tuple,
+    or whatever type(default) accepts (int, float, str, Path)."""
+    try:
+        if isinstance(default, bool):
+            return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+        if isinstance(default, tuple):
+            return tuple(int(p) for p in text.split(",")) if text.strip() else ()
+        return type(default)(text)
+    except (KeyError, ValueError):
+        kind = "comma list of int" if isinstance(default, tuple) else type(default).__name__
+        raise InvalidConfig(f"{where}: {text!r} is not a valid {kind}") from None
 
 
 def load_run_config(path) -> RunConfig:
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
-    if not read:
-        raise InvalidConfig(f"cannot read config file {path}")
-    base = path.parent
+    try:
+        if not parser.read(path):
+            raise InvalidConfig(f"cannot read config file {path}")
+    except configparser.Error as exc:
+        raise InvalidConfig(f"{path}: {exc}") from None
+
+    def read(section: str, defaults: dict, *keys, **renamed) -> dict:
+        """{field: value} for each key set in [section], typed like the field's
+        default. A key sets the field of its own name; renamed maps key -> field."""
+        out = {}
+        for key, name in {**{key: key for key in keys}, **renamed}.items():
+            if parser.has_option(section, key):
+                where = f"{path}: [{section}] {key}"
+                try:
+                    text = parser.get(section, key)
+                except configparser.InterpolationError as exc:
+                    raise InvalidConfig(f"{where}: {exc}") from None
+                out[name] = _typed(text, defaults[name], where)
+        return out
+
     cfg = RunConfig()
-
-    def _path(section, key, default: Path) -> Path:
-        if parser.has_option(section, key):
-            return base / parser.get(section, key)
-        return base / default
-
-    cfg.audio_dir = _path("paths", "audio_dir", cfg.audio_dir)
-    cfg.metadata = _path("paths", "metadata", cfg.metadata)
-    cfg.feature_dir = _path("paths", "feature_dir", cfg.feature_dir)
-    cfg.checkpoint_dir = _path("paths", "checkpoint_dir", cfg.checkpoint_dir)
-    cfg.report_dir = _path("paths", "report_dir", cfg.report_dir)
-
-    get = parser.get
-    if parser.has_section("run"):
-        cfg.seed = parser.getint("run", "seed", fallback=cfg.seed)
-    if parser.has_section("features"):
-        cfg.feature_set = get("features", "feature_set", fallback=cfg.feature_set)
-        cfg.sample_rate = parser.getint("features", "sample_rate", fallback=cfg.sample_rate)
-        cfg.n_fft = parser.getint("features", "n_fft", fallback=cfg.n_fft)
-        cfg.hop = parser.getint("features", "hop", fallback=cfg.hop)
-    if parser.has_section("encoder"):
-        cfg.hidden_dims = _parse_int_tuple(get("encoder", "hidden_dims", fallback=""))
-        cfg.embedding_dim = parser.getint("encoder", "embedding_dim", fallback=cfg.embedding_dim)
-    if parser.has_section("train"):
-        sec = parser["train"]
-        cfg.epochs = sec.getint("epochs", cfg.epochs)
-        cfg.bags_per_batch = sec.getint("bags_per_batch", cfg.bags_per_batch)
-        cfg.optimizer = sec.get("optimizer", cfg.optimizer)
-        cfg.learning_rate = sec.getfloat("learning_rate", cfg.learning_rate)
-        cfg.early_stop_patience = sec.getint("early_stop_patience", cfg.early_stop_patience)
-        cfg.label_policy = sec.get("label_policy", cfg.label_policy)
-        cfg.aggregator = sec.get("aggregator", cfg.aggregator)
-        cfg.class_weighting = sec.getboolean("class_weighting", cfg.class_weighting)
-    if parser.has_section("eval"):
-        cfg.eval_mode = get("eval", "mode", fallback=cfg.eval_mode)
-        cfg.subsets = _parse_int_tuple(get("eval", "subsets", fallback="100,200"))
-        cfg.ks = _parse_int_tuple(get("eval", "ks", fallback="2,3,5"))
-    if parser.has_section("synth"):
-        sec = parser["synth"]
-        cfg.synth = SynthConfig(
-            n_genres=sec.getint("n_genres", 16),
-            zipf_exponent=sec.getfloat("zipf_exponent", 1.2),
-            head_count=sec.getint("head_count", 400),
-            bag_size_range=(sec.getint("bag_size_min", 3), sec.getint("bag_size_max", 10)),
-            feature_dim=sec.getint("feature_dim", 32),
-            centroid_separation=sec.getfloat("centroid_separation", 1.0),
-            noise_rate=sec.getfloat("noise_rate", 0.4),
-            seed=cfg.seed,
-        )
-    else:
-        cfg.synth = SynthConfig(seed=cfg.seed)
-    return cfg.validate()
+    run = vars(cfg)
+    paths = {**run, **read("paths", run, *PATH_KEYS)}
+    train = vars(cfg.train)
+    synth = vars(cfg.synth)
+    bounds = dict(zip(("bag_size_min", "bag_size_max"), cfg.synth.bag_size_range))
+    bounds.update(read("synth", bounds, *bounds))
+    return replace(
+        cfg,
+        **{key: path.parent / paths[key] for key in PATH_KEYS},
+        **read("features", run, "feature_set", "sample_rate", "n_fft", "hop"),
+        **read("train", run, "label_policy"),
+        **read("eval", run, "subsets", "ks", mode="eval_mode"),
+        train=replace(
+            cfg.train,
+            **read("run", train, "seed"),
+            **read("encoder", train, "hidden_dims", "embedding_dim"),
+            **read("train", train, *TRAIN_KEYS),
+        ),
+        synth=replace(
+            cfg.synth,
+            **read("synth", synth, *SYNTH_KEYS),
+            bag_size_range=(bounds["bag_size_min"], bounds["bag_size_max"]),
+        ),
+    ).validate()

@@ -11,6 +11,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     BadHeader,
     BadSplit,
@@ -47,6 +49,10 @@ class GenreVocabulary:
 
     def index(self, name: str) -> int:
         return self.names.index(name)
+
+    def tail_mask(self, max_train_count: int) -> np.ndarray:
+        """Boolean per genre id: fewer than max_train_count training segments."""
+        return np.array(self.train_counts) < max_train_count
 
 
 @dataclass(frozen=True)
@@ -175,17 +181,6 @@ def build_bags(table: SegmentTable, label_policy: str = "majority") -> BagSet:
             )
         )
     return BagSet(bags=tuple(bags), vocabulary=table.vocabulary, provenance="build_bags")
-
-
-def long_tail_subset(bags: BagSet, max_train_count: int) -> BagSet:
-    """Keep only bags whose genre has fewer than max_train_count training segments."""
-    counts = bags.vocabulary.train_counts
-    kept = tuple(b for b in bags.bags if counts[b.genre_id] < max_train_count)
-    return BagSet(
-        bags=kept,
-        vocabulary=bags.vocabulary,
-        provenance=f"{bags.provenance}|tail<{max_train_count}",
-    )
 
 
 def save_bags_csv(path, bags: BagSet):

@@ -33,7 +33,6 @@ from .summarize import (
 )
 from .wav import read_wav, write_wav
 from .cache import (
-    lookup_features,
     read_feature_csv,
     read_mel_cache,
     write_feature_csv,
@@ -77,7 +76,6 @@ __all__ = [
     "summarize",
     "read_wav",
     "write_wav",
-    "lookup_features",
     "read_feature_csv",
     "read_mel_cache",
     "write_feature_csv",

@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from ..errors import CorruptAudio, MissingFeature, ShapeError
+from ..errors import CorruptAudio, ShapeError
 
 MEL_MAGIC = b"MELF"
 MEL_VERSION = 1
@@ -55,15 +55,11 @@ def read_feature_csv(path) -> dict[str, np.ndarray]:
         parts = ln.split(",")
         if len(parts) != n_cols + 1:
             raise CorruptAudio(f"{path}: row width {len(parts)} != header {n_cols + 1}")
-        rows[parts[0]] = np.array([float(p) for p in parts[1:]], dtype=np.float32)
+        try:
+            rows[parts[0]] = np.array([float(p) for p in parts[1:]], dtype=np.float32)
+        except ValueError as exc:
+            raise CorruptAudio(f"{path}: track {parts[0]!r}: {exc}") from None
     return rows
-
-
-def lookup_features(rows: dict[str, np.ndarray], track_id: str) -> np.ndarray:
-    try:
-        return rows[track_id]
-    except KeyError:
-        raise MissingFeature(f"no cached features for track {track_id!r}") from None
 
 
 def write_mel_cache(path, values: np.ndarray):

@@ -24,10 +24,6 @@ class AudioSignal:
         if self.samples.size == 0:
             raise EmptyAudio("signal has no samples")
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.samples.size / self.sample_rate_hz
-
 
 def downmix_and_validate(channels, rate: int) -> AudioSignal:
     """Average 1 or 2 equal-length channels to mono and validate the result.

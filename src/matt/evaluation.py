@@ -54,38 +54,31 @@ class EvalReport:
             fh.write("\n".join(lines) + "\n")
 
 
-def _argmax_lowest(probabilities: np.ndarray) -> int:
-    # np.argmax already returns the first (lowest) index among exact ties
-    return int(np.argmax(probabilities))
-
-
-def accuracy(predictions, golds) -> float:
-    """Fraction of units whose argmax probability matches the gold genre."""
-    if len(predictions) != len(golds):
-        raise EmptyEval(f"{len(predictions)} predictions vs {len(golds)} golds")
+def accuracy(probabilities, golds) -> float:
+    """Fraction of rows whose argmax (lowest id on ties) is the gold genre."""
+    if len(probabilities) != len(golds):
+        raise EmptyEval(f"{len(probabilities)} predictions vs {len(golds)} golds")
     if not len(golds):
         raise EmptyEval("nothing to evaluate")
-    hits = sum(1 for p, g in zip(predictions, golds) if _argmax_lowest(p) == g)
-    return hits / len(golds)
+    winners = np.argmax(np.asarray(probabilities, dtype=np.float64), axis=1)
+    return np.count_nonzero(winners == np.asarray(golds)) / len(golds)
 
 
-def top_k_hit(probabilities: np.ndarray, gold: int, k: int) -> bool:
-    """Is gold among the K highest-probability genres (lowest id on ties)?"""
-    order = np.lexsort((np.arange(len(probabilities)), -probabilities))
-    return gold in set(order[:k].tolist())
-
-
-def top_k_accuracy(predictions, golds, k: int) -> float:
+def top_k_accuracy(probabilities, golds, k: int) -> float:
+    """Fraction of rows whose gold genre is among the K most probable
+    (lowest id first on ties)."""
     if not len(golds):
         raise EmptyEval("nothing to evaluate")
-    n_genres = len(predictions[0])
+    P = np.asarray(probabilities, dtype=np.float64)
+    n_genres = P.shape[1]
     if not 1 <= k <= n_genres:
         raise InvalidK(f"K={k} outside [1, {n_genres}]")
-    hits = sum(1 for p, g in zip(predictions, golds) if top_k_hit(p, g, k))
-    return hits / len(golds)
+    top = np.argsort(-P, axis=1, kind="stable")[:, :k]
+    hits = (top == np.asarray(golds)[:, np.newaxis]).any(axis=1)
+    return np.count_nonzero(hits) / len(golds)
 
 
-def pr_curve(predictions, golds):
+def pr_curve(probabilities, golds):
     """Micro-averaged one-vs-rest PR curve over all (unit, genre) pairs.
 
     Each pair contributes its predicted probability as score and
@@ -95,60 +88,50 @@ def pr_curve(predictions, golds):
     """
     if not len(golds):
         raise EmptyEval("nothing to evaluate")
-    scores = []
-    labels = []
-    for p, g in zip(predictions, golds):
-        for genre, prob in enumerate(p):
-            scores.append(float(prob))
-            labels.append(1 if genre == g else 0)
-    scores = np.array(scores)
-    labels = np.array(labels)
-    order = np.argsort(-scores, kind="stable")
-    scores = scores[order]
-    labels = labels[order]
+    P = np.asarray(probabilities, dtype=np.float64)
+    golds = np.asarray(golds)
+    onehot = np.arange(P.shape[1]) == golds[:, np.newaxis]
+    order = np.argsort(-P.ravel(), kind="stable")
+    scores = P.ravel()[order]
+    labels = onehot.ravel()[order].astype(np.int64)
     total_positive = int(labels.sum())
     if total_positive == 0:
         raise EmptyEval("no positive pairs")
 
-    tp_cum = np.cumsum(labels)
-    ranks = np.arange(1, len(labels) + 1)
     # one point per distinct score: the last index of each tie group
-    distinct_last = np.flatnonzero(np.diff(scores, append=-np.inf))
-    points = []
-    average_precision = 0.0
-    prev_recall = 0.0
-    for i in distinct_last:
-        precision = tp_cum[i] / ranks[i]
-        recall = tp_cum[i] / total_positive
-        points.append((float(scores[i]), float(precision), float(recall)))
-        average_precision += (recall - prev_recall) * precision
-        prev_recall = recall
+    last = np.flatnonzero(np.diff(scores, append=-np.inf))
+    tp_cum = np.cumsum(labels)[last]
+    precision = tp_cum / (last + 1)
+    recall = tp_cum / total_positive
+    # cumsum adds left to right, so AP rounds exactly as the sequential sum
+    average_precision = np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1]
+    points = list(zip(scores[last].tolist(), precision.tolist(), recall.tolist()))
     return points, float(average_precision)
 
 
-def _tail_genres(bags: BagSet, max_train_count: int):
-    counts = bags.vocabulary.train_counts
-    return {g for g in range(len(counts)) if counts[g] < max_train_count}
-
-
 def collect_predictions(model, bags: BagSet, features, mode: str, split: str = "test"):
-    """Score the evaluation units of one split; returns (probabilities, golds)."""
+    """Score the evaluation units of one split, one unit per model call.
+
+    Returns ((units, G) probabilities, (units,) gold genre ids).
+    """
     if mode not in ("bag", "segment"):
         raise InvalidConfig(f"unknown evaluation mode {mode!r}")
-    units = []
+    rows = []
+    golds = []
     for bag in bags.split_bags(split):
         if mode == "bag":
             matrix = bag_feature_matrix(bag, features)
-            units.append((model.forward_bag(matrix).probabilities, bag.genre_id))
+            rows.append(model.forward_bag(matrix).probabilities)
+            golds.append(bag.genre_id)
         else:
             for track_id in bag.segment_ids:
                 if track_id not in features:
                     raise MissingFeature(f"no features for segment {track_id!r}")
-                pred = model.predict_segment(features[track_id])
-                units.append((pred.probabilities, bag.genre_id))
-    predictions = [u[0] for u in units]
-    golds = [u[1] for u in units]
-    return predictions, golds
+                rows.append(model.predict_segment(features[track_id]).probabilities)
+                golds.append(bag.genre_id)
+    if not rows:
+        raise EmptyEval(f"no {split} units to evaluate")
+    return np.stack(rows), np.array(golds)
 
 
 def evaluate(
@@ -161,24 +144,19 @@ def evaluate(
     split: str = "test",
 ) -> EvalReport:
     """Full report: overall accuracy, PR curve, and Top@K per tail subset."""
-    predictions, golds = collect_predictions(model, bags, features, mode, split)
-    if not golds:
-        raise EmptyEval(f"no {split} units to evaluate")
-    overall = accuracy(predictions, golds)
-    points, average_precision = pr_curve(predictions, golds)
+    probabilities, golds = collect_predictions(model, bags, features, mode, split)
+    overall = accuracy(probabilities, golds)
+    points, average_precision = pr_curve(probabilities, golds)
 
     top_k = {}
     subset_sizes = {}
     for subset in subsets:
-        tail = _tail_genres(bags, subset)
-        pairs = [(p, g) for p, g in zip(predictions, golds) if g in tail]
-        subset_sizes[subset] = len(pairs)
-        if not pairs:
+        tail = bags.vocabulary.tail_mask(subset)[golds]
+        subset_sizes[subset] = int(np.count_nonzero(tail))
+        if not subset_sizes[subset]:
             continue
-        tail_preds = [p for p, _ in pairs]
-        tail_golds = [g for _, g in pairs]
         for k in ks:
-            top_k[(subset, k)] = top_k_accuracy(tail_preds, tail_golds, k)
+            top_k[(subset, k)] = top_k_accuracy(probabilities[tail], golds[tail], k)
     return EvalReport(
         mode=mode,
         overall_accuracy=overall,

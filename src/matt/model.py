@@ -119,11 +119,6 @@ class MattModel:
             activations.append(h)
         return activations, h
 
-    def encode_segment(self, features: np.ndarray) -> np.ndarray:
-        """Embedding of a single feature vector."""
-        _, emb = self.encode(np.asarray(features, dtype=np.float64)[np.newaxis, :])
-        return emb[0]
-
     def attention_weights(self, embeddings: np.ndarray):
         """Softmax attention over members; returns (pre_tanh, tanh, weights)."""
         m = embeddings.shape[0]

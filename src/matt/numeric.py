@@ -1,10 +1,9 @@
-"""Dense numeric core: differentiable primitives, parameters, optimizers.
+"""Dense numeric core: initialization, softmax, parameters, optimizers.
 
-Everything here works on float64 numpy arrays. Each primitive comes as a
-forward function plus an explicit backward rule mapping the gradient of the
-output to gradients of the inputs; model code composes them by hand and
-accumulates parameter gradients additively into a ParamStore. A central
-finite-difference checker verifies the hand-written rules.
+Everything here works on float64 numpy arrays. The model writes its forward
+and backward passes by hand in numpy, calling softmax, softmax_backward and
+weighted_sum from here, and accumulates parameter gradients additively into
+a ParamStore. A central finite-difference checker verifies those gradients.
 """
 
 from __future__ import annotations
@@ -27,27 +26,6 @@ def xavier_uniform(rows: int, cols: int, seed: int) -> np.ndarray:
 
 # -- differentiable primitives -- #
 
-def affine(weight: np.ndarray, x: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """weight @ x + bias for a vector x; batched rows use x @ weight.T + bias."""
-    if weight.shape[1] != x.shape[0]:
-        raise ShapeError(f"affine: weight {weight.shape} incompatible with x {x.shape}")
-    return weight @ x + bias
-
-
-def affine_backward(dout, weight, x):
-    """Returns (d_weight, d_bias, d_x)."""
-    return np.outer(dout, x), dout.copy(), weight.T @ dout
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-
-
-def tanh_backward(dout, y):
-    """Backward through tanh given the forward output y = tanh(x)."""
-    return dout * (1.0 - y * y)
-
-
 def softmax(x: np.ndarray) -> np.ndarray:
     """Stable softmax with max subtraction; output strictly positive, sums to 1."""
     shifted = x - np.max(x)
@@ -60,15 +38,6 @@ def softmax_backward(dout, y):
     return y * (dout - np.dot(dout, y))
 
 
-def vconcat(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.concatenate([x, y])
-
-
-def vconcat_backward(dout, n_first):
-    """Splits the output gradient back into the two operands' gradients."""
-    return dout[:n_first], dout[n_first:]
-
-
 def weighted_sum(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Convex combination sum_k weights[k] * vectors[k] for vectors of shape (m, d)."""
     if weights.shape[0] != vectors.shape[0]:
@@ -76,11 +45,6 @@ def weighted_sum(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
             f"weighted_sum: {weights.shape[0]} weights for {vectors.shape[0]} vectors"
         )
     return vectors.T @ weights
-
-
-def weighted_sum_backward(dout, weights, vectors):
-    """Returns (d_weights, d_vectors)."""
-    return vectors @ dout, np.outer(weights, dout)
 
 
 # -- parameter storage -- #
@@ -105,9 +69,6 @@ class ParamStore:
         self.grads[name] = np.zeros_like(arr)
         return arr
 
-    def names(self):
-        return list(self.values)
-
     def zero_grads(self):
         for g in self.grads.values():
             g[...] = 0.0
@@ -123,12 +84,6 @@ class ParamStore:
     def scale_grads(self, factor: float):
         for g in self.grads.values():
             g *= factor
-
-    def clone(self) -> "ParamStore":
-        out = ParamStore()
-        for name, value in self.values.items():
-            out.add(name, value.copy())
-        return out
 
     def load_values(self, values: dict[str, np.ndarray]):
         """Overwrite parameter values in place, validating names and sizes."""

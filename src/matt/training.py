@@ -37,7 +37,6 @@ class TrainConfig:
     aggregator: str = "matt"
     hidden_dims: tuple[int, ...] = ()
     embedding_dim: int = 16
-    feature_set: str = "1to9"
     # off by default: the benchmark measures what bagging and attention do on
     # their own, without rebalancing confounds
     class_weighting: bool = False

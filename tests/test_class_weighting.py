@@ -33,7 +33,7 @@ def test_weighting_off_by_default_and_changes_training():
     )
     assert any(
         not np.array_equal(plain.params.values[n], weighted.params.values[n])
-        for n in plain.params.names()
+        for n in plain.params.values
     )
 
 

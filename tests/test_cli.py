@@ -1,10 +1,16 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from matt.cli import build_parser, main
+from matt.cli import _load_config, build_parser, main
+from matt.config import RunConfig, load_run_config
 from matt.dsp import read_feature_csv, read_mel_cache, write_wav
+from matt.errors import InvalidConfig
+from matt.synthetic import SynthConfig
+from matt.training import TrainConfig
 
 RATE = 44100
 
@@ -214,3 +220,168 @@ def test_invalid_config_key_rejected(tmp_path):
         CONFIG_TEMPLATE.format(feature_set="nope", epochs=1), encoding="utf-8"
     )
     assert run("build-bags", "--config", cfg) == 1
+
+
+# -- config file reading -- #
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_config(tmp_path) -> Path:
+    """The README's example config block, written next to nothing else."""
+    block = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    path = tmp_path / "run.cfg"
+    path.write_text(block.group(1), encoding="utf-8")
+    return path
+
+
+def test_readme_example_config_loads(tmp_path):
+    # the settings it gave before `#` became its comment marker
+    path = readme_config(tmp_path)
+    cfg = load_run_config(path)
+    assert cfg == RunConfig(
+        audio_dir=tmp_path / "audio",
+        metadata=tmp_path / "metadata.csv",
+        feature_dir=tmp_path / "features",
+        checkpoint_dir=tmp_path / "checkpoints",
+        report_dir=tmp_path / "reports",
+        feature_set="1to9",
+        sample_rate=44100,
+        n_fft=2048,
+        hop=1024,
+        label_policy="majority",
+        eval_mode="bag",
+        subsets=(100, 200),
+        ks=(2, 3, 5),
+        train=TrainConfig(
+            epochs=50,
+            bags_per_batch=32,
+            optimizer="adam",
+            learning_rate=0.001,
+            seed=7,
+            early_stop_patience=10,
+            aggregator="matt",
+            hidden_dims=(),
+            embedding_dim=16,
+            class_weighting=False,
+        ),
+        synth=SynthConfig(
+            n_genres=16,
+            zipf_exponent=1.2,
+            head_count=400,
+            bag_size_range=(3, 10),
+            feature_dim=32,
+            centroid_separation=1.0,
+            noise_rate=0.4,
+        ),
+    )
+    # the [run] seed is the generator's seed too
+    assert run("gen-synth", "--config", path) == 0
+    manifest = json.loads((tmp_path / "features" / "synth.json").read_text())
+    assert manifest == {
+        "n_genres": 16,
+        "zipf_exponent": 1.2,
+        "head_count": 400,
+        "bag_size_range": [3, 10],
+        "feature_dim": 32,
+        "centroid_separation": 1.0,
+        "noise_rate": 0.4,
+        "seed": 7,
+    }
+
+
+def test_every_config_key_reaches_its_field(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(
+        "[paths]\naudio_dir = a\nmetadata = m.csv\nfeature_dir = f\n"
+        "checkpoint_dir = c\nreport_dir = r\n"
+        "[run]\nseed = 11\n"
+        "[features]\nfeature_set = 3+6\nsample_rate = 22050\nn_fft = 1024\nhop = 512\n"
+        "[encoder]\nhidden_dims = 8, 4\nembedding_dim = 5\n"
+        "[train]\nepochs = 3\nbags_per_batch = 2\noptimizer = sgd\nlearning_rate = 0.5\n"
+        "early_stop_patience = 4\nlabel_policy = strict\naggregator = mean\n"
+        "class_weighting = yes\n"
+        "[eval]\nmode = segment\nsubsets = 10\nks = 1,4\n"
+        "[synth]\nn_genres = 5\nzipf_exponent = 2\nhead_count = 9\nbag_size_min = 2\n"
+        "bag_size_max = 6\nfeature_dim = 3\ncentroid_separation = 0.5\nnoise_rate = 0.1\n",
+        encoding="utf-8",
+    )
+    cfg = load_run_config(path)
+    assert (cfg.audio_dir, cfg.metadata, cfg.feature_dir, cfg.checkpoint_dir, cfg.report_dir) == (
+        tmp_path / "a", tmp_path / "m.csv", tmp_path / "f", tmp_path / "c", tmp_path / "r"
+    )
+    assert (cfg.feature_set, cfg.sample_rate, cfg.n_fft, cfg.hop) == ("3+6", 22050, 1024, 512)
+    assert (cfg.label_policy, cfg.eval_mode, cfg.subsets, cfg.ks) == (
+        "strict", "segment", (10,), (1, 4)
+    )
+    assert cfg.feature_config().stft.n_fft == 1024
+    assert cfg.train == TrainConfig(
+        epochs=3, bags_per_batch=2, optimizer="sgd", learning_rate=0.5, seed=11,
+        early_stop_patience=4, aggregator="mean", hidden_dims=(8, 4), embedding_dim=5,
+        class_weighting=True,
+    )
+    assert cfg.synth == SynthConfig(
+        n_genres=5, zipf_exponent=2.0, head_count=9, bag_size_range=(2, 6), feature_dim=3,
+        centroid_separation=0.5, noise_rate=0.1,
+    )
+    assert isinstance(cfg.synth.zipf_exponent, float)
+
+
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        ("[train]\nepochs = two\n", "[train] epochs"),
+        ("[encoder]\nhidden_dims = 8,x\n", "[encoder] hidden_dims"),
+        ("[train]\nlearning_rate = fast\n", "[train] learning_rate"),
+        ("[train]\nclass_weighting = maybe\n", "[train] class_weighting"),
+        ("[eval]\nks = 1;2\n", "[eval] ks"),
+        ("[synth]\nbag_size_max = 4.5\n", "[synth] bag_size_max"),
+        ("[paths]\nreport_dir = 100%\n", "[paths] report_dir"),
+        ("epochs = 3\n", "no section headers"),
+    ],
+)
+def test_malformed_config_value_fails_validation(tmp_path, capsys, text, names):
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InvalidConfig) as info:
+        load_run_config(path)
+    assert str(path) in str(info.value)
+    assert names in str(info.value)
+    assert run("build-bags", "--config", path) == 1
+    assert "internal error" not in capsys.readouterr().err
+
+
+def test_flags_override_config_settings(corpus):
+    _, cfg_path = corpus
+    args = build_parser().parse_args(
+        ["train", "--config", str(cfg_path), "--seed", "3", "--epochs", "9",
+         "--aggregator", "mean", "--feature-set", "1to9"]
+    )
+    cfg = _load_config(args)
+    assert (cfg.train.seed, cfg.train.epochs, cfg.train.aggregator) == (3, 9, "mean")
+    assert cfg.feature_set == "1to9"
+    assert cfg.train.learning_rate == 0.01  # untouched keys keep the file's value
+
+
+# -- bad feature caches -- #
+
+def test_non_numeric_feature_value_fails_validation(corpus, capsys):
+    root, cfg = corpus
+    (root / "features").mkdir()
+    (root / "features" / "3+6.csv").write_text(
+        "track_id,a,b\ntrk00,1.0,2.0\ntrk01,1.0,abc\n", encoding="utf-8"
+    )
+    assert run("train", "--config", cfg) == 1
+    err = capsys.readouterr().err
+    assert "3+6.csv" in err and "trk01" in err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+def test_header_only_feature_cache_fails_validation(corpus, capsys, command):
+    root, cfg = corpus
+    assert run("extract-features", "--config", cfg, "--workers", 1) == 0
+    assert run("train", "--config", cfg, "--epochs", 1) == 0
+    csv = root / "features" / "3+6.csv"
+    csv.write_text(csv.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+    assert run(command, "--config", cfg) == 1
+    assert "3+6.csv" in capsys.readouterr().err

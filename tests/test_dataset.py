@@ -4,7 +4,6 @@ import pytest
 from matt.dataset import (
     build_bags,
     load_metadata,
-    long_tail_subset,
     parse_metadata_lines,
     save_bags_csv,
 )
@@ -147,16 +146,16 @@ def test_long_tail_subset_thresholds():
     rows = ["thead%02d,ah%d,ph,rock,train" % (i, i) for i in range(150)]
     rows += ["ttail%02d,at%d,pt,jazz,train" % (i, i) for i in range(50)]
     rows += ["tx1,ah0,ph,rock,test", "tx2,at0,pt,jazz,test"]
-    table = table_of(*rows)
-    bags = build_bags(table)
-    assert long_tail_subset(bags, 1000).bags == bags.bags  # above every count
-    assert long_tail_subset(bags, 0).bags == ()
-    sub100 = long_tail_subset(bags, 100)
-    sub200 = long_tail_subset(bags, 200)
-    assert {b.genre_id for b in sub100.bags} == {1}
-    assert set(sub100.bags) <= set(sub200.bags)
+    vocab = build_bags(table_of(*rows)).vocabulary
+    assert vocab.train_counts == (150, 50)
+    assert vocab.tail_mask(1000).tolist() == [True, True]  # above every count
+    assert vocab.tail_mask(0).tolist() == [False, False]
+    assert vocab.tail_mask(50).tolist() == [False, False]  # strictly fewer
+    assert vocab.tail_mask(51).tolist() == [False, True]
+    assert vocab.tail_mask(100).tolist() == [False, True]
+    assert vocab.tail_mask(151).tolist() == [True, True]
     # monotone in the threshold
-    sizes = [len(long_tail_subset(bags, t).bags) for t in (0, 10, 51, 100, 151, 1000)]
+    sizes = [int(vocab.tail_mask(t).sum()) for t in (0, 10, 51, 100, 151, 1000)]
     assert sizes == sorted(sizes)
 
 

@@ -202,3 +202,41 @@ def test_empty_subset_is_omitted():
     report = evaluate(model, data.bags, data.features, mode="bag", subsets=(1,), ks=(2,))
     assert report.top_k == {}
     assert report.subset_sizes == {1: 0}
+
+
+def _loop_reference(preds, golds, k):
+    """Per-unit loops the matrix metrics replaced: accuracy, Top@K, PR and AP."""
+    hits = sum(1 for p, g in zip(preds, golds) if int(np.argmax(p)) == g)
+    top_hits = sum(
+        1 for p, g in zip(preds, golds)
+        if g in np.lexsort((np.arange(len(p)), -p))[:k].tolist()
+    )
+    pairs = [(float(prob), int(genre == g)) for p, g in zip(preds, golds)
+             for genre, prob in enumerate(p)]
+    scores = np.array([s for s, _ in pairs])
+    labels = np.array([y for _, y in pairs])
+    order = np.argsort(-scores, kind="stable")
+    scores, labels = scores[order], labels[order]
+    tp_cum = np.cumsum(labels)
+    points, ap, prev_recall = [], 0.0, 0.0
+    for i in np.flatnonzero(np.diff(scores, append=-np.inf)):
+        precision, recall = tp_cum[i] / (i + 1), tp_cum[i] / labels.sum()
+        points.append((float(scores[i]), float(precision), float(recall)))
+        ap += (recall - prev_recall) * precision
+        prev_recall = recall
+    return hits / len(golds), top_hits / len(golds), points, float(ap)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matrix_metrics_equal_the_per_unit_loops_exactly(seed):
+    rng = np.random.default_rng(seed)
+    n, g = 300, 7
+    raw = rng.random((n, g))
+    if seed % 2:
+        raw = np.round(raw, 1) + 0.01  # many exact ties within and across rows
+    preds = raw / raw.sum(axis=1, keepdims=True)
+    golds = rng.integers(0, g, size=n)
+    acc, top3, points, ap = _loop_reference(list(preds), golds.tolist(), 3)
+    assert accuracy(preds, golds) == acc
+    assert top_k_accuracy(preds, golds, 3) == top3
+    assert pr_curve(preds, golds) == (points, ap)

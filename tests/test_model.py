@@ -106,16 +106,16 @@ def test_linear_encoder_with_identity_weights_is_identity():
     model = make_model(input_dim=5, hidden=(), d=5)
     model.params.values["enc_w0"][...] = np.eye(5)
     model.params.values["enc_b0"][...] = 0.0
-    x = np.arange(5.0)
-    assert np.array_equal(model.encode_segment(x), x)
+    x = np.arange(5.0)[np.newaxis, :]
+    assert np.array_equal(model.encode(x)[1], x)
 
 
 def test_zero_input_zero_bias_gives_zero_embedding():
     model = make_model(input_dim=5, hidden=(4,), d=3)
-    for name in model.params.names():
+    for name in model.params.values:
         if name.startswith("enc_b"):
             model.params.values[name][...] = 0.0
-    assert np.all(model.encode_segment(np.zeros(5)) == 0.0)
+    assert np.all(model.encode(np.zeros((1, 5)))[1] == 0.0)
 
 
 def test_empty_bag_rejected():
@@ -182,7 +182,7 @@ def test_batched_singleton_path_matches_per_bag_path():
     d_scores[np.arange(6), golds] -= 1.0
     fast.backward_singletons(activations, embeddings, d_scores)
 
-    for name in slow.params.names():
+    for name in slow.params.values:
         assert np.allclose(
             slow.params.grads[name], fast.params.grads[name], rtol=1e-12, atol=1e-12
         ), name

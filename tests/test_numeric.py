@@ -5,18 +5,11 @@ from matt.errors import DivergedError, InvalidConfig, ShapeError
 from matt.numeric import (
     OptimizerState,
     ParamStore,
-    affine,
-    affine_backward,
     finite_difference_check,
     optimizer_step,
     softmax,
     softmax_backward,
-    tanh,
-    tanh_backward,
-    vconcat,
-    vconcat_backward,
     weighted_sum,
-    weighted_sum_backward,
     xavier_uniform,
 )
 
@@ -65,16 +58,6 @@ def test_softmax_strictly_positive_and_normalized():
         assert abs(y.sum() - 1.0) <= 1e-12
 
 
-def test_tanh_derivative_at_origin():
-    y = tanh(np.zeros(1))
-    assert tanh_backward(np.ones(1), y)[0] == 1.0
-
-
-def test_affine_shape_mismatch():
-    with pytest.raises(ShapeError):
-        affine(np.zeros((2, 3)), np.zeros(4), np.zeros(2))
-
-
 def test_weighted_sum_of_opposite_vectors_cancels():
     s = np.array([1.0, -2.0, 3.0])
     combo = weighted_sum(np.array([0.5, 0.5]), np.stack([s, -s]))
@@ -105,53 +88,13 @@ def _fd_grad(f, x, h=1e-6):
 
 def test_primitive_backward_rules_match_finite_differences():
     rng = np.random.default_rng(2)
-    W = rng.standard_normal((3, 4))
     x = rng.standard_normal(4)
-    b = rng.standard_normal(3)
-    dout = rng.standard_normal(3)
-
-    dW, db, dx = affine_backward(dout, W, x)
-    assert np.allclose(dx, _fd_grad(lambda v: float(affine(W, v, b) @ dout), x), atol=1e-6)
-    assert np.allclose(
-        dW, _fd_grad(lambda m: float(affine(m, x, b) @ dout), W), atol=1e-6
-    )
-    assert np.allclose(db, _fd_grad(lambda v: float(affine(W, x, v) @ dout), b), atol=1e-6)
-
-    y = tanh(x)
-    assert np.allclose(
-        tanh_backward(dout[:1], y[:1]),
-        _fd_grad(lambda v: float(tanh(v)[0] * dout[0]), x[:1]),
-        atol=1e-6,
-    )
-
     s = softmax(x)
     target = rng.standard_normal(4)
     ds = softmax_backward(target, s)
     assert np.allclose(
         ds, _fd_grad(lambda v: float(softmax(v) @ target), x), atol=1e-6
     )
-
-    weights = softmax(rng.standard_normal(5))
-    vectors = rng.standard_normal((5, 3))
-    d_w, d_v = weighted_sum_backward(dout, weights, vectors)
-    assert np.allclose(
-        d_w,
-        _fd_grad(lambda w: float(weighted_sum(w, vectors) @ dout), weights),
-        atol=1e-6,
-    )
-    assert np.allclose(
-        d_v,
-        _fd_grad(lambda v: float(weighted_sum(weights, v) @ dout), vectors),
-        atol=1e-6,
-    )
-
-
-def test_vconcat_split_round_trip():
-    x, y = np.arange(3.0), np.arange(4.0)
-    joined = vconcat(x, y)
-    dx, dy = vconcat_backward(joined, 3)
-    assert np.array_equal(dx, x)
-    assert np.array_equal(dy, y)
 
 
 # -- param store and optimizers -- #

@@ -88,7 +88,7 @@ def test_zero_epochs_returns_initialization():
         seed=4,
     )
     assert log.epochs == []
-    for name in model.params.names():
+    for name in model.params.values:
         assert np.array_equal(model.params.values[name], fresh.params.values[name])
 
 
@@ -97,7 +97,7 @@ def test_training_is_bit_reproducible():
     cfg = TrainConfig(epochs=6, seed=9, embedding_dim=4, learning_rate=1e-2)
     m1, log1 = train(data.bags, data.features, cfg)
     m2, log2 = train(data.bags, data.features, cfg)
-    for name in m1.params.names():
+    for name in m1.params.values:
         assert np.array_equal(m1.params.values[name], m2.params.values[name])
     assert [e[:3] for e in log1.epochs] == [e[:3] for e in log2.epochs]
 
@@ -128,7 +128,7 @@ def test_segment_baseline_equals_singleton_train():
     cfg = TrainConfig(epochs=5, seed=3, embedding_dim=4, learning_rate=1e-2)
     m1, _ = train_segment_baseline(data.table, data.features, cfg)
     m2, _ = train(singleton_bagset(data.table), data.features, cfg)
-    for name in m1.params.names():
+    for name in m1.params.values:
         assert np.array_equal(m1.params.values[name], m2.params.values[name])
 
 

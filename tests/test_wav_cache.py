@@ -10,8 +10,8 @@ from matt.dsp import (
     write_mel_cache,
     write_wav,
 )
-from matt.dsp.cache import format_value, lookup_features
-from matt.errors import CorruptAudio, MissingFeature
+from matt.dsp.cache import format_value
+from matt.errors import CorruptAudio
 from matt.numeric import ParamStore
 
 
@@ -53,8 +53,6 @@ def test_feature_csv_round_trips_float32(tmp_path):
     assert sorted(back) == sorted(rows)
     for track_id, vec in rows.items():
         assert np.array_equal(back[track_id], vec)
-    with pytest.raises(MissingFeature):
-        lookup_features(back, "nope")
 
 
 def test_feature_csv_write_is_deterministic(tmp_path):
