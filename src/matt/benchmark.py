@@ -20,7 +20,6 @@ import numpy as np
 
 from .checkpoint import save_checkpoint
 from .evaluation import EvalReport, evaluate
-from .model import BagPrediction
 from .synthetic import SynthConfig, SyntheticData, generate_synthetic
 from .training import TrainConfig, train, train_segment_baseline
 
@@ -40,23 +39,16 @@ BENCHMARK_TRAIN = TrainConfig(
 
 
 class OracleModel:
-    """Adapts a BayesOracle to the model interface used by evaluate()."""
+    """Adapts a BayesOracle to the packed model interface used by evaluate()."""
 
     def __init__(self, oracle):
         self.oracle = oracle
 
-    def forward_bag(self, features):
-        features = np.atleast_2d(features)
-        probs = self.oracle.posterior(features)
-        m = features.shape[0]
-        return BagPrediction(
-            probabilities=probs,
-            attention_weights=np.full(m, 1.0 / m),
-            bag_representation=np.zeros(1),
+    def forward_packed(self, features, starts):
+        bounds = np.append(starts, len(features))
+        return np.stack(
+            [self.oracle.posterior(features[a:b]) for a, b in zip(bounds, bounds[1:])]
         )
-
-    def predict_segment(self, features):
-        return self.forward_bag(np.atleast_2d(features))
 
 
 @dataclass(frozen=True)

@@ -335,16 +335,18 @@ def cmd_predict(args) -> int:
             raise ValidationError(f"no cached features for {missing}")
     else:
         track_ids = sorted(features)
+    # every track is its own bag: one packed pass scores them all
+    X = np.array([features[t] for t in track_ids], dtype=np.float64)
+    probabilities, cache = model.forward_packed(X, np.arange(len(X)), keep_cache=True)
+    weights = cache["weights"]
+    del X, cache  # the rows and activations are not needed while formatting
+    top = np.argsort(-probabilities, axis=1, kind="stable")[:, :5]
     lines = []
-    for track_id in track_ids:
-        pred = model.predict_segment(features[track_id])
-        p = pred.probabilities
-        order = np.lexsort((np.arange(len(p)), -p))[:5]
+    for track_id, p, order, weight in zip(track_ids, probabilities, top, weights):
         top5 = ";".join(f"{names[g]}:{format_value(float(p[g]))}" for g in order)
-        attention = ";".join(format_value(float(a)) for a in pred.attention_weights)
         lines.append(
             f"{track_id},{names[int(order[0])]},{format_value(float(p[order[0]]))},"
-            f"{top5},{attention}"
+            f"{top5},{format_value(float(weight))}"
         )
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -81,8 +81,8 @@ class DivergedError(RuntimeFailure):
     pass
 
 
-class MissingFeature(RuntimeFailure):
-    pass
+class MissingFeature(ValidationError):
+    """The feature cache lacks a track that the metadata lists."""
 
 
 # evaluation

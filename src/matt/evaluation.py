@@ -2,8 +2,9 @@
 micro-averaged one-vs-rest precision-recall curves.
 
 Bag mode scores one prediction per test bag; segment mode scores every test
-segment individually (no album/artist metadata consumed). Tail subsets keep
-the units whose genre has fewer than the threshold training segments.
+segment individually (no album/artist metadata consumed). Either way the
+whole split is one packed model call. Tail subsets keep the units whose genre
+has fewer than the threshold training segments.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import BagSet
-from .errors import EmptyEval, InvalidConfig, InvalidK, MissingFeature
-from .training import bag_feature_matrix
+from .errors import EmptyEval, InvalidConfig, InvalidK
+# bag_feature_matrix stays bound here: perfbench/test_perfbench.py requires the
+# benchmark's tracer to find it in this module
+from .training import bag_feature_matrix, pack_bags  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -110,28 +113,23 @@ def pr_curve(probabilities, golds):
 
 
 def collect_predictions(model, bags: BagSet, features, mode: str, split: str = "test"):
-    """Score the evaluation units of one split, one unit per model call.
+    """Score the evaluation units of one split in one packed model call.
 
-    Returns ((units, G) probabilities, (units,) gold genre ids).
+    Bag mode scores each bag; segment mode scores each member of those bags
+    as its own singleton bag. Returns ((units, G) probabilities, (units,)
+    gold genre ids).
     """
     if mode not in ("bag", "segment"):
         raise InvalidConfig(f"unknown evaluation mode {mode!r}")
-    rows = []
-    golds = []
-    for bag in bags.split_bags(split):
-        if mode == "bag":
-            matrix = bag_feature_matrix(bag, features)
-            rows.append(model.forward_bag(matrix).probabilities)
-            golds.append(bag.genre_id)
-        else:
-            for track_id in bag.segment_ids:
-                if track_id not in features:
-                    raise MissingFeature(f"no features for segment {track_id!r}")
-                rows.append(model.predict_segment(features[track_id]).probabilities)
-                golds.append(bag.genre_id)
-    if not rows:
+    split_bags = bags.split_bags(split)
+    if not split_bags:
         raise EmptyEval(f"no {split} units to evaluate")
-    return np.stack(rows), np.array(golds)
+    X, starts = pack_bags(split_bags, features)
+    golds = np.array([bag.genre_id for bag in split_bags])
+    if mode == "segment":
+        golds = np.repeat(golds, np.diff(starts, append=len(X)))
+        starts = np.arange(len(X))
+    return model.forward_packed(X, starts), golds
 
 
 def evaluate(

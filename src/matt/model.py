@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBag, InvalidConfig, ShapeError
-from .numeric import ParamStore, softmax, softmax_backward, weighted_sum, xavier_uniform
+from .numeric import ParamStore, softmax, xavier_uniform
 
 
 @dataclass(frozen=True)
@@ -50,26 +50,18 @@ class BagPrediction:
     bag_representation: np.ndarray  # (d,)
 
 
-@dataclass
-class ForwardCache:
-    """Intermediates needed by the backward pass for one bag."""
-
-    features: np.ndarray
-    activations: list
-    embeddings: np.ndarray
-    att_pre: np.ndarray | None
-    att_tanh: np.ndarray | None
-    weights: np.ndarray
-    representation: np.ndarray
-    probabilities: np.ndarray
-
-
 class MattModel:
     """Encoder + attention head + genre scorer over a shared ParamStore.
 
     aggregator "matt" uses learned attention weights; "mean" averages members
     uniformly (the attention-free bagging baseline). Parameter names are
     fixed so checkpoints identify the architecture unambiguously.
+
+    Every pass runs on a packed batch: the members of B bags stacked as
+    consecutive rows of one (n_rows, input_dim) matrix, plus each bag's first
+    row in `starts`. Per-bag softmax and pooling are segment reductions
+    (np.maximum.reduceat / np.add.reduceat), so a batch costs one matmul per
+    layer whatever its bag sizes.
     """
 
     def __init__(
@@ -119,54 +111,72 @@ class MattModel:
             activations.append(h)
         return activations, h
 
-    def attention_weights(self, embeddings: np.ndarray):
-        """Softmax attention over members; returns (pre_tanh, tanh, weights)."""
-        m = embeddings.shape[0]
-        if m == 0:
-            raise EmptyBag("attention over an empty bag")
+    def attention_weights(self, embeddings: np.ndarray, starts: np.ndarray):
+        """Per-bag softmax attention over packed members.
+
+        Returns (tanh, weights): the squashed logit of each row (None for the
+        mean aggregator) and its (n_rows,) weight; weights sum to 1 per bag.
+        """
+        sizes = np.diff(starts, append=len(embeddings))
+        if self.aggregator == "mean":
+            return None, np.repeat(1.0 / sizes, sizes)
         w = self.params.values["att_w"][0]
         d = self.encoder.output_dim
         q = self.params.values["att_q"][:, 0]
-        pre = embeddings @ w[:d] + w[d:] @ q
-        squashed = np.tanh(pre)
+        squashed = np.tanh(embeddings @ w[:d] + w[d:] @ q)
         logits = squashed + self.params.values["att_b"][0]
-        return pre, squashed, softmax(logits)
+        e = np.exp(logits - np.repeat(np.maximum.reduceat(logits, starts), sizes))
+        return squashed, e / np.repeat(np.add.reduceat(e, starts), sizes)
 
-    def genre_scores(self, representation: np.ndarray):
-        scores = self.params.values["out_m"] @ representation
-        return scores, softmax(scores)
+    def genre_scores(self, representations: np.ndarray) -> np.ndarray:
+        """(B, d) bag representations -> (B, G) genre probabilities."""
+        return softmax(representations @ self.params.values["out_m"].T)
+
+    def forward_packed(self, features: np.ndarray, starts, keep_cache: bool = False):
+        """Score B packed bags; returns (B, G) probabilities (+cache).
+
+        starts must rise strictly from 0 and stay below n_rows, so no bag is
+        empty. The cache holds what backward_packed needs, among it the
+        (n_rows,) attention weights and the (B, d) bag representations.
+        """
+        features = np.asarray(features, dtype=np.float64)
+        starts = np.asarray(starts, dtype=np.intp)
+        if (
+            features.ndim != 2
+            or starts.ndim != 1
+            or not starts.size
+            or starts[0] != 0
+            or starts[-1] >= features.shape[0]
+            or np.any(np.diff(starts) <= 0)
+        ):
+            raise EmptyBag(
+                f"{features.shape} features with bag starts {starts[:8]} hold an empty bag"
+            )
+        activations, embeddings = self.encode(features)
+        squashed, weights = self.attention_weights(embeddings, starts)
+        representations = np.add.reduceat(weights[:, np.newaxis] * embeddings, starts)
+        probabilities = self.genre_scores(representations)
+        if not keep_cache:
+            return probabilities
+        cache = {
+            "starts": starts,
+            "activations": activations,
+            "squashed": squashed,
+            "weights": weights,
+            "representations": representations,
+        }
+        return probabilities, cache
 
     def forward_bag(self, features: np.ndarray, keep_cache: bool = False):
-        """Full pass over a (m, input_dim) bag; returns BagPrediction (+cache)."""
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[0] == 0:
-            raise EmptyBag(f"bag features must be (m, input_dim), got {features.shape}")
-        activations, embeddings = self.encode(features)
-        m = features.shape[0]
-        if self.aggregator == "matt":
-            pre, squashed, weights = self.attention_weights(embeddings)
-        else:
-            pre, squashed, weights = None, None, np.full(m, 1.0 / m)
-        representation = weighted_sum(weights, embeddings)
-        _, probabilities = self.genre_scores(representation)
+        """Full pass over a (m, input_dim) bag, a packed batch of one; returns
+        BagPrediction (+cache for backward_bag)."""
+        probabilities, cache = self.forward_packed(features, [0], keep_cache=True)
         prediction = BagPrediction(
-            probabilities=probabilities,
-            attention_weights=weights,
-            bag_representation=representation,
+            probabilities=probabilities[0],
+            attention_weights=cache["weights"],
+            bag_representation=cache["representations"][0],
         )
-        if not keep_cache:
-            return prediction
-        cache = ForwardCache(
-            features=features,
-            activations=activations,
-            embeddings=embeddings,
-            att_pre=pre,
-            att_tanh=squashed,
-            weights=weights,
-            representation=representation,
-            probabilities=probabilities,
-        )
-        return prediction, cache
+        return (prediction, cache) if keep_cache else prediction
 
     def predict_segment(self, features: np.ndarray) -> BagPrediction:
         """Score one segment with no bag metadata: a singleton bag."""
@@ -175,20 +185,24 @@ class MattModel:
 
     # -- backward -- #
 
-    def backward_bag(self, cache: ForwardCache, d_scores: np.ndarray):
-        """Accumulate parameter gradients given dLoss/dScores for one bag."""
+    def backward_packed(self, cache: dict, d_scores: np.ndarray):
+        """Accumulate parameter gradients given (B, G) dLoss/dScores, one row per bag."""
         p = self.params
-        d_repr = p.values["out_m"].T @ d_scores
-        p.add_grad("out_m", np.outer(d_scores, cache.representation))
-
-        embeddings = cache.embeddings
-        weights = cache.weights
-        d_embeddings = np.outer(weights, d_repr)
+        starts = cache["starts"]
+        weights = cache["weights"]
+        embeddings = cache["activations"][-1]
+        sizes = np.diff(starts, append=len(weights))
+        p.add_grad("out_m", d_scores.T @ cache["representations"])
+        # each member row receives its bag's dLoss/dRepresentation
+        d_repr = np.repeat(d_scores @ p.values["out_m"], sizes, axis=0)
+        d_embeddings = weights[:, np.newaxis] * d_repr
         if self.aggregator == "matt":
-            d_weights = embeddings @ d_repr
-            d_logits = softmax_backward(d_weights, weights)
+            d_weights = np.einsum("ij,ij->i", embeddings, d_repr)
+            # softmax backward within each bag
+            bag_dot = np.add.reduceat(weights * d_weights, starts)
+            d_logits = weights * (d_weights - np.repeat(bag_dot, sizes))
             p.add_grad("att_b", np.array([d_logits.sum()]))
-            d_pre = d_logits * (1.0 - cache.att_tanh**2)
+            d_pre = d_logits * (1.0 - cache["squashed"] ** 2)
             d = self.encoder.output_dim
             w = p.values["att_w"][0]
             q = p.values["att_q"][:, 0]
@@ -201,44 +215,30 @@ class MattModel:
         d_h = d_embeddings
         for i in range(self.n_layers - 1, -1, -1):
             if i != self.n_layers - 1:
-                d_h = d_h * (1.0 - cache.activations[i + 1] ** 2)
-            p.add_grad(f"enc_w{i}", d_h.T @ cache.activations[i])
+                d_h = d_h * (1.0 - cache["activations"][i + 1] ** 2)
+            p.add_grad(f"enc_w{i}", d_h.T @ cache["activations"][i])
             p.add_grad(f"enc_b{i}", d_h.sum(axis=0))
-            d_h = d_h @ self.params.values[f"enc_w{i}"]
-        return d_h  # gradient wrt input features, useful for diagnostics
+            if i:
+                d_h = d_h @ p.values[f"enc_w{i}"]
 
-    # -- batched singleton path -- #
-    #
-    # A bag of one member has attention weight exactly 1, so its attention
-    # parameters receive zero gradient and the bag representation is the
-    # embedding itself. That lets many singleton bags share one batched
-    # forward/backward, which is what makes segment-level training cheap.
+    def backward_bag(self, cache: dict, d_scores: np.ndarray):
+        """Accumulate parameter gradients given dLoss/dScores (G,) for one bag."""
+        self.backward_packed(cache, d_scores[np.newaxis, :])
+
+    # -- singleton API: nothing in matt calls it any more; it stays because
+    # perfbench/layers.PROBES wraps both methods by name -- #
 
     def forward_singletons(self, features: np.ndarray):
         """(B, input_dim) -> (activations, embeddings, per-row probabilities)."""
-        activations, embeddings = self.encode(np.asarray(features, dtype=np.float64))
-        scores = embeddings @ self.params.values["out_m"].T
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        probabilities = e / e.sum(axis=1, keepdims=True)
-        return activations, embeddings, probabilities
+        probs, cache = self.forward_packed(features, np.arange(len(features)), keep_cache=True)
+        return cache["activations"], cache["activations"][-1], probs
 
     def backward_singletons(self, activations, embeddings, d_scores: np.ndarray):
-        """Accumulate gradients for a batch of singleton bags.
-
-        d_scores is (B, G), one row of dLoss/dScores per bag; each bag
-        contributes its gradient exactly as the per-bag path would.
-        """
-        p = self.params
-        p.add_grad("out_m", d_scores.T @ embeddings)
-        d_h = d_scores @ p.values["out_m"]
-        for i in range(self.n_layers - 1, -1, -1):
-            if i != self.n_layers - 1:
-                d_h = d_h * (1.0 - activations[i + 1] ** 2)
-            p.add_grad(f"enc_w{i}", d_h.T @ activations[i])
-            p.add_grad(f"enc_b{i}", d_h.sum(axis=0))
-            d_h = d_h @ p.values[f"enc_w{i}"]
-        return d_h
+        """Accumulate gradients for a batch of singleton bags (attention weight 1)."""
+        n = len(d_scores)
+        cache = {"starts": np.arange(n), "activations": activations, "squashed": np.zeros(n),
+                 "weights": np.ones(n), "representations": embeddings}
+        self.backward_packed(cache, d_scores)
 
     # -- persistence -- #
 

@@ -1,9 +1,9 @@
 """Dense numeric core: initialization, softmax, parameters, optimizers.
 
 Everything here works on float64 numpy arrays. The model writes its forward
-and backward passes by hand in numpy, calling softmax, softmax_backward and
-weighted_sum from here, and accumulates parameter gradients additively into
-a ParamStore. A central finite-difference checker verifies those gradients.
+and backward passes by hand in numpy, calling softmax from here, and
+accumulates parameter gradients additively into a ParamStore. A central
+finite-difference checker verifies those gradients.
 """
 
 from __future__ import annotations
@@ -24,27 +24,15 @@ def xavier_uniform(rows: int, cols: int, seed: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
-# -- differentiable primitives -- #
+# -- softmax -- #
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    """Stable softmax with max subtraction; output strictly positive, sums to 1."""
-    shifted = x - np.max(x)
-    e = np.exp(shifted)
-    return e / np.sum(e)
-
-
-def softmax_backward(dout, y):
-    """Backward through softmax given forward output y."""
-    return y * (dout - np.dot(dout, y))
-
-
-def weighted_sum(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Convex combination sum_k weights[k] * vectors[k] for vectors of shape (m, d)."""
-    if weights.shape[0] != vectors.shape[0]:
-        raise ShapeError(
-            f"weighted_sum: {weights.shape[0]} weights for {vectors.shape[0]} vectors"
-        )
-    return vectors.T @ weights
+    """Stable softmax along the last axis with max subtraction; every row is
+    strictly positive and sums to 1."""
+    e = x - np.max(x, axis=-1, keepdims=True)
+    np.exp(e, out=e)  # in place: a batch's (B, G) temporaries add up
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
 # -- parameter storage -- #

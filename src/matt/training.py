@@ -1,9 +1,9 @@
 """Bag-level supervised training with negative log-likelihood loss.
 
-Bags are shuffled each epoch by a seeded PRNG, batches average per-bag
-gradients, and the checkpoint with the best validation accuracy is retained
-(early stopping on patience). Given the same data, config, and seed the
-returned parameters are bit-identical run to run.
+Bags are shuffled each epoch by a seeded PRNG, each batch averages per-bag
+gradients from one packed pass, and the checkpoint with the best validation
+accuracy is retained (early stopping on patience). Given the same data,
+config, and seed the returned parameters are bit-identical run to run.
 """
 
 from __future__ import annotations
@@ -60,15 +60,29 @@ class TrainLog:
                 fh.write(f"{epoch},{loss:.9g},{acc:.9g},{seconds:.3f}\n")
 
 
+def nll_losses(probabilities: np.ndarray, golds: np.ndarray, genre_weights=None):
+    """Per-row -log p[gold] and dLoss/dScores for (B, G) probabilities.
+
+    With genre_weights, row b is scaled by genre_weights[golds[b]].
+    """
+    rows = np.arange(len(golds))
+    losses = -np.log(np.maximum(probabilities[rows, golds], PROB_FLOOR))
+    d_scores = probabilities.copy()
+    d_scores[rows, golds] -= 1.0
+    if genre_weights is not None:
+        scale = genre_weights[golds]
+        losses = losses * scale
+        d_scores *= scale[:, np.newaxis]
+    return losses, d_scores
+
+
 def nll_loss(prediction, gold: int):
-    """Returns (loss, dLoss/dScores) for -log p[gold]."""
+    """Returns (loss, dLoss/dScores) for -log p[gold] of one bag."""
     p = prediction.probabilities
     if not 0 <= gold < p.shape[0]:
         raise InvalidConfig(f"gold genre {gold} out of range for {p.shape[0]} genres")
-    loss = -np.log(max(p[gold], PROB_FLOOR))
-    d_scores = p.copy()
-    d_scores[gold] -= 1.0
-    return float(loss), d_scores
+    losses, d_scores = nll_losses(p[np.newaxis, :], np.array([gold]))
+    return float(losses[0]), d_scores[0]
 
 
 def bag_feature_matrix(bag: Bag, features: dict[str, np.ndarray]) -> np.ndarray:
@@ -80,45 +94,55 @@ def bag_feature_matrix(bag: Bag, features: dict[str, np.ndarray]) -> np.ndarray:
     return np.stack(rows)
 
 
-def _bag_accuracy(model: MattModel, bags, features) -> float:
-    if not bags:
+def pack_bags(bags, features: dict[str, np.ndarray]):
+    """Members of bags as one packed float64 matrix, bag after bag.
+
+    Returns ((n_rows, D) features, (B,) first row of each bag). Every bag is
+    gathered once; a missing feature row raises MissingFeature.
+    """
+    sizes = np.array([len(b) for b in bags], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    packed = None
+    for bag, start in zip(bags, starts):
+        matrix = bag_feature_matrix(bag, features)
+        if packed is None:
+            packed = np.empty((sizes.sum(), matrix.shape[1]))
+        packed[start : start + len(matrix)] = matrix
+    return packed, starts
+
+
+def _bag_accuracy(model: MattModel, packed, golds: np.ndarray) -> float:
+    if not len(golds):
         return 0.0
-    singles = [b for b in bags if len(b) == 1]
-    larger = [b for b in bags if len(b) > 1]
-    correct = 0
-    if singles:
-        X = np.stack([features[b.segment_ids[0]] for b in singles]).astype(np.float64)
-        _, _, probs = model.forward_singletons(X)
-        winners = probs.argmax(axis=1)
-        correct += int(sum(winners[i] == b.genre_id for i, b in enumerate(singles)))
-    for bag in larger:
-        pred = model.forward_bag(bag_feature_matrix(bag, features))
-        if int(np.argmax(pred.probabilities)) == bag.genre_id:
-            correct += 1
-    return correct / len(bags)
+    winners = model.forward_packed(*packed).argmax(axis=1)
+    return np.count_nonzero(winners == golds) / len(golds)
 
 
 def train(bags: BagSet, features: dict[str, np.ndarray], cfg: TrainConfig):
     """Train on split=train bags, early-stopping on split=validation accuracy.
 
-    Returns (model, train_log); the model carries the best-validation
-    parameters (or the final ones when there is no validation split).
+    Both splits are packed once, before the first epoch; each batch is then
+    one row gather and one packed forward/backward pass. Returns (model,
+    train_log); the model carries the best-validation parameters (or the
+    final ones when there is no validation split).
     """
     train_bags = bags.split_bags("train")
     val_bags = bags.split_bags("validation")
     if not train_bags:
         raise InvalidConfig("no training bags")
+    train_X, train_starts = pack_bags(train_bags, features)
+    train_sizes = np.diff(train_starts, append=len(train_X))
+    train_golds = np.array([b.genre_id for b in train_bags])
+    val_packed = pack_bags(val_bags, features) if val_bags else None
+    val_golds = np.array([b.genre_id for b in val_bags])
     if cfg.class_weighting:
-        counts = np.bincount(
-            [b.genre_id for b in train_bags], minlength=len(bags.vocabulary)
-        ).astype(np.float64)
+        counts = np.bincount(train_golds, minlength=len(bags.vocabulary)).astype(np.float64)
         weights = np.where(counts > 0, counts.sum() / np.maximum(counts, 1.0), 0.0)
         genre_weights = weights * (counts > 0).sum() / weights.sum()
     else:
         genre_weights = None
-    input_dim = bag_feature_matrix(train_bags[0], features).shape[1]
     encoder = EncoderConfig(
-        input_dim=input_dim,
+        input_dim=train_X.shape[1],
         hidden_dims=tuple(cfg.hidden_dims),
         output_dim=cfg.embedding_dim,
     )
@@ -139,44 +163,22 @@ def train(bags: BagSet, features: dict[str, np.ndarray], cfg: TrainConfig):
         total_loss = 0.0
         for start in range(0, len(order), cfg.bags_per_batch):
             batch = order[start : start + cfg.bags_per_batch]
-            single_idx = [i for i in batch if len(train_bags[i]) == 1]
-            multi_idx = [i for i in batch if len(train_bags[i]) > 1]
-            if single_idx:
-                X = np.stack(
-                    [
-                        bag_feature_matrix(train_bags[i], features)[0]
-                        for i in single_idx
-                    ]
-                )
-                activations, embeddings, probs = model.forward_singletons(X)
-                golds = np.array([train_bags[i].genre_id for i in single_idx])
-                picked = np.maximum(probs[np.arange(len(golds)), golds], PROB_FLOOR)
-                losses = -np.log(picked)
-                d_scores = probs.copy()
-                d_scores[np.arange(len(golds)), golds] -= 1.0
-                if genre_weights is not None:
-                    scale = genre_weights[golds]
-                    losses = losses * scale
-                    d_scores *= scale[:, np.newaxis]
-                total_loss += float(losses.sum())
-                model.backward_singletons(activations, embeddings, d_scores)
-            for bag_index in multi_idx:
-                bag = train_bags[bag_index]
-                prediction, cache = model.forward_bag(
-                    bag_feature_matrix(bag, features), keep_cache=True
-                )
-                loss, d_scores = nll_loss(prediction, bag.genre_id)
-                if genre_weights is not None:
-                    loss *= genre_weights[bag.genre_id]
-                    d_scores *= genre_weights[bag.genre_id]
-                total_loss += loss
-                model.backward_bag(cache, d_scores)
+            sizes = train_sizes[batch]
+            starts = np.cumsum(sizes) - sizes
+            # row j of the batch is row j - starts[b] of bag b in train_X
+            rows = np.repeat(train_starts[batch] - starts, sizes) + np.arange(sizes.sum())
+            probabilities, cache = model.forward_packed(
+                train_X[rows], starts, keep_cache=True
+            )
+            losses, d_scores = nll_losses(probabilities, train_golds[batch], genre_weights)
+            total_loss += float(losses.sum())
+            model.backward_packed(cache, d_scores)
             model.params.scale_grads(1.0 / len(batch))
             optimizer_step(optimizer, model.params)
         mean_loss = total_loss / len(train_bags)
         if not np.isfinite(mean_loss):
             raise DivergedError(f"training loss diverged at epoch {epoch}")
-        val_accuracy = _bag_accuracy(model, val_bags, features)
+        val_accuracy = _bag_accuracy(model, val_packed, val_golds)
         train_log.append(epoch, mean_loss, val_accuracy, time.perf_counter() - started)
 
         if val_bags:

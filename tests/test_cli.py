@@ -385,3 +385,40 @@ def test_header_only_feature_cache_fails_validation(corpus, capsys, command):
     csv.write_text(csv.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
     assert run(command, "--config", cfg) == 1
     assert "3+6.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, split",
+    [
+        (("train",), "validation"),
+        (("train", "--segment-level"), "validation"),
+        (("evaluate", "--mode", "bag"), "test"),
+        (("evaluate", "--mode", "segment"), "test"),
+    ],
+    ids=["train", "train-segment-level", "evaluate-bag", "evaluate-segment"],
+)
+def test_missing_feature_row_fails_validation(tmp_path, capsys, command, split):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        CONFIG_TEMPLATE.format(feature_set="synth", epochs=2)
+        + "\n[synth]\nn_genres = 3\nhead_count = 8\nfeature_dim = 5\n"
+        + "bag_size_min = 1\nbag_size_max = 4\nnoise_rate = 0.1\n",
+        encoding="utf-8",
+    )
+    assert run("gen-synth", "--config", cfg) == 0
+    if command[0] == "evaluate":
+        assert run("train", "--config", cfg) == 0
+    rows = (tmp_path / "metadata.csv").read_text(encoding="utf-8").splitlines()[1:]
+    track = [r.split(",")[0] for r in rows if r.endswith("," + split)][-1]
+    csv = tmp_path / "features" / "synth.csv"
+    lines = csv.read_text(encoding="utf-8").splitlines()
+    kept = [ln for ln in lines if not ln.startswith(track + ",")]
+    assert len(kept) == len(lines) - 1
+    csv.write_text("\n".join(kept) + "\n", encoding="utf-8")
+    capsys.readouterr()
+
+    assert run(*command, "--config", cfg) == 1
+    err = capsys.readouterr().err
+    assert track in err and "internal error" not in err
+    if command[0] == "train":  # rejected while packing, before any epoch
+        assert not (tmp_path / "ckpt").exists()

@@ -4,7 +4,7 @@ import pytest
 from matt.errors import EmptyBag, InvalidConfig, ShapeError
 from matt.model import EncoderConfig, MattModel
 from matt.numeric import finite_difference_check
-from matt.training import nll_loss
+from matt.training import nll_loss, nll_losses
 
 E_SQUARED = np.exp(2.0)
 
@@ -80,8 +80,8 @@ def test_bag_representation_is_convex_combination():
     rng = np.random.default_rng(6)
     model = make_model()
     X = rng.standard_normal((7, 6))
-    pred, cache = model.forward_bag(X, keep_cache=True)
-    emb = cache.embeddings
+    pred = model.forward_bag(X)
+    emb = model.encode(X)[1]
     assert np.all(pred.bag_representation >= emb.min(axis=0) - 1e-12)
     assert np.all(pred.bag_representation <= emb.max(axis=0) + 1e-12)
 
@@ -186,3 +186,28 @@ def test_batched_singleton_path_matches_per_bag_path():
         assert np.allclose(
             slow.params.grads[name], fast.params.grads[name], rtol=1e-12, atol=1e-12
         ), name
+
+
+@pytest.mark.parametrize("hidden", [(), (8,)])
+@pytest.mark.parametrize("aggregator", ["matt", "mean"])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_packed_batch_gradients(hidden, aggregator, weighted):
+    # one mixed batch of bags of 1, 2 and 7 members, scored and differentiated
+    # the way train() does it
+    n_genres = 4
+    model = make_model(hidden=hidden, n_genres=n_genres, aggregator=aggregator, seed=19)
+    rng = np.random.default_rng(len(hidden) + 2 * weighted)
+    X = rng.standard_normal((10, 6))
+    starts = np.array([0, 1, 3])
+    golds = rng.integers(0, n_genres, size=3)
+    genre_weights = rng.uniform(0.5, 2.0, size=n_genres) if weighted else None
+
+    def loss_fn():
+        return nll_losses(model.forward_packed(X, starts), golds, genre_weights)[0].sum()
+
+    model.params.zero_grads()
+    probabilities, cache = model.forward_packed(X, starts, keep_cache=True)
+    model.backward_packed(cache, nll_losses(probabilities, golds, genre_weights)[1])
+    report = finite_difference_check(loss_fn, model.params, h=1e-5, tolerance=1e-4)
+    for result in report.values():
+        assert result.passed, f"{result.name}: {result.max_rel_error:.2e}"

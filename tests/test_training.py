@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from matt import training
 from matt.dataset import parse_metadata_lines, build_bags
 from matt.errors import InvalidConfig, MissingFeature
-from matt.model import BagPrediction
+from matt.model import BagPrediction, MattModel
 from matt.numeric import softmax
 from matt.synthetic import SynthConfig, generate_synthetic
 from matt.training import (
@@ -139,6 +140,38 @@ def test_missing_feature_raises():
     features.pop(train_bag.segment_ids[0])
     with pytest.raises(MissingFeature):
         train(data.bags, features, TrainConfig(epochs=1, embedding_dim=4))
+
+
+@pytest.mark.parametrize("epochs", [1, 4])
+def test_train_gathers_each_bag_once_and_runs_one_pass_per_batch(monkeypatch, epochs):
+    data = two_genre_data()
+    gathered = []  # bag keys, one per bag_feature_matrix call
+    passes = []  # bags per engine forward
+    gather = training.bag_feature_matrix
+    forward = MattModel.forward_packed
+
+    def counting_gather(bag, features):
+        gathered.append(bag.key)
+        return gather(bag, features)
+
+    def counting_forward(self, X, starts, keep_cache=False):
+        passes.append(len(starts))
+        return forward(self, X, starts, keep_cache)
+
+    monkeypatch.setattr(training, "bag_feature_matrix", counting_gather)
+    monkeypatch.setattr(MattModel, "forward_packed", counting_forward)
+    cfg = TrainConfig(epochs=epochs, seed=2, embedding_dim=4, bags_per_batch=8)
+    _, log = train(data.bags, data.features, cfg)
+
+    n_train = len(data.bags.split_bags("train"))
+    val_keys = [b.key for b in data.bags.split_bags("validation")]
+    assert val_keys and n_train > 8
+    assert len(log.epochs) == epochs
+    assert sorted(gathered) == sorted(
+        b.key for b in data.bags.bags if b.split in ("train", "validation")
+    )
+    batches = [min(8, n_train - start) for start in range(0, n_train, 8)]
+    assert passes == (batches + [len(val_keys)]) * epochs
 
 
 def test_no_training_bags_rejected():
