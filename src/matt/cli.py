@@ -155,13 +155,13 @@ def cmd_extract_features(args) -> int:
     cfg = _load_config(args)
     if cfg.feature_set == "synth":
         raise ValidationError("feature_set 'synth' comes from gen-synth, not extraction")
+    feat_cfg = cfg.feature_config()
     table = load_metadata(cfg.metadata)
     parts_dir = cfg.feature_dir / "parts"
     mel_dir = cfg.feature_dir / "mel"
     parts_dir.mkdir(parents=True, exist_ok=True)
     mel_dir.mkdir(parents=True, exist_ok=True)
 
-    feat_cfg = cfg.feature_config()
     tasks = []
     for rec in table.records:
         part = parts_dir / f"{rec.track_id}.part"

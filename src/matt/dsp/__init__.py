@@ -9,7 +9,6 @@ from .mel import (
     MelSpectrogram,
     dct_matrix,
     hz_to_mel,
-    log_mel_spectrogram,
     mel_filterbank,
     mel_to_hz,
     mfcc,
@@ -52,7 +51,6 @@ __all__ = [
     "MelSpectrogram",
     "dct_matrix",
     "hz_to_mel",
-    "log_mel_spectrogram",
     "mel_filterbank",
     "mel_to_hz",
     "mfcc",

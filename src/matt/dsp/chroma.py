@@ -7,11 +7,17 @@ the tuning reference:
           max-normalized per frame.
 * cqt   - pseudo constant-Q: a log-spaced triangular filterbank over the
           FFT bins, folded by pitch class, max-normalized per frame.
-* cens  - cqt chroma, L1-normalized, amplitude-quantized, smoothed with a
-          41-frame moving average, then L2-normalized per frame.
+* cens  - the raw (unnormalized) cqt fold, L1-normalized, amplitude-quantized,
+          smoothed with a 41-frame moving average, then L2-normalized per frame.
+
+Each fold is one product of a 12 x (n_fft/2 + 1) matrix with the
+spectrogram's power rows. The fold matrices depend only on (n_fft,
+sample_rate); they are built once per pair and returned read-only.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,14 +42,20 @@ def _pitch_class_of_hz(freqs: np.ndarray, a440: float = 440.0) -> np.ndarray:
     return np.round(midi).astype(int) % 12
 
 
-def _fold_stft(spec: MagnitudeSpectrogram) -> np.ndarray:
-    power = spec.bins**2
-    freqs = spec.bin_frequencies_hz()
-    chroma = np.zeros((12, spec.n_frames))
-    positive = freqs > 0
-    classes = _pitch_class_of_hz(freqs[positive])
-    np.add.at(chroma, classes, power[positive])
-    return chroma
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    matrix.flags.writeable = False
+    return matrix
+
+
+@lru_cache(maxsize=16)
+def stft_fold_matrix(n_fft: int, sample_rate: int) -> np.ndarray:
+    """12 x bins one-hot matrix mapping each positive-frequency bin to its
+    nearest pitch class; the DC bin maps nowhere."""
+    freqs = np.fft.rfftfreq(n_fft, 1.0 / sample_rate)
+    positive = np.flatnonzero(freqs > 0)
+    fold = np.zeros((12, freqs.size))
+    fold[_pitch_class_of_hz(freqs[positive]), positive] = 1.0
+    return _read_only(fold)
 
 
 def _cqt_filterbank(freqs: np.ndarray) -> np.ndarray:
@@ -58,14 +70,12 @@ def _cqt_filterbank(freqs: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, np.minimum(lower, upper)).T
 
 
-def _fold_cqt(spec: MagnitudeSpectrogram) -> np.ndarray:
-    power = spec.bins**2
-    fb = _cqt_filterbank(spec.bin_frequencies_hz())
-    cq = fb @ power
-    chroma = np.zeros((12, spec.n_frames))
-    for k in range(cq.shape[0]):
-        chroma[k % 12] += cq[k]
-    return chroma
+@lru_cache(maxsize=16)
+def cqt_fold_matrix(n_fft: int, sample_rate: int) -> np.ndarray:
+    """12 x bins: the pseudo-CQT filterbank with its rows summed by pitch
+    class (CQT bin k has pitch class k mod 12)."""
+    fb = _cqt_filterbank(np.fft.rfftfreq(n_fft, 1.0 / sample_rate))
+    return _read_only(fb.reshape(CQT_OCTAVES, CQT_BINS_PER_OCTAVE, -1).sum(axis=0))
 
 
 def _max_normalize(chroma: np.ndarray) -> np.ndarray:
@@ -92,12 +102,13 @@ def _cens(raw_cqt_chroma: np.ndarray) -> np.ndarray:
 
 def chroma_features(spec: MagnitudeSpectrogram, variant: str) -> FrameFeatureMatrix:
     """12-row chroma of the given variant ("stft", "cqt", or "cens")."""
+    key = (spec.config.n_fft, spec.sample_rate_hz)
     if variant == "stft":
-        values = _max_normalize(_fold_stft(spec))
+        values = _max_normalize(stft_fold_matrix(*key) @ spec.power)
     elif variant == "cqt":
-        values = _max_normalize(_fold_cqt(spec))
+        values = _max_normalize(cqt_fold_matrix(*key) @ spec.power)
     elif variant == "cens":
-        values = _cens(_fold_cqt(spec))
+        values = _cens(cqt_fold_matrix(*key) @ spec.power)
     else:
         raise InvalidConfig(f"unknown chroma variant {variant!r}")
     return FrameFeatureMatrix(values=values, family=f"chroma_{variant}")

@@ -1,4 +1,4 @@
-"""Mel filterbank, log-mel spectrogram, and mel-frequency cepstral coefficients.
+"""Mel filterbank, log-mel frames, and mel-frequency cepstral coefficients.
 
 Uses the Slaney mel scale: linear below 1 kHz (mel = 3f/200, so 1000 Hz maps
 to mel 15), logarithmic above. Filters are triangles in Hz with area
@@ -8,12 +8,11 @@ normalization, matching the classic auditory-toolbox construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ..errors import InvalidBand, InvalidConfig
-from .signal import AudioSignal
-from .stft import StftConfig, stft
 
 MIN_LOG_HZ = 1000.0
 MIN_LOG_MEL = 15.0
@@ -47,12 +46,14 @@ def mel_to_hz(mels):
     return freq if freq.ndim else float(freq)
 
 
+@lru_cache(maxsize=16)
 def mel_filterbank(n_mels: int, f_min: float, f_max: float, rate: int, n_fft: int):
     """Triangular Slaney-scale filterbank.
 
     Returns (weights, centers_hz): weights is (n_mels, n_fft//2 + 1) with
     area-normalized non-negative rows, centers_hz the designed peak frequency
-    of each filter (strictly increasing).
+    of each filter (strictly increasing). Both are built once per argument
+    tuple and returned read-only.
     """
     if f_max > rate / 2.0:
         raise InvalidBand(f"f_max {f_max} above Nyquist {rate / 2.0}")
@@ -73,7 +74,9 @@ def mel_filterbank(n_mels: int, f_min: float, f_max: float, rate: int, n_fft: in
 
     area = 2.0 / (edges_hz[2:] - edges_hz[:-2])
     weights *= area[:, np.newaxis]
-    return weights, edges_hz[1:-1].copy()
+    centers = edges_hz[1:-1].copy()
+    weights.flags.writeable = centers.flags.writeable = False
+    return weights, centers
 
 
 @dataclass(frozen=True)
@@ -111,26 +114,11 @@ def _fit_frames(values: np.ndarray, target: int, fill: float) -> np.ndarray:
 
 
 def log_mel_frames(spec, n_mels: int = 96, f_min: float = 0.0, f_max: float | None = None):
-    """dB mel matrix at the spectrogram's native frame count."""
+    """dB mel matrix of the spectrogram's power at its native frame count."""
     if f_max is None:
         f_max = spec.sample_rate_hz / 2.0
     weights, _ = mel_filterbank(n_mels, f_min, f_max, spec.sample_rate_hz, spec.config.n_fft)
-    return power_to_db(weights @ (spec.bins**2)), f_max
-
-
-def log_mel_spectrogram(
-    signal: AudioSignal,
-    stft_cfg: StftConfig,
-    n_mels: int = 96,
-    f_min: float = 0.0,
-    f_max: float | None = None,
-    target_frames: int = 1360,
-) -> MelSpectrogram:
-    """Power spectrogram through the mel filterbank, in dB, fitted to a fixed width."""
-    spec = stft(signal, stft_cfg)
-    db, f_max = log_mel_frames(spec, n_mels, f_min, f_max)
-    fitted = _fit_frames(db, target_frames, DB_FLOOR)
-    return MelSpectrogram(values=fitted, n_mels=n_mels, f_min=f_min, f_max=f_max)
+    return power_to_db(weights @ spec.power), f_max
 
 
 def dct_matrix(n_out: int, n_in: int) -> np.ndarray:

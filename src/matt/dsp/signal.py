@@ -52,7 +52,8 @@ def frame_signal(samples: np.ndarray, n_fft: int, hop: int, center: bool) -> np.
     """Slice a 1-D signal into overlapping frames of length n_fft (rows).
 
     With center=True the signal is reflect-padded by n_fft//2 on both sides
-    so frame t is centered on sample t*hop.
+    so frame t is centered on sample t*hop. The result is a read-only strided
+    view of the (padded) float64 signal, so overlapping frames share memory.
     """
     from ..errors import AudioTooShort
 
@@ -68,21 +69,22 @@ def frame_signal(samples: np.ndarray, n_fft: int, hop: int, center: bool) -> np.
         raise AudioTooShort(f"padded signal ({x.size}) shorter than frame ({n_fft})")
     n_frames = 1 + (x.size - n_fft) // hop
     strides = (hop * x.strides[0], x.strides[0])
-    frames = np.lib.stride_tricks.as_strided(x, shape=(n_frames, n_fft), strides=strides)
-    return frames.copy()
+    return np.lib.stride_tricks.as_strided(
+        x, shape=(n_frames, n_fft), strides=strides, writeable=False
+    )
 
 
-def time_domain_descriptors(signal: AudioSignal, n_fft: int, hop: int, center: bool = True):
-    """Per-frame RMS and zero-crossing rate.
+def time_domain_descriptors(frames: np.ndarray):
+    """Per-frame RMS and zero-crossing rate of an (n_frames, n) frame matrix.
 
-    Returns two (1, n_frames) matrices. ZCR counts sign changes between
-    consecutive samples as a fraction of the n_fft - 1 adjacent pairs, so a
-    perfectly alternating signal scores exactly 1.0. Zero samples count as
-    non-negative.
+    Extraction passes the STFT's unwindowed frames (MagnitudeSpectrogram.frames),
+    so a track is framed once. Returns two (1, n_frames) matrices. ZCR counts
+    sign changes between consecutive samples as a fraction of the n - 1
+    adjacent pairs, so a perfectly alternating signal scores exactly 1.0.
+    Zero samples count as non-negative.
     """
-    frames = frame_signal(signal.samples, n_fft, hop, center)
     rms = np.sqrt(np.mean(frames * frames, axis=1))[np.newaxis, :]
     nonneg = frames >= 0.0
     crossings = np.sum(nonneg[:, 1:] != nonneg[:, :-1], axis=1)
-    zcr = (crossings / (n_fft - 1))[np.newaxis, :]
+    zcr = (crossings / (frames.shape[1] - 1))[np.newaxis, :]
     return rms, zcr

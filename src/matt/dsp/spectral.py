@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
+from ..errors import InvalidBand
 from .frames import FrameFeatureMatrix
 from .stft import MagnitudeSpectrogram
 
@@ -15,13 +18,17 @@ _AMIN = 1e-10
 
 
 def _centroid_bandwidth(S: np.ndarray, freqs: np.ndarray):
-    total = S.sum(axis=0)
+    per_frame = S.T  # (n_frames, bins): contiguous rows for an STFT's magnitudes
+    total = per_frame.sum(axis=1)
     silent = total <= 0.0
     safe_total = np.where(silent, 1.0, total)
-    centroid = (freqs[:, np.newaxis] * S).sum(axis=0) / safe_total
+    centroid = (per_frame @ freqs) / safe_total
     centroid[silent] = 0.0
-    deviation = (freqs[:, np.newaxis] - centroid[np.newaxis, :]) ** 2
-    bandwidth = np.sqrt((deviation * S).sum(axis=0) / safe_total)
+    # deviation form: the expanded sum(f^2 S) - c^2 sum(S) cancels badly on
+    # narrowband frames
+    deviation = np.subtract.outer(centroid, freqs)
+    np.square(deviation, out=deviation)
+    bandwidth = np.sqrt(np.einsum("tf,tf->t", deviation, per_frame) / safe_total)
     bandwidth[silent] = 0.0
     return centroid, bandwidth
 
@@ -38,28 +45,48 @@ def _rolloff(S: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _contrast(S: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """Per-octave-band dB gap between the top and bottom magnitude quantiles.
+@lru_cache(maxsize=16)
+def contrast_bands(n_fft: int, sample_rate: int) -> tuple[tuple[int, int, int], ...]:
+    """(start, stop, take) for each of the CONTRAST_BANDS + 1 contrast bands.
 
-    Bands: [0, f_min], then octaves [f_min*2^k, f_min*2^(k+1)] with the last
-    band extended to Nyquist, giving CONTRAST_BANDS + 1 rows.
+    Bands are [0, f_min], then octaves [f_min*2^k, f_min*2^(k+1)]. Each
+    octave band also takes the bin just below it, the last band extends to
+    Nyquist, and every band but the last drops its top bin: spectrogram rows
+    start:stop are what is left. take is the number of magnitudes averaged
+    at each end, 2% of the band's bins before the drop and at least 1.
+
+    Raises InvalidBand naming sample_rate and n_fft when a band is left with
+    no bin: Nyquist below the last band's lower edge, or bins too far apart
+    for the narrow low bands.
     """
+    freqs = np.fft.rfftfreq(n_fft, 1.0 / sample_rate)
     edges = np.zeros(CONTRAST_BANDS + 2)
     edges[1:] = CONTRAST_F_MIN * 2.0 ** np.arange(CONTRAST_BANDS + 1)
-    n_frames = S.shape[1]
-    out = np.zeros((CONTRAST_BANDS + 1, n_frames))
+    bands = []
     for k in range(CONTRAST_BANDS + 1):
-        in_band = (freqs >= edges[k]) & (freqs <= edges[k + 1])
-        idx = np.flatnonzero(in_band)
-        if k > 0 and idx[0] > 0:
-            in_band[idx[0] - 1] = True
-        if k == CONTRAST_BANDS:
-            in_band[idx[-1] + 1 :] = True
-        sub = S[in_band]
+        idx = np.flatnonzero((freqs >= edges[k]) & (freqs <= edges[k + 1]))
+        start = stop = 0  # a band with no bin stays empty
+        if idx.size:
+            start = idx[0] - 1 if k > 0 and idx[0] > 0 else idx[0]
+            stop = freqs.size if k == CONTRAST_BANDS else idx[-1] + 1
+        take = int(max(1, np.rint(CONTRAST_QUANTILE * (stop - start))))
         if k < CONTRAST_BANDS:
-            sub = sub[:-1]
-        take = int(max(1, np.rint(CONTRAST_QUANTILE * in_band.sum())))
-        ordered = np.sort(sub, axis=0)
+            stop -= 1
+        if stop <= start:
+            raise InvalidBand(
+                f"sample_rate {sample_rate} Hz with n_fft {n_fft} leaves spectral contrast "
+                f"band {k} ({edges[k]:g}-{edges[k + 1]:g} Hz) without an FFT bin "
+                f"(Nyquist {sample_rate / 2:g} Hz, bins {sample_rate / n_fft:g} Hz apart)"
+            )
+        bands.append((int(start), int(stop), take))
+    return tuple(bands)
+
+
+def _contrast(S: np.ndarray, bands) -> np.ndarray:
+    """Per-band dB gap between the top and bottom magnitude quantiles."""
+    out = np.zeros((len(bands), S.shape[1]))
+    for k, (start, stop, take) in enumerate(bands):
+        ordered = np.sort(S[start:stop], axis=0)
         valley = ordered[:take].mean(axis=0)
         peak = ordered[-take:].mean(axis=0)
         out[k] = 10.0 * (
@@ -74,11 +101,12 @@ def spectral_descriptors(spec: MagnitudeSpectrogram):
     Centroid and bandwidth are the magnitude-weighted mean and standard
     deviation of bin frequency in Hz; rolloff is the lowest frequency holding
     85% of the cumulative magnitude. Silent frames yield 0 for all three.
+    Contrast has one row per band of contrast_bands.
     """
     S = spec.bins
     freqs = spec.bin_frequencies_hz()
     centroid, bandwidth = _centroid_bandwidth(S, freqs)
-    contrast = _contrast(S, freqs)
+    contrast = _contrast(S, contrast_bands(spec.config.n_fft, spec.sample_rate_hz))
     rolloff = _rolloff(S, freqs)
     return (
         FrameFeatureMatrix(values=centroid[np.newaxis, :], family="spec_centroid"),

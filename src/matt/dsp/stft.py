@@ -23,9 +23,17 @@ class StftConfig:
 
 @dataclass(frozen=True)
 class MagnitudeSpectrogram:
-    """Non-negative magnitudes, (n_fft/2 + 1) frequency rows by n_frames columns."""
+    """One track's STFT, shared by every feature family.
+
+    bins (|X|, read by the spectral descriptors) and power (|X|^2, read by
+    chroma and log-mel) have (n_fft/2 + 1) frequency rows by n_frames
+    columns; frames is the (n_frames, n_fft) matrix of unwindowed frames
+    they were computed from (read by RMS and zero-crossing rate).
+    """
 
     bins: np.ndarray
+    power: np.ndarray
+    frames: np.ndarray
     config: StftConfig
     sample_rate_hz: int
 
@@ -43,8 +51,17 @@ def hann_window(n: int) -> np.ndarray:
 
 
 def stft(signal: AudioSignal, cfg: StftConfig) -> MagnitudeSpectrogram:
-    """Magnitude spectrogram of Hann-windowed frames, float64 throughout."""
+    """Magnitude and power spectrogram of Hann-windowed frames, float64 throughout.
+
+    The signal is framed once and the magnitudes squared once, here; the
+    windowed copy and the complex spectrum are freed before this returns.
+    """
     frames = frame_signal(signal.samples, cfg.n_fft, cfg.hop, cfg.center_pad)
-    windowed = frames * hann_window(cfg.n_fft)
-    mags = np.abs(np.fft.rfft(windowed, axis=1)).T
-    return MagnitudeSpectrogram(bins=mags, config=cfg, sample_rate_hz=signal.sample_rate_hz)
+    mags = np.abs(np.fft.rfft(frames * hann_window(cfg.n_fft), axis=1)).T
+    return MagnitudeSpectrogram(
+        bins=mags,
+        power=mags * mags,
+        frames=frames,
+        config=cfg,
+        sample_rate_hz=signal.sample_rate_hz,
+    )

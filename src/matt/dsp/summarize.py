@@ -17,7 +17,7 @@ from .chroma import chroma_features, tonnetz
 from .frames import FAMILY_BASE_DIMS, FrameFeatureMatrix
 from .mel import DB_FLOOR, MelSpectrogram, _fit_frames, log_mel_frames, mfcc
 from .signal import AudioSignal, time_domain_descriptors
-from .spectral import spectral_descriptors
+from .spectral import contrast_bands, spectral_descriptors
 from .stft import StftConfig, stft
 
 STATISTICS = ("mean", "std", "skew", "kurtosis", "median", "min", "max")
@@ -77,17 +77,18 @@ def summarize(frames: FrameFeatureMatrix) -> SummaryFeatureVector:
     x = frames.values
     if x.shape[1] < 1:
         raise EmptyFeature(f"{frames.family}: no frames to summarize")
-    n = x.shape[1]
+    middle = (x.shape[1] - 1) // 2
     mean = x.mean(axis=1)
     centered = x - mean[:, np.newaxis]
-    m2 = (centered**2).mean(axis=1)
-    m3 = (centered**3).mean(axis=1)
-    m4 = (centered**4).mean(axis=1)
+    c2 = centered * centered
+    m2 = c2.mean(axis=1)
+    m3 = (c2 * centered).mean(axis=1)
+    m4 = (c2 * c2).mean(axis=1)
     std = np.sqrt(m2)
     safe_m2 = np.where(m2 > 0.0, m2, 1.0)
     skew = np.where(m2 > 0.0, m3 / safe_m2**1.5, 0.0)
     kurtosis = np.where(m2 > 0.0, m4 / safe_m2**2 - 3.0, 0.0)
-    median = np.sort(x, axis=1)[:, (n - 1) // 2]
+    median = np.partition(x, middle, axis=1)[:, middle]
     vector = np.concatenate([mean, std, skew, kurtosis, median, x.min(axis=1), x.max(axis=1)])
     return SummaryFeatureVector(values=vector, family=frames.family)
 
@@ -123,7 +124,12 @@ def set_slices(set_name: str) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Extraction geometry; the defaults give the 96x1360 mel contract at 44.1 kHz."""
+    """Extraction geometry; the defaults give the 96x1360 mel contract at 44.1 kHz.
+
+    Construction raises InvalidBand when sample_rate and n_fft leave a
+    spectral contrast band without an FFT bin (see contrast_bands), so a bad
+    geometry fails before any track is read.
+    """
 
     sample_rate: int = 44100
     stft: StftConfig = field(default_factory=StftConfig)
@@ -131,6 +137,9 @@ class FeatureConfig:
     mel_f_min: float = 0.0
     mel_frames: int = 1360
     n_mfcc: int = 20
+
+    def __post_init__(self):
+        contrast_bands(self.stft.n_fft, self.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -143,7 +152,10 @@ class ExtractionResult:
 
 
 def extract_frame_features(signal: AudioSignal, cfg: FeatureConfig):
-    """Per-frame matrices for all 11 families, plus the fitted mel spectrogram."""
+    """Per-frame matrices for all 11 families, plus the fitted mel spectrogram.
+
+    Every family reads the one STFT: its frame matrix, magnitudes or power.
+    """
     spec = stft(signal, cfg.stft)
     frames: list[FrameFeatureMatrix] = []
 
@@ -164,9 +176,7 @@ def extract_frame_features(signal: AudioSignal, cfg: FeatureConfig):
 
     frames.extend(spectral_descriptors(spec))
 
-    rms, zcr = time_domain_descriptors(
-        signal, cfg.stft.n_fft, cfg.stft.hop, cfg.stft.center_pad
-    )
+    rms, zcr = time_domain_descriptors(spec.frames)
     frames.append(FrameFeatureMatrix(values=rms, family="rms"))
     frames.append(FrameFeatureMatrix(values=zcr, family="zcr"))
     return {f.family: f for f in frames}, mel

@@ -26,7 +26,6 @@ from matt.dsp import (
     feature_set_vector,
     frame_signal,
     hann_window,
-    log_mel_spectrogram,
     spectral_descriptors,
     stft,
     summarize,
@@ -79,10 +78,10 @@ def test_criterion_1_dimensionality_contract(cached_frames):
 
 
 def test_criterion_2_mel_shape_contract():
-    cfg = StftConfig()
+    cfg = FeatureConfig()
     shapes = []
     for seconds in (1.0, 1.37, 8.0, 33.0):
-        mel = log_mel_spectrogram(noisy_clip(seconds=seconds), cfg)
+        mel = extract_feature_sets(noisy_clip(seconds=seconds), cfg).mel
         shapes.append(mel.values.shape)
     ok = all(s == (96, 1360) for s in shapes)
     report(2, ok, f"shapes {set(shapes)} for 1s..33s clips")
@@ -166,13 +165,13 @@ def test_criterion_5_dsp_analytic_suite():
     centroid_ok = bool(np.all(np.abs(centroid - 440.0) <= bin_width))
 
     amplitude = 0.6
-    rms, _ = time_domain_descriptors(tone(440.0, 1.0, amplitude), cfg.n_fft, cfg.hop)
+    rms, _ = time_domain_descriptors(stft(tone(440.0, 1.0, amplitude), cfg).frames)
     rms_ok = bool(np.max(np.abs(rms - amplitude / np.sqrt(2))) <= 0.01 * amplitude / np.sqrt(2))
 
     alternating = np.empty(8192, dtype=np.float32)
     alternating[0::2], alternating[1::2] = 1.0, -1.0
     _, zcr = time_domain_descriptors(
-        AudioSignal(samples=alternating, sample_rate_hz=RATE), cfg.n_fft, cfg.hop
+        stft(AudioSignal(samples=alternating, sample_rate_hz=RATE), cfg).frames
     )
     zcr_ok = bool(np.all(zcr == 1.0))
 

@@ -101,6 +101,22 @@ def test_missing_audio_file_fails_validation(corpus):
     assert run("extract-features", "--config", cfg, "--workers", 1) == 1
 
 
+def test_extract_features_rejects_a_geometry_without_contrast_bins(tmp_path, capsys):
+    rate = 8000  # Nyquist 4000 Hz: the 6400-12800 Hz contrast band has no bin
+    (tmp_path / "audio").mkdir()
+    t = np.arange(rate) / rate
+    write_wav(tmp_path / "audio" / "trk00.wav", 0.3 * np.sin(2 * np.pi * 440.0 * t), rate)
+    (tmp_path / "metadata.csv").write_text(METADATA.splitlines()[0] + "\ntrk00,alb1,artA,rock,train\n")
+    cfg = tmp_path / "run.cfg"
+    text = CONFIG_TEMPLATE.format(feature_set="1to9", epochs=1)
+    cfg.write_text(text.replace("[features]\n", f"[features]\nsample_rate = {rate}\n"))
+    assert run("extract-features", "--config", cfg, "--workers", 1) == 1
+    err = capsys.readouterr().err
+    assert f"sample_rate {rate} Hz with n_fft 2048" in err
+    assert "internal error" not in err
+    assert not (tmp_path / "features").exists()  # rejected before anything is written
+
+
 def test_build_bags_writes_csv(corpus):
     root, cfg = corpus
     assert run("build-bags", "--config", cfg) == 0

@@ -4,8 +4,8 @@ import pytest
 from matt.dsp import (
     DB_FLOOR,
     AudioSignal,
+    extract_feature_sets,
     hz_to_mel,
-    log_mel_spectrogram,
     mel_filterbank,
     mel_to_hz,
 )
@@ -51,23 +51,23 @@ def test_filterbank_band_validation():
 
 
 @pytest.mark.parametrize("seconds", [1.0, 2.5, 35.0])
-def test_log_mel_shape_contract(seconds, stft_cfg):
-    mel = log_mel_spectrogram(noisy_clip(seconds=seconds), stft_cfg)
+def test_log_mel_shape_contract(seconds, feature_cfg):
+    mel = extract_feature_sets(noisy_clip(seconds=seconds), feature_cfg).mel
     assert mel.values.shape == (96, 1360)
     assert np.all(np.isfinite(mel.values))
     assert np.all(mel.values >= DB_FLOOR)
 
 
-def test_silence_maps_to_db_floor(stft_cfg):
+def test_silence_maps_to_db_floor(feature_cfg):
     sig = AudioSignal(samples=np.zeros(RATE, dtype=np.float32), sample_rate_hz=RATE)
-    mel = log_mel_spectrogram(sig, stft_cfg)
+    mel = extract_feature_sets(sig, feature_cfg).mel
     assert np.all(mel.values == DB_FLOOR)
 
 
-def test_center_crop_matches_inner_clip(stft_cfg):
+def test_center_crop_matches_inner_clip(feature_cfg):
     # construct a long clip whose center region is an exact hop-aligned copy of
     # a shorter clip, faded at the edges so both share the same dB reference
-    hop = stft_cfg.hop
+    hop = feature_cfg.stft.hop
     inner_len = 1480 * hop
     shift = 129  # hops
     outer_len = (1480 + 2 * shift) * hop
@@ -77,11 +77,11 @@ def test_center_crop_matches_inner_clip(stft_cfg):
     outer = np.zeros(outer_len, dtype=np.float32)
     outer[shift * hop : shift * hop + inner_len] = content.astype(np.float32)
 
-    mel_outer = log_mel_spectrogram(
-        AudioSignal(samples=outer, sample_rate_hz=RATE), stft_cfg
-    )
-    mel_inner = log_mel_spectrogram(
-        AudioSignal(samples=content.astype(np.float32), sample_rate_hz=RATE), stft_cfg
-    )
+    mel_outer = extract_feature_sets(
+        AudioSignal(samples=outer, sample_rate_hz=RATE), feature_cfg
+    ).mel
+    mel_inner = extract_feature_sets(
+        AudioSignal(samples=content.astype(np.float32), sample_rate_hz=RATE), feature_cfg
+    ).mel
     # identical up to FFT batch rounding (last ulp)
     assert np.abs(mel_outer.values - mel_inner.values).max() <= 1e-9

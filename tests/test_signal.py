@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from matt.dsp import AudioSignal, downmix_and_validate, time_domain_descriptors
+from matt.dsp import AudioSignal, downmix_and_validate, frame_signal, time_domain_descriptors
 from matt.errors import CorruptAudio, EmptyAudio
 
 from conftest import RATE, tone
+
+
+def rms_zcr(sig):
+    return time_domain_descriptors(frame_signal(sig.samples, 2048, 1024, True))
 
 
 def test_downmix_identical_channels_is_identity():
@@ -47,7 +51,7 @@ def test_downmix_rejects_three_channels():
 
 def test_rms_of_constant_signal():
     sig = AudioSignal(samples=np.full(8192, 0.5, dtype=np.float32), sample_rate_hz=RATE)
-    rms, zcr = time_domain_descriptors(sig, 2048, 1024)
+    rms, zcr = rms_zcr(sig)
     assert np.allclose(rms, 0.5)
     assert np.all(zcr == 0.0)
 
@@ -57,14 +61,14 @@ def test_zcr_of_alternating_signal_is_one():
     samples[0::2] = 1.0
     samples[1::2] = -1.0
     sig = AudioSignal(samples=samples, sample_rate_hz=RATE)
-    _, zcr = time_domain_descriptors(sig, 2048, 1024)
+    _, zcr = rms_zcr(sig)
     assert np.all(zcr == 1.0)
 
 
 def test_sine_rms_converges_to_amplitude_over_sqrt2():
     amplitude = 0.7
     sig = tone(440.0, seconds=1.0, amplitude=amplitude)
-    rms, _ = time_domain_descriptors(sig, 2048, 1024)
+    rms, _ = rms_zcr(sig)
     expected = amplitude / np.sqrt(2.0)
     assert np.max(np.abs(rms - expected) / expected) <= 0.01
 
@@ -73,7 +77,7 @@ def test_scaling_signal_scales_rms_and_keeps_zcr():
     sig = tone(331.0, seconds=0.5, amplitude=0.2)
     # scaling by a power of two is exact in float arithmetic
     doubled = AudioSignal(samples=(2.0 * sig.samples).astype(np.float32), sample_rate_hz=RATE)
-    rms1, zcr1 = time_domain_descriptors(sig, 2048, 1024)
-    rms2, zcr2 = time_domain_descriptors(doubled, 2048, 1024)
+    rms1, zcr1 = rms_zcr(sig)
+    rms2, zcr2 = rms_zcr(doubled)
     assert np.array_equal(rms2, 2.0 * rms1)
     assert np.array_equal(zcr1, zcr2)
