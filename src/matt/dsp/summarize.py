@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import EmptyFeature
+from ..errors import EmptyFeature, InvalidConfig
 from .chroma import chroma_features, tonnetz
 from .frames import FAMILY_BASE_DIMS, FrameFeatureMatrix
 from .mel import DB_FLOOR, MelSpectrogram, _fit_frames, log_mel_frames, mfcc
@@ -126,9 +126,10 @@ def set_slices(set_name: str) -> list[tuple[int, int]]:
 class FeatureConfig:
     """Extraction geometry; the defaults give the 96x1360 mel contract at 44.1 kHz.
 
-    Construction raises InvalidBand when sample_rate and n_fft leave a
-    spectral contrast band without an FFT bin (see contrast_bands), so a bad
-    geometry fails before any track is read.
+    Construction raises InvalidConfig for a sample_rate that is not positive
+    and InvalidBand when sample_rate and n_fft leave a spectral contrast band
+    without an FFT bin (see contrast_bands), so a bad geometry fails before
+    any track is read.
     """
 
     sample_rate: int = 44100
@@ -139,6 +140,8 @@ class FeatureConfig:
     n_mfcc: int = 20
 
     def __post_init__(self):
+        if self.sample_rate <= 0:
+            raise InvalidConfig(f"sample rate must be positive, got {self.sample_rate}")
         contrast_bands(self.stft.n_fft, self.sample_rate)
 
 

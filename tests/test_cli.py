@@ -117,6 +117,20 @@ def test_extract_features_rejects_a_geometry_without_contrast_bins(tmp_path, cap
     assert not (tmp_path / "features").exists()  # rejected before anything is written
 
 
+@pytest.mark.parametrize("rate", [0, -44100])
+def test_extract_features_rejects_a_non_positive_sample_rate(tmp_path, capsys, rate):
+    (tmp_path / "audio").mkdir()
+    (tmp_path / "metadata.csv").write_text(METADATA.splitlines()[0] + "\ntrk00,alb1,artA,rock,train\n")
+    cfg = tmp_path / "run.cfg"
+    text = CONFIG_TEMPLATE.format(feature_set="1to9", epochs=1)
+    cfg.write_text(text.replace("[features]\n", f"[features]\nsample_rate = {rate}\n"))
+    assert run("extract-features", "--config", cfg, "--workers", 1) == 1
+    err = capsys.readouterr().err
+    assert f"sample rate must be positive, got {rate}" in err
+    assert "internal error" not in err
+    assert not (tmp_path / "features").exists()
+
+
 def test_build_bags_writes_csv(corpus):
     root, cfg = corpus
     assert run("build-bags", "--config", cfg) == 0
