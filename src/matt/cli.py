@@ -33,11 +33,12 @@ from .dsp import (
     write_feature_csv,
     write_mel_cache,
 )
-from .dsp.cache import format_value
+from .dsp.cache import format_value, parse_feature_rows
 from .dsp.summarize import set_slices
 from .errors import (
     EmptyFeature,
     MattError,
+    NotUtf8,
     RuntimeFailure,
     SampleRateMismatch,
     ValidationError,
@@ -187,12 +188,14 @@ def cmd_extract_features(args) -> int:
     log.info("extracted %d new tracks", len(tasks))
 
     # assemble the requested set from the per-track parts
-    vectors = {}
+    lines = []
     for rec in table.records:
         part = parts_dir / f"{rec.track_id}.part"
-        line = part.read_text(encoding="utf-8").strip()
-        track_id, _, rest = line.partition(",")
-        vectors[track_id] = np.array([float(x) for x in rest.split(",")], dtype=np.float32)
+        try:
+            lines.append(part.read_text(encoding="utf-8").strip())
+        except UnicodeDecodeError:
+            raise NotUtf8.in_file(part) from None
+    vectors = parse_feature_rows(lines, feature_set_length("1to9"), parts_dir)
     slices = set_slices(cfg.feature_set)
     rows = {
         tid: np.concatenate([vec[a:b] for a, b in slices]) for tid, vec in vectors.items()
@@ -322,6 +325,28 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def format_predictions(track_ids, names, probabilities, weights) -> str:
+    """One line per track: id, top genre and its probability, the top five
+    as genre:probability pairs joined by ';', and the attention weight.
+
+    The body is one % over a flat (n_tracks, 4 + 2k) cell matrix, with the
+    same %.9g as format_value.
+    """
+    top = np.argsort(-probabilities, axis=1, kind="stable")[:, :5]
+    k = top.shape[1]
+    top_names = np.array(names, dtype=object)[top]
+    top_probabilities = np.take_along_axis(probabilities, top, axis=1)
+    cells = np.empty((len(track_ids), 4 + 2 * k), dtype=object)
+    cells[:, 0] = track_ids
+    cells[:, 1] = top_names[:, 0]
+    cells[:, 2] = top_probabilities[:, 0]
+    cells[:, 3:-1:2] = top_names
+    cells[:, 4::2] = top_probabilities
+    cells[:, -1] = weights
+    line = "%s,%s,%.9g," + ";".join(["%s:%.9g"] * k) + ",%.9g\n"
+    return line * len(track_ids) % tuple(cells.ravel().tolist())
+
+
 def cmd_predict(args) -> int:
     cfg = _load_config(args)
     table = load_metadata(cfg.metadata)
@@ -340,18 +365,10 @@ def cmd_predict(args) -> int:
     probabilities, cache = model.forward_packed(X, np.arange(len(X)), keep_cache=True)
     weights = cache["weights"]
     del X, cache  # the rows and activations are not needed while formatting
-    top = np.argsort(-probabilities, axis=1, kind="stable")[:, :5]
-    lines = []
-    for track_id, p, order, weight in zip(track_ids, probabilities, top, weights):
-        top5 = ";".join(f"{names[g]}:{format_value(float(p[g]))}" for g in order)
-        lines.append(
-            f"{track_id},{names[int(order[0])]},{format_value(float(p[order[0]]))},"
-            f"{top5},{format_value(float(weight))}"
-        )
-    text = "\n".join(lines) + "\n"
+    text = format_predictions(track_ids, names, probabilities, weights)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out} ({len(lines)} predictions)")
+        print(f"wrote {args.out} ({len(track_ids)} predictions)")
     else:
         sys.stdout.write(text)
     return 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .errors import (
     DuplicateTrack,
     InconsistentBagLabel,
     InvalidConfig,
+    NotUtf8,
     ValidationError,
 )
 
@@ -28,8 +30,9 @@ METADATA_HEADER = "track_id,album_id,artist_id,genre,split"
 SPLITS = ("train", "validation", "test")
 
 
-@dataclass(frozen=True)
-class SegmentRecord:
+class SegmentRecord(NamedTuple):
+    """One metadata row; a tuple, so building one per row costs no per-field setattr."""
+
     track_id: str
     album_id: str
     artist_id: str
@@ -102,7 +105,7 @@ def parse_metadata_lines(lines, source: str = "<memory>"):
         parts = ln.split(",")
         if len(parts) != 5:
             raise BadHeader(f"{source}: row has {len(parts)} fields: {ln!r}")
-        track_id, album_id, artist_id, genre, split = (p.strip() for p in parts)
+        track_id, album_id, artist_id, genre, split = [p.strip() for p in parts]
         if not track_id:
             raise BadHeader(f"{source}: empty track_id")
         if track_id in seen:
@@ -113,15 +116,7 @@ def parse_metadata_lines(lines, source: str = "<memory>"):
         if genre not in genre_index:
             genre_index[genre] = len(names)
             names.append(genre)
-        records.append(
-            SegmentRecord(
-                track_id=track_id,
-                album_id=album_id,
-                artist_id=artist_id,
-                genre_id=genre_index[genre],
-                split=split,
-            )
-        )
+        records.append(SegmentRecord(track_id, album_id, artist_id, genre_index[genre], split))
     counts = [0] * len(names)
     for rec in records:
         if rec.split == "train":
@@ -136,6 +131,8 @@ def load_metadata(path) -> SegmentTable:
             return parse_metadata_lines(fh, source=str(path))
     except OSError as exc:
         raise ValidationError(f"cannot read metadata {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise NotUtf8.in_file(path) from None
 
 
 def build_bags(table: SegmentTable, label_policy: str = "majority") -> BagSet:

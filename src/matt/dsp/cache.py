@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from ..errors import CorruptAudio, ShapeError
+from ..errors import CorruptAudio, DuplicateTrack, NotUtf8, ShapeError
 
 MEL_MAGIC = b"MELF"
 MEL_VERSION = 1
@@ -45,21 +45,70 @@ def write_feature_csv(path, columns: list[str], rows: dict[str, np.ndarray]):
 
 def read_feature_csv(path) -> dict[str, np.ndarray]:
     """Returns track_id -> float32 vector; header is not validated against a set."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    except UnicodeDecodeError:
+        raise NotUtf8.in_file(path) from None
     if not lines or not lines[0].startswith("track_id,"):
         raise CorruptAudio(f"{path}: missing feature header")
-    n_cols = lines[0].count(",")
-    rows = {}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != n_cols + 1:
-            raise CorruptAudio(f"{path}: row width {len(parts)} != header {n_cols + 1}")
-        try:
-            rows[parts[0]] = np.array([float(p) for p in parts[1:]], dtype=np.float32)
-        except ValueError as exc:
-            raise CorruptAudio(f"{path}: track {parts[0]!r}: {exc}") from None
-    return rows
+    return parse_feature_rows(lines[1:], lines[0].count(","), path)
+
+
+def parse_feature_rows(lines: list[str], n_values: int, source) -> dict[str, np.ndarray]:
+    """Parse `track_id,v1,...,vn` lines into track_id -> float32 vector.
+
+    The whole body goes through one np.loadtxt call straight to float32 (it
+    rounds through a double, as np.float32(float(cell)) does). Every row must
+    have exactly n_values cells after its id, and every id must be new: the
+    loader itself would drop extra cells and a dict would keep the last row.
+    """
+    ids = [ln.partition(",")[0] for ln in lines]
+    seen = set()
+    for track_id, ln in zip(ids, lines):
+        if ln.count(",") != n_values:
+            raise CorruptAudio(
+                f"{source}: track {track_id!r}: row width {ln.count(',') + 1} "
+                f"!= header {n_values + 1}"
+            )
+        if track_id in seen:
+            raise DuplicateTrack(f"{source}: duplicate track {track_id!r}")
+        seen.add(track_id)
+    if not ids:
+        return {}  # loadtxt warns on empty input
+    try:
+        matrix = _load_float32(lines, n_values)
+    except ValueError as exc:
+        # error path only: the loader's row numbers are not reliable, so find
+        # the first row it rejects alone, then the first cell of that row
+        for track_id, ln in zip(ids, lines):
+            if _rejects(ln, n_values):
+                cell = next((c for c in ln.split(",")[1:] if _rejects("," + c, 1)), ln)
+                raise CorruptAudio(
+                    f"{source}: track {track_id!r}: {cell!r} is not a number"
+                ) from None
+        raise CorruptAudio(f"{source}: {exc}") from None
+    return dict(zip(ids, matrix))
+
+
+def _load_float32(lines: list[str], n_values: int) -> np.ndarray:
+    return np.loadtxt(
+        lines,
+        delimiter=",",
+        usecols=range(1, n_values + 1),
+        ndmin=2,
+        dtype=np.float32,
+        comments=None,
+        quotechar=None,
+    )
+
+
+def _rejects(line: str, n_values: int) -> bool:
+    try:
+        _load_float32([line], n_values)
+    except ValueError:
+        return True
+    return False
 
 
 def write_mel_cache(path, values: np.ndarray):

@@ -18,6 +18,22 @@ class RuntimeFailure(MattError):
     """Failure while executing a valid request."""
 
 
+class NotUtf8(ValidationError):
+    """A text input holds bytes that are not UTF-8."""
+
+    @classmethod
+    def in_file(cls, path) -> "NotUtf8":
+        """Name the file and its first line that is not UTF-8; reads the file again."""
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            return cls(f"{path}: line {line} is not UTF-8 (byte 0x{data[exc.start]:02x})")
+        return cls(f"{path}: not UTF-8")
+
+
 # audio / DSP
 class EmptyAudio(ValidationError):
     pass

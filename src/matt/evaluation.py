@@ -10,6 +10,7 @@ has fewer than the threshold training segments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -39,8 +40,11 @@ class EvalReport:
     def write_pr_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("threshold,precision,recall\n")
-            for threshold, precision, recall in self.pr_points:
-                fh.write(f"{threshold:.9g},{precision:.9g},{recall:.9g}\n")
+            # one % per block of points: as fast as one % over the whole body,
+            # without holding all of its text and a flat copy at once
+            for i in range(0, len(self.pr_points), 4096):
+                block = self.pr_points[i : i + 4096]
+                fh.write("%.9g,%.9g,%.9g\n" * len(block) % tuple(chain.from_iterable(block)))
 
     def write_text(self, path):
         lines = [

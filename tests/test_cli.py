@@ -406,6 +406,51 @@ def test_non_numeric_feature_value_fails_validation(corpus, capsys):
     assert "3+6.csv" in err and "trk01" in err
 
 
+def test_duplicate_feature_row_fails_validation(corpus, capsys):
+    root, cfg = corpus
+    (root / "features").mkdir()
+    (root / "features" / "3+6.csv").write_text(
+        "track_id,a,b\ntrk00,1.0,2.0\ntrk01,1.0,2.0\ntrk00,3.0,4.0\n", encoding="utf-8"
+    )
+    assert run("train", "--config", cfg) == 1
+    err = capsys.readouterr().err
+    assert "3+6.csv: duplicate track 'trk00'" in err
+
+
+@pytest.mark.parametrize("target", ["metadata.csv", "features/3+6.csv"])
+def test_non_utf8_input_fails_validation(corpus, capsys, target):
+    root, cfg = corpus
+    (root / "features").mkdir()
+    (root / "features" / "3+6.csv").write_text("track_id,a\ntrk00,1.0\n", encoding="utf-8")
+    path = root / target
+    path.write_bytes(path.read_bytes().replace(b"trk00", b"trk\xe90"))
+    assert run("train", "--config", cfg) == 1
+    err = capsys.readouterr().err
+    assert f"{target}: line 2 is not UTF-8 (byte 0xe9)" in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "first_cell, message",
+    [
+        (b"abc", "parts: track 'trk01': 'abc' is not a number"),
+        (b"1\xe9", "trk01.part: line 1 is not UTF-8 (byte 0xe9)"),
+    ],
+    ids=["non-numeric", "non-utf8"],
+)
+def test_corrupt_part_on_resume_fails_validation(corpus, capsys, first_cell, message):
+    root, cfg = corpus
+    assert run("extract-features", "--config", cfg, "--workers", 1) == 0
+    part = root / "features" / "parts" / "trk01.part"
+    track_id, _, values = part.read_bytes().partition(b",")
+    part.write_bytes(track_id + b"," + first_cell + b"," + values.partition(b",")[2])
+    capsys.readouterr()
+    assert run("extract-features", "--config", cfg, "--workers", 1) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "internal error" not in err
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
 def test_header_only_feature_cache_fails_validation(corpus, capsys, command):
     root, cfg = corpus
