@@ -33,7 +33,7 @@ from .dsp import (
     write_feature_csv,
     write_mel_cache,
 )
-from .dsp.cache import format_value, parse_feature_rows
+from .dsp.cache import format_feature_rows, parse_feature_rows
 from .dsp.summarize import set_slices
 from .errors import (
     EmptyFeature,
@@ -146,7 +146,7 @@ def _extract_one(task) -> str:
     vector = result.set_vector("1to9").astype(np.float32)
     tmp = f"{part_path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(track_id + "," + ",".join(format_value(float(v)) for v in vector) + "\n")
+        fh.write(format_feature_rows([track_id], vector[np.newaxis, :]))
     os.replace(tmp, part_path)
     write_mel_cache(mel_path, result.mel.values)
     return track_id
@@ -330,7 +330,7 @@ def format_predictions(track_ids, names, probabilities, weights) -> str:
     as genre:probability pairs joined by ';', and the attention weight.
 
     The body is one % over a flat (n_tracks, 4 + 2k) cell matrix, with the
-    same %.9g as format_value.
+    same %.9g as the feature cache.
     """
     top = np.argsort(-probabilities, axis=1, kind="stable")[:, :5]
     k = top.shape[1]

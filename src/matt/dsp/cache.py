@@ -1,7 +1,7 @@
 """On-disk caches: delimited feature files and binary mel files.
 
 Feature cache: one CSV per feature set, header `track_id,<family>_<stat>_<index>,...`,
-values printed with 9 significant digits (enough to round-trip float32).
+float32 values printed as %.9g (9 significant digits round-trip float32).
 
 Mel cache: per track, magic "MELF", version u32=1, n_mels u32, n_frames u32,
 then row-major little-endian float32.
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import struct
+from itertools import chain
 
 import numpy as np
 
@@ -20,26 +21,37 @@ MEL_MAGIC = b"MELF"
 MEL_VERSION = 1
 
 
-def format_value(x: float) -> str:
-    return "%.9g" % x
+WRITE_BLOCK = 4096  # rows formatted per %
+
+
+def format_feature_rows(track_ids: list[str], matrix: np.ndarray) -> str:
+    """`track_id,v1,...,vn` lines for the rows of a float32 matrix, each value
+    as %.9g of its exact double: one % over a flat (id, values...) tuple."""
+    line = "%s" + ",%.9g" * matrix.shape[1] + "\n"
+    cells = chain.from_iterable((t, *row) for t, row in zip(track_ids, matrix.tolist()))
+    return line * len(track_ids) % tuple(cells)
 
 
 def write_feature_csv(path, columns: list[str], rows: dict[str, np.ndarray]):
     """Write track_id -> vector rows (sorted by track id) atomically.
 
     For a named feature set, pass feature_set_columns(set_name) as columns.
+    Vectors are stored as float32.
     """
-    lines = ["track_id," + ",".join(columns)]
-    for track_id in sorted(rows):
-        vector = np.asarray(rows[track_id], dtype=np.float32)
-        if vector.shape != (len(columns),):
+    track_ids = sorted(rows)
+    for track_id in track_ids:
+        if np.shape(rows[track_id]) != (len(columns),):
             raise ShapeError(
-                f"{track_id}: vector length {vector.shape} != header width {len(columns)}"
+                f"{track_id}: vector length {np.shape(rows[track_id])} "
+                f"!= header width {len(columns)}"
             )
-        lines.append(track_id + "," + ",".join(format_value(float(v)) for v in vector))
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("track_id," + ",".join(columns) + "\n")
+        for i in range(0, len(track_ids), WRITE_BLOCK):
+            block = track_ids[i : i + WRITE_BLOCK]
+            matrix = np.array([rows[t] for t in block], dtype=np.float32)
+            fh.write(format_feature_rows(block, matrix))
     os.replace(tmp, path)
 
 

@@ -13,6 +13,7 @@ safe to run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,10 +38,11 @@ class EncoderConfig:
         if any(d <= 0 for d in dims):
             raise InvalidConfig(f"encoder dims must be positive, got {dims}")
 
-    @property
-    def layer_dims(self) -> list[tuple[int, int]]:
+    @cached_property
+    def layer_dims(self) -> tuple[tuple[int, int], ...]:
+        """(rows, cols) of each layer's weight matrix, built on first use."""
         dims = (self.input_dim, *self.hidden_dims, self.output_dim)
-        return [(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
+        return tuple((dims[i + 1], dims[i]) for i in range(len(dims) - 1))
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,7 @@ class MattModel:
         self.encoder = encoder
         self.n_genres = n_genres
         self.aggregator = aggregator
+        self.n_layers = len(encoder.layer_dims)
         self.params = ParamStore()
         d = encoder.output_dim
         for i, (rows, cols) in enumerate(encoder.layer_dims):
@@ -87,10 +90,6 @@ class MattModel:
         self.params.add("att_b", np.zeros(1))
         self.params.add("att_q", xavier_uniform(d, 1, seed * 1000 + 103))
         self.params.add("out_m", xavier_uniform(n_genres, d, seed * 1000 + 105))
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.encoder.layer_dims)
 
     # -- forward -- #
 
@@ -111,13 +110,13 @@ class MattModel:
             activations.append(h)
         return activations, h
 
-    def attention_weights(self, embeddings: np.ndarray, starts: np.ndarray):
-        """Per-bag softmax attention over packed members.
+    def attention_weights(self, embeddings: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
+        """Per-bag softmax attention over packed members; sizes[b] is the row
+        count of the bag starting at starts[b].
 
         Returns (tanh, weights): the squashed logit of each row (None for the
         mean aggregator) and its (n_rows,) weight; weights sum to 1 per bag.
         """
-        sizes = np.diff(starts, append=len(embeddings))
         if self.aggregator == "mean":
             return None, np.repeat(1.0 / sizes, sizes)
         w = self.params.values["att_w"][0]
@@ -141,25 +140,22 @@ class MattModel:
         """
         features = np.asarray(features, dtype=np.float64)
         starts = np.asarray(starts, dtype=np.intp)
-        if (
-            features.ndim != 2
-            or starts.ndim != 1
-            or not starts.size
-            or starts[0] != 0
-            or starts[-1] >= features.shape[0]
-            or np.any(np.diff(starts) <= 0)
-        ):
+        ok = features.ndim == 2 and starts.ndim == 1 and starts.size and starts[0] == 0
+        # bag sizes are computed once here; attention and backward reuse them
+        sizes = np.diff(starts, append=len(features)) if ok else None
+        if not ok or not (sizes > 0).all():
             raise EmptyBag(
                 f"{features.shape} features with bag starts {starts[:8]} hold an empty bag"
             )
         activations, embeddings = self.encode(features)
-        squashed, weights = self.attention_weights(embeddings, starts)
+        squashed, weights = self.attention_weights(embeddings, starts, sizes)
         representations = np.add.reduceat(weights[:, np.newaxis] * embeddings, starts)
         probabilities = self.genre_scores(representations)
         if not keep_cache:
             return probabilities
         cache = {
             "starts": starts,
+            "sizes": sizes,
             "activations": activations,
             "squashed": squashed,
             "weights": weights,
@@ -189,9 +185,9 @@ class MattModel:
         """Accumulate parameter gradients given (B, G) dLoss/dScores, one row per bag."""
         p = self.params
         starts = cache["starts"]
+        sizes = cache["sizes"]
         weights = cache["weights"]
         embeddings = cache["activations"][-1]
-        sizes = np.diff(starts, append=len(weights))
         p.add_grad("out_m", d_scores.T @ cache["representations"])
         # each member row receives its bag's dLoss/dRepresentation
         d_repr = np.repeat(d_scores @ p.values["out_m"], sizes, axis=0)
@@ -236,7 +232,8 @@ class MattModel:
     def backward_singletons(self, activations, embeddings, d_scores: np.ndarray):
         """Accumulate gradients for a batch of singleton bags (attention weight 1)."""
         n = len(d_scores)
-        cache = {"starts": np.arange(n), "activations": activations, "squashed": np.zeros(n),
+        cache = {"starts": np.arange(n), "sizes": np.ones(n, dtype=np.intp),
+                 "activations": activations, "squashed": np.zeros(n),
                  "weights": np.ones(n), "representations": embeddings}
         self.backward_packed(cache, d_scores)
 

@@ -2,13 +2,16 @@
 
 Everything here works on float64 numpy arrays. The model writes its forward
 and backward passes by hand in numpy, calling softmax from here, and
-accumulates parameter gradients additively into a ParamStore. A central
-finite-difference checker verifies those gradients.
+accumulates parameter gradients additively into a ParamStore. The store keeps
+every parameter in one flat value vector and one flat gradient vector, with a
+named, shaped view per parameter, so an optimizer step, gradient scaling and
+zeroing are each one array operation over the whole model. A central
+finite-difference checker verifies the gradients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,28 +41,47 @@ def softmax(x: np.ndarray) -> np.ndarray:
 # -- parameter storage -- #
 
 class ParamStore:
-    """Named parameters with paired gradient accumulators.
+    """Named parameters with paired gradient accumulators, in one flat buffer.
 
-    Insertion order is the canonical parameter order used by checkpoints,
-    the optimizer, and the gradient checker, so creation order must be
-    deterministic. Single-writer: one training loop mutates values.
+    All values live in one contiguous float64 vector `flat`, and all
+    gradients in `flat_grad`, parameter after parameter. `values[name]` and
+    `grads[name]` are reshaped views into them, so per-name code (the model,
+    checkpoints, the gradient checker) and whole-store code (the optimizer)
+    read and write the same memory. Insertion order is the canonical
+    parameter order used by checkpoints, the optimizer, and the gradient
+    checker, so creation order must be deterministic. Single-writer: one
+    training loop mutates values.
     """
 
     def __init__(self):
+        self.flat = np.zeros(0)
+        self.flat_grad = np.zeros(0)
         self.values: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
 
     def add(self, name: str, value: np.ndarray) -> np.ndarray:
+        """Append a parameter (copied) with a zero gradient; returns its view.
+
+        Both buffers are reallocated, so views taken before the call go stale.
+        """
         if name in self.values:
             raise InvalidConfig(f"duplicate parameter {name!r}")
         arr = np.asarray(value, dtype=np.float64)
-        self.values[name] = arr
-        self.grads[name] = np.zeros_like(arr)
-        return arr
+        shapes = {n: v.shape for n, v in self.values.items()}
+        shapes[name] = arr.shape
+        self.flat = np.concatenate([self.flat, arr.reshape(-1)])
+        self.flat_grad = np.concatenate([self.flat_grad, np.zeros(arr.size)])
+        self.values, self.grads = {}, {}
+        offset = 0
+        for n, shape in shapes.items():
+            end = offset + int(np.prod(shape, dtype=np.intp))
+            self.values[n] = self.flat[offset:end].reshape(shape)
+            self.grads[n] = self.flat_grad[offset:end].reshape(shape)
+            offset = end
+        return self.values[name]
 
     def zero_grads(self):
-        for g in self.grads.values():
-            g[...] = 0.0
+        self.flat_grad[...] = 0.0
 
     def add_grad(self, name: str, grad: np.ndarray):
         g = self.grads[name]
@@ -70,8 +92,7 @@ class ParamStore:
         g += grad
 
     def scale_grads(self, factor: float):
-        for g in self.grads.values():
-            g *= factor
+        self.flat_grad *= factor
 
     def load_values(self, values: dict[str, np.ndarray]):
         """Overwrite parameter values in place, validating names and sizes."""
@@ -93,7 +114,8 @@ class ParamStore:
 
 @dataclass
 class OptimizerState:
-    """SGD or Adam state over a ParamStore."""
+    """SGD or Adam state over a ParamStore; Adam's moments are flat vectors
+    aligned with the store's `flat`, created on the first step."""
 
     algorithm: str = "adam"
     learning_rate: float = 1e-3
@@ -101,8 +123,8 @@ class OptimizerState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     step_count: int = 0
-    moments1: dict = field(default_factory=dict)
-    moments2: dict = field(default_factory=dict)
+    moments1: np.ndarray | None = None
+    moments2: np.ndarray | None = None
 
     def __post_init__(self):
         if self.algorithm not in ("sgd", "adam"):
@@ -112,32 +134,34 @@ class OptimizerState:
 
 
 def optimizer_step(state: OptimizerState, store: ParamStore):
-    """Apply one update from the accumulated gradients, then zero them."""
-    for name, grad in store.grads.items():
-        if not np.all(np.isfinite(grad)):
-            raise DivergedError(f"non-finite gradient in {name!r}")
+    """Apply one update from the accumulated gradients, then zero them.
+
+    Every operation is elementwise over the whole flat buffer, so each entry
+    is updated exactly as a per-parameter loop would update it.
+    """
+    grad = store.flat_grad
+    if not np.isfinite(grad).all():
+        name = next(n for n, g in store.grads.items() if not np.isfinite(g).all())
+        raise DivergedError(f"non-finite gradient in {name!r}")
     state.step_count += 1
     lr = state.learning_rate
     if state.algorithm == "sgd":
-        for name, value in store.values.items():
-            value -= lr * store.grads[name]
+        store.flat -= lr * grad
     else:
         t = state.step_count
         b1, b2 = state.beta1, state.beta2
-        for name, value in store.values.items():
-            grad = store.grads[name]
-            if name not in state.moments1:
-                state.moments1[name] = np.zeros_like(value)
-                state.moments2[name] = np.zeros_like(value)
-            m1 = state.moments1[name]
-            m2 = state.moments2[name]
-            m1 *= b1
-            m1 += (1.0 - b1) * grad
-            m2 *= b2
-            m2 += (1.0 - b2) * grad * grad
-            m1_hat = m1 / (1.0 - b1**t)
-            m2_hat = m2 / (1.0 - b2**t)
-            value -= lr * m1_hat / (np.sqrt(m2_hat) + state.epsilon)
+        if state.moments1 is None:
+            state.moments1 = np.zeros_like(store.flat)
+            state.moments2 = np.zeros_like(store.flat)
+        m1 = state.moments1
+        m2 = state.moments2
+        m1 *= b1
+        m1 += (1.0 - b1) * grad
+        m2 *= b2
+        m2 += (1.0 - b2) * grad * grad
+        m1_hat = m1 / (1.0 - b1**t)
+        m2_hat = m2 / (1.0 - b2**t)
+        store.flat -= lr * m1_hat / (np.sqrt(m2_hat) + state.epsilon)
     store.zero_grads()
 
 

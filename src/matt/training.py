@@ -85,30 +85,25 @@ def nll_loss(prediction, gold: int):
     return float(losses[0]), d_scores[0]
 
 
-def bag_feature_matrix(bag: Bag, features: dict[str, np.ndarray]) -> np.ndarray:
-    rows = []
-    for track_id in bag.segment_ids:
-        if track_id not in features:
-            raise MissingFeature(f"no features for segment {track_id!r}")
-        rows.append(np.asarray(features[track_id], dtype=np.float64))
-    return np.stack(rows)
-
-
 def pack_bags(bags, features: dict[str, np.ndarray]):
     """Members of bags as one packed float64 matrix, bag after bag.
 
-    Returns ((n_rows, D) features, (B,) first row of each bag). Every bag is
-    gathered once; a missing feature row raises MissingFeature.
+    Returns ((n_rows, D) features, (B,) first row of each bag). All member
+    rows are gathered in one pass; a missing feature row raises
+    MissingFeature naming the first such track.
     """
     sizes = np.array([len(b) for b in bags], dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
-    packed = None
-    for bag, start in zip(bags, starts):
-        matrix = bag_feature_matrix(bag, features)
-        if packed is None:
-            packed = np.empty((sizes.sum(), matrix.shape[1]))
-        packed[start : start + len(matrix)] = matrix
-    return packed, starts
+    try:
+        rows = [features[track_id] for bag in bags for track_id in bag.segment_ids]
+    except KeyError as exc:
+        raise MissingFeature(f"no features for segment {exc.args[0]!r}") from None
+    return np.array(rows, dtype=np.float64), np.cumsum(sizes) - sizes
+
+
+def bag_feature_matrix(bag: Bag, features: dict[str, np.ndarray]) -> np.ndarray:
+    """One bag's (m, D) member rows. Nothing in matt calls it any more; it
+    stays because perfbench/layers.PROBES wraps it by name."""
+    return pack_bags([bag], features)[0]
 
 
 def _bag_accuracy(model: MattModel, packed, golds: np.ndarray) -> float:
@@ -153,7 +148,7 @@ def train(bags: BagSet, features: dict[str, np.ndarray], cfg: TrainConfig):
     rng = np.random.default_rng(cfg.seed)
     train_log = TrainLog()
 
-    best_values = {k: v.copy() for k, v in model.params.values.items()}
+    best_values = model.params.flat.copy()
     best_accuracy = -1.0
     stale_epochs = 0
 
@@ -184,7 +179,7 @@ def train(bags: BagSet, features: dict[str, np.ndarray], cfg: TrainConfig):
         if val_bags:
             if val_accuracy > best_accuracy:
                 best_accuracy = val_accuracy
-                best_values = {k: v.copy() for k, v in model.params.values.items()}
+                best_values = model.params.flat.copy()
                 stale_epochs = 0
             else:
                 stale_epochs += 1
@@ -192,9 +187,9 @@ def train(bags: BagSet, features: dict[str, np.ndarray], cfg: TrainConfig):
                     log.info("early stop at epoch %d (best val %.4f)", epoch, best_accuracy)
                     break
         else:
-            best_values = {k: v.copy() for k, v in model.params.values.items()}
+            best_values = model.params.flat.copy()
 
-    model.params.load_values(best_values)
+    model.params.flat[...] = best_values
     return model, train_log
 
 

@@ -1,8 +1,8 @@
 """The whole-file readers and writers against the per-cell loops they replaced.
 
 Each reference below is the loop the fast path replaced, kept here so the fast
-path is proven equal to it: bitwise for the feature cache, byte for byte for
-pr.csv and predict output.
+path is proven equal to it: bitwise for the feature cache read, byte for byte
+for the feature cache write, pr.csv and predict output.
 """
 
 import warnings
@@ -14,10 +14,24 @@ from hypothesis import strategies as st
 
 from matt.cli import format_predictions
 from matt.dataset import load_metadata
-from matt.dsp import read_feature_csv
-from matt.dsp.cache import format_value, parse_feature_rows
+from matt.dsp import read_feature_csv, write_feature_csv
+from matt.dsp.cache import WRITE_BLOCK, format_feature_rows, parse_feature_rows
 from matt.errors import CorruptAudio, DuplicateTrack, NotUtf8
 from matt.evaluation import EvalReport
+
+
+def format_value(x: float) -> str:
+    """The per-cell format every reference below writes a number with."""
+    return "%.9g" % x
+
+
+def reference_write_feature_csv(path, columns, rows):
+    lines = ["track_id," + ",".join(columns)]
+    for track_id in sorted(rows):
+        vector = np.asarray(rows[track_id], dtype=np.float32)
+        lines.append(track_id + "," + ",".join(format_value(float(v)) for v in vector))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def reference_read_feature_csv(path) -> dict[str, np.ndarray]:
@@ -101,6 +115,60 @@ def test_feature_csv_equals_the_per_cell_reference_bitwise(
     for track_id, vector in reference.items():
         assert fast[track_id].dtype == np.float32
         assert fast[track_id].tobytes() == vector.tobytes()
+
+
+# float32 values whose %.9g text is a rounding edge: the last digit rounds
+# up to a new decade or exponent, or the value is one ulp from a round number
+NINE_DIGIT_EDGES = [
+    0.1, 1.0 / 3.0, 0.99999994, 1.00000012, 123456789.0, 999999999.0, 9.99999975e-6,
+    99999.9961, 16777217.0, 1e10, 4.2949673e9, 2.5e-38, 1e-40, 3.4028235e38,
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.sampled_from(SPECIAL_FLOAT32 + NINE_DIGIT_EDGES),
+            st.floats(width=32, allow_nan=True),
+            # float64 within float32 range: rounded to float32 on write
+            st.floats(-float(F32.max), float(F32.max)),
+        ),
+        min_size=1, max_size=60,
+    ),
+    n_columns=st.integers(1, 6),
+)
+def test_feature_csv_write_equals_the_per_cell_reference(tmp_path_factory, values, n_columns):
+    n_rows = -(-len(values) // n_columns)
+    cells = (values * n_columns)[: n_rows * n_columns]
+    rows = {
+        f"t{i:02d}{'ab'[i % 2]}": np.array(cells[i * n_columns : (i + 1) * n_columns])
+        for i in range(n_rows)
+    }
+    columns = [f"f_mean_{i}" for i in range(n_columns)]
+    out = tmp_path_factory.mktemp("write")
+    write_feature_csv(out / "fast.csv", columns, rows)
+    reference_write_feature_csv(out / "reference.csv", columns, rows)
+    assert (out / "fast.csv").read_bytes() == (out / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, WRITE_BLOCK, WRITE_BLOCK + 3])
+def test_feature_csv_write_blocks_equal_the_per_cell_reference(tmp_path, n_rows):
+    # every float32 bit pattern is equally likely, subnormals and -0.0 included
+    bits = np.random.default_rng(n_rows).integers(0, 2**32, size=(n_rows, 5), dtype=np.uint32)
+    bits[:1, :2] = [0x80000000, 0x00000001]  # -0.0 and the smallest subnormal
+    rows = {f"trk{i:05d}": v for i, v in enumerate(bits.view(np.float32))}
+    columns = [f"f_mean_{i}" for i in range(5)]
+    write_feature_csv(tmp_path / "fast.csv", columns, rows)
+    reference_write_feature_csv(tmp_path / "reference.csv", columns, rows)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_part_row_equals_the_per_cell_reference():
+    # extract-features writes each track's part file as one such row
+    vector = np.array([-0.0, 1e-45, 0.99999994, 1.0 / 3.0, np.nan, -np.inf], dtype=np.float32)
+    expected = "trk7," + ",".join(format_value(float(v)) for v in vector) + "\n"
+    assert format_feature_rows(["trk7"], vector[np.newaxis, :]) == expected
 
 
 def test_header_only_feature_csv_is_empty_without_a_warning(tmp_path):

@@ -142,36 +142,48 @@ def test_missing_feature_raises():
         train(data.bags, features, TrainConfig(epochs=1, embedding_dim=4))
 
 
+def test_missing_feature_names_the_track():
+    data = two_genre_data()
+    features = dict(data.features)
+    missing = data.bags.split_bags("validation")[-1].segment_ids[-1]
+    features.pop(missing)
+    with pytest.raises(MissingFeature, match=f"^no features for segment {missing!r}$"):
+        training.pack_bags(data.bags.split_bags("validation"), features)
+    with pytest.raises(MissingFeature, match=f"^no features for segment {missing!r}$"):
+        train(data.bags, features, TrainConfig(epochs=1, embedding_dim=4))
+
+
 @pytest.mark.parametrize("epochs", [1, 4])
 def test_train_gathers_each_bag_once_and_runs_one_pass_per_batch(monkeypatch, epochs):
     data = two_genre_data()
-    gathered = []  # bag keys, one per bag_feature_matrix call
-    passes = []  # bags per engine forward
-    gather = training.bag_feature_matrix
+    events = []  # ("pack", bag keys) per pack_bags call, ("pass", bags) per forward
+    pack = training.pack_bags
     forward = MattModel.forward_packed
 
-    def counting_gather(bag, features):
-        gathered.append(bag.key)
-        return gather(bag, features)
+    def counting_pack(bags, features):
+        events.append(("pack", [b.key for b in bags]))
+        return pack(bags, features)
 
     def counting_forward(self, X, starts, keep_cache=False):
-        passes.append(len(starts))
+        events.append(("pass", len(starts)))
         return forward(self, X, starts, keep_cache)
 
-    monkeypatch.setattr(training, "bag_feature_matrix", counting_gather)
+    monkeypatch.setattr(training, "pack_bags", counting_pack)
     monkeypatch.setattr(MattModel, "forward_packed", counting_forward)
     cfg = TrainConfig(epochs=epochs, seed=2, embedding_dim=4, bags_per_batch=8)
     _, log = train(data.bags, data.features, cfg)
 
-    n_train = len(data.bags.split_bags("train"))
+    train_keys = [b.key for b in data.bags.split_bags("train")]
     val_keys = [b.key for b in data.bags.split_bags("validation")]
+    n_train = len(train_keys)
     assert val_keys and n_train > 8
     assert len(log.epochs) == epochs
-    assert sorted(gathered) == sorted(
-        b.key for b in data.bags.bags if b.split in ("train", "validation")
-    )
+    # one gather per split, every bag exactly once, before the first epoch
+    assert events[:2] == [("pack", train_keys), ("pack", val_keys)]
+    passes = events[2:]
+    assert all(kind == "pass" for kind, _ in passes)
     batches = [min(8, n_train - start) for start in range(0, n_train, 8)]
-    assert passes == (batches + [len(val_keys)]) * epochs
+    assert [bags for _, bags in passes] == (batches + [len(val_keys)]) * epochs
 
 
 def test_no_training_bags_rejected():

@@ -10,7 +10,6 @@ from matt.dsp import (
     write_mel_cache,
     write_wav,
 )
-from matt.dsp.cache import format_value
 from matt.errors import CorruptAudio
 from matt.numeric import ParamStore
 
@@ -66,10 +65,13 @@ def test_feature_csv_write_is_deterministic(tmp_path):
     assert lines[1].startswith("a,") and lines[2].startswith("b,")
 
 
-def test_nine_significant_digits_round_trip_float32():
+def test_nine_significant_digits_round_trip_float32(tmp_path):
     rng = np.random.default_rng(3)
-    for x in rng.uniform(-1e6, 1e6, size=200).astype(np.float32):
-        assert np.float32(float(format_value(float(x)))) == x
+    values = rng.uniform(-1e6, 1e6, size=200).astype(np.float32)
+    rows = {f"t{i:03d}": [v] for i, v in enumerate(values)}
+    write_feature_csv(tmp_path / "f.csv", ["x_mean_0"], rows)
+    back = read_feature_csv(tmp_path / "f.csv")
+    assert np.array_equal([back[f"t{i:03d}"][0] for i in range(200)], values)
 
 
 def test_mel_cache_round_trip(tmp_path):
