@@ -53,24 +53,30 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         data = fh.read()
     if data[:4] != MAGIC:
         raise BadCheckpoint(f"{path}: bad magic {data[:4]!r}")
-    version, count = struct.unpack_from("<II", data, 4)
-    if version != VERSION:
-        raise BadCheckpoint(f"{path}: unsupported version {version}")
-    offset = 12
+    offset = 4
     params = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        name = data[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        rows, cols = struct.unpack_from("<II", data, offset)
-        offset += 8
-        n_bytes = rows * cols * 8
-        raw = data[offset : offset + n_bytes]
-        if len(raw) != n_bytes:
-            raise BadCheckpoint(f"{path}: truncated data for {name!r}")
-        offset += n_bytes
-        params[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+    try:
+        version, count = struct.unpack_from("<II", data, offset)
+        if version != VERSION:
+            raise BadCheckpoint(f"{path}: unsupported version {version}")
+        offset = 12
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", data, offset)
+            offset += 2
+            name = data[offset : offset + name_len].decode("utf-8")
+            offset += name_len
+            rows, cols = struct.unpack_from("<II", data, offset)
+            offset += 8
+            n_bytes = rows * cols * 8
+            raw = data[offset : offset + n_bytes]
+            if len(raw) != n_bytes:
+                raise BadCheckpoint(f"{path}: truncated data for {name!r}")
+            offset += n_bytes
+            params[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+    except struct.error:
+        raise BadCheckpoint(f"{path}: truncated at byte {offset} of {len(data)}") from None
+    except UnicodeDecodeError:
+        raise BadCheckpoint(f"{path}: parameter name at byte {offset} is not UTF-8") from None
     if offset != len(data):
         raise BadCheckpoint(f"{path}: {len(data) - offset} trailing bytes")
     return params

@@ -37,17 +37,15 @@ from .dsp.cache import format_feature_rows, parse_feature_rows
 from .dsp.summarize import set_slices
 from .errors import (
     EmptyFeature,
-    MattError,
     NotUtf8,
     RuntimeFailure,
     SampleRateMismatch,
     ValidationError,
 )
 from .evaluation import evaluate
-from .model import EncoderConfig, MattModel
 from .numeric import finite_difference_check
 from .synthetic import generate_synthetic
-from .training import nll_loss, train, train_segment_baseline
+from .training import new_model, nll_loss, train, train_segment_baseline
 
 log = logging.getLogger("matt")
 
@@ -148,7 +146,7 @@ def _extract_one(task) -> str:
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(format_feature_rows([track_id], vector[np.newaxis, :]))
     os.replace(tmp, part_path)
-    write_mel_cache(mel_path, result.mel.values)
+    write_mel_cache(mel_path, result.mel)
     return track_id
 
 
@@ -175,8 +173,8 @@ def cmd_extract_features(args) -> int:
         tasks.append((rec.track_id, str(wav), str(part), str(mel), feat_cfg))
 
     if tasks:
-        workers = max(1, args.workers or 1)
-        if workers == 1 or len(tasks) == 1:
+        workers = min(max(1, args.workers or 1), len(tasks))
+        if workers == 1:
             for task in tasks:
                 _extract_one(task)
         else:
@@ -287,20 +285,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _new_model(cfg: RunConfig, input_dim: int, n_genres: int) -> MattModel:
-    t = cfg.train
-    encoder = EncoderConfig(
-        input_dim=input_dim, hidden_dims=t.hidden_dims, output_dim=t.embedding_dim
-    )
-    return MattModel(encoder, n_genres=n_genres, aggregator=t.aggregator, seed=t.seed)
-
-
 def _restore_model(cfg: RunConfig, args, table, features, default_name="matt.ckpt"):
     path = _checkpoint_path(cfg, args, default_name)
     if not Path(path).exists():
         raise ValidationError(f"checkpoint {path} not found; run train")
     raw = load_checkpoint(path)
-    model = _new_model(cfg, len(next(iter(features.values()))), len(table.vocabulary))
+    model = new_model(cfg.train, len(next(iter(features.values()))), len(table.vocabulary))
     model.load_params(raw)
     return model
 
@@ -381,7 +371,7 @@ def cmd_grad_check(args) -> int:
     else:
         input_dim = feature_set_length(cfg.feature_set)
     seed = cfg.train.seed
-    model = _new_model(cfg, input_dim, n_genres=16)
+    model = new_model(cfg.train, input_dim, n_genres=16)
     rng = np.random.default_rng(seed)
     all_ok = True
     for m in (1, 2, 7):
@@ -432,9 +422,6 @@ def main(argv=None) -> int:
     except RuntimeFailure as exc:
         print(f"matt: {exc}", file=sys.stderr)
         return 2
-    except MattError as exc:
-        print(f"matt: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # unexpected: runtime error
         log.exception("unhandled error")
         print(f"matt: internal error: {exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Plain-text run configuration: `key = value` pairs under [section] headers.
 
-Paths are resolved relative to the config file's directory. Command-line
-flags override individual keys after the file is parsed.
+Paths are resolved relative to the config file's directory. A section or
+key that nothing reads is an error, so a typo cannot fall back to a default.
+Command-line flags override individual keys after the file is parsed.
 """
 
 from __future__ import annotations
@@ -108,11 +109,15 @@ def load_run_config(path) -> RunConfig:
     except configparser.Error as exc:
         raise InvalidConfig(f"{path}: {exc}") from None
 
+    known = {parser.default_section: set()}  # section -> the keys read from it
+
     def read(section: str, defaults: dict, *keys, **renamed) -> dict:
         """{field: value} for each key set in [section], typed like the field's
         default. A key sets the field of its own name; renamed maps key -> field."""
         out = {}
-        for key, name in {**{key: key for key in keys}, **renamed}.items():
+        fields = {**{key: key for key in keys}, **renamed}
+        known.setdefault(section, set()).update(fields)
+        for key, name in fields.items():
             if parser.has_option(section, key):
                 where = f"{path}: [{section}] {key}"
                 try:
@@ -129,7 +134,7 @@ def load_run_config(path) -> RunConfig:
     synth = vars(cfg.synth)
     bounds = dict(zip(("bag_size_min", "bag_size_max"), cfg.synth.bag_size_range))
     bounds.update(read("synth", bounds, *bounds))
-    return replace(
+    cfg = replace(
         cfg,
         **{key: path.parent / paths[key] for key in PATH_KEYS},
         **read("features", run, "feature_set", "sample_rate", "n_fft", "hop"),
@@ -146,4 +151,12 @@ def load_run_config(path) -> RunConfig:
             **read("synth", synth, *SYNTH_KEYS),
             bag_size_range=(bounds["bag_size_min"], bounds["bag_size_max"]),
         ),
-    ).validate()
+    )
+    # a [DEFAULT] key is a key of every section; with no section, of none
+    for section in parser.sections() or [parser.default_section]:
+        if section not in known:
+            raise InvalidConfig(f"{path}: unknown section [{section}]")
+        for key in parser[section]:
+            if key not in known[section]:
+                raise InvalidConfig(f"{path}: [{section}] {key}: unknown key")
+    return cfg.validate()

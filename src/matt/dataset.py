@@ -50,9 +50,6 @@ class GenreVocabulary:
     def __len__(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
     def tail_mask(self, max_train_count: int) -> np.ndarray:
         """Boolean per genre id: fewer than max_train_count training segments."""
         return np.array(self.train_counts) < max_train_count
@@ -85,7 +82,6 @@ class Bag:
 class BagSet:
     bags: tuple[Bag, ...]
     vocabulary: GenreVocabulary
-    provenance: str = ""
 
     def split_bags(self, split: str) -> list[Bag]:
         return [b for b in self.bags if b.split == split]
@@ -177,7 +173,7 @@ def build_bags(table: SegmentTable, label_policy: str = "majority") -> BagSet:
                 genre_id=genre_id,
             )
         )
-    return BagSet(bags=tuple(bags), vocabulary=table.vocabulary, provenance="build_bags")
+    return BagSet(bags=tuple(bags), vocabulary=table.vocabulary)
 
 
 def save_bags_csv(path, bags: BagSet):

@@ -6,7 +6,6 @@ from .signal import AudioSignal, downmix_and_validate, frame_signal, time_domain
 from .stft import MagnitudeSpectrogram, StftConfig, hann_window, stft
 from .mel import (
     DB_FLOOR,
-    MelSpectrogram,
     dct_matrix,
     hz_to_mel,
     mel_filterbank,
@@ -48,7 +47,6 @@ __all__ = [
     "hann_window",
     "stft",
     "DB_FLOOR",
-    "MelSpectrogram",
     "dct_matrix",
     "hz_to_mel",
     "mel_filterbank",

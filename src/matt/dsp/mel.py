@@ -2,17 +2,20 @@
 
 Uses the Slaney mel scale: linear below 1 kHz (mel = 3f/200, so 1000 Hz maps
 to mel 15), logarithmic above. Filters are triangles in Hz with area
-normalization, matching the classic auditory-toolbox construction.
+normalization, matching the classic auditory-toolbox construction. The
+geometry is fixed: N_MELS bands from 0 Hz to Nyquist, the emitted matrix
+fitted to MEL_FRAMES columns, and N_MFCC cepstral coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ..errors import InvalidBand, InvalidConfig
+N_MELS = 96
+MEL_FRAMES = 1360
+N_MFCC = 20
 
 MIN_LOG_HZ = 1000.0
 MIN_LOG_MEL = 15.0
@@ -47,22 +50,15 @@ def mel_to_hz(mels):
 
 
 @lru_cache(maxsize=16)
-def mel_filterbank(n_mels: int, f_min: float, f_max: float, rate: int, n_fft: int):
-    """Triangular Slaney-scale filterbank.
+def mel_filterbank(rate: int, n_fft: int):
+    """Triangular Slaney-scale filterbank spanning 0 Hz to Nyquist.
 
-    Returns (weights, centers_hz): weights is (n_mels, n_fft//2 + 1) with
+    Returns (weights, centers_hz): weights is (N_MELS, n_fft//2 + 1) with
     area-normalized non-negative rows, centers_hz the designed peak frequency
     of each filter (strictly increasing). Both are built once per argument
     tuple and returned read-only.
     """
-    if f_max > rate / 2.0:
-        raise InvalidBand(f"f_max {f_max} above Nyquist {rate / 2.0}")
-    if not 0 <= f_min < f_max:
-        raise InvalidBand(f"need 0 <= f_min < f_max, got [{f_min}, {f_max}]")
-    if n_mels < 2:
-        raise InvalidConfig(f"n_mels must be >= 2, got {n_mels}")
-
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2))
+    edges_hz = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(rate / 2.0), N_MELS + 2))
     fft_freqs = np.fft.rfftfreq(n_fft, 1.0 / rate)
 
     # triangle for filter i rises over [edge_i, edge_i+1], falls over [edge_i+1, edge_i+2]
@@ -77,16 +73,6 @@ def mel_filterbank(n_mels: int, f_min: float, f_max: float, rate: int, n_fft: in
     centers = edges_hz[1:-1].copy()
     weights.flags.writeable = centers.flags.writeable = False
     return weights, centers
-
-
-@dataclass(frozen=True)
-class MelSpectrogram:
-    """Log-amplitude (dB) mel spectrogram, n_mels rows by a fixed frame count."""
-
-    values: np.ndarray
-    n_mels: int
-    f_min: float
-    f_max: float
 
 
 def power_to_db(power: np.ndarray) -> np.ndarray:
@@ -113,12 +99,10 @@ def _fit_frames(values: np.ndarray, target: int, fill: float) -> np.ndarray:
     return out
 
 
-def log_mel_frames(spec, n_mels: int = 96, f_min: float = 0.0, f_max: float | None = None):
+def log_mel_frames(spec):
     """dB mel matrix of the spectrogram's power at its native frame count."""
-    if f_max is None:
-        f_max = spec.sample_rate_hz / 2.0
-    weights, _ = mel_filterbank(n_mels, f_min, f_max, spec.sample_rate_hz, spec.config.n_fft)
-    return power_to_db(weights @ spec.power), f_max
+    weights, _ = mel_filterbank(spec.sample_rate_hz, spec.config.n_fft)
+    return power_to_db(weights @ spec.power)
 
 
 def dct_matrix(n_out: int, n_in: int) -> np.ndarray:
@@ -131,9 +115,6 @@ def dct_matrix(n_out: int, n_in: int) -> np.ndarray:
     return mat
 
 
-def mfcc(log_mel: np.ndarray, n_coeffs: int = 20) -> np.ndarray:
-    """First n_coeffs coefficients of the orthonormal DCT-II along the mel axis."""
-    n_mels = log_mel.shape[0]
-    if n_coeffs > n_mels:
-        raise InvalidConfig(f"n_coeffs {n_coeffs} exceeds n_mels {n_mels}")
-    return dct_matrix(n_coeffs, n_mels) @ log_mel
+def mfcc(log_mel: np.ndarray) -> np.ndarray:
+    """First N_MFCC coefficients of the orthonormal DCT-II along the mel axis."""
+    return dct_matrix(N_MFCC, log_mel.shape[0]) @ log_mel

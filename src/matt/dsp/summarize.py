@@ -15,7 +15,7 @@ import numpy as np
 from ..errors import EmptyFeature, InvalidConfig
 from .chroma import chroma_features, tonnetz
 from .frames import FAMILY_BASE_DIMS, FrameFeatureMatrix
-from .mel import DB_FLOOR, MelSpectrogram, _fit_frames, log_mel_frames, mfcc
+from .mel import DB_FLOOR, MEL_FRAMES, _fit_frames, log_mel_frames, mfcc
 from .signal import AudioSignal, time_domain_descriptors
 from .spectral import contrast_bands, spectral_descriptors
 from .stft import StftConfig, stft
@@ -124,7 +124,7 @@ def set_slices(set_name: str) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Extraction geometry; the defaults give the 96x1360 mel contract at 44.1 kHz.
+    """Sample rate and STFT framing; the mel geometry is fixed (see mel.py).
 
     Construction raises InvalidConfig for a sample_rate that is not positive
     and InvalidBand when sample_rate and n_fft leave a spectral contrast band
@@ -134,10 +134,6 @@ class FeatureConfig:
 
     sample_rate: int = 44100
     stft: StftConfig = field(default_factory=StftConfig)
-    n_mels: int = 96
-    mel_f_min: float = 0.0
-    mel_frames: int = 1360
-    n_mfcc: int = 20
 
     def __post_init__(self):
         if self.sample_rate <= 0:
@@ -148,7 +144,7 @@ class FeatureConfig:
 @dataclass(frozen=True)
 class ExtractionResult:
     summaries: dict[str, SummaryFeatureVector]
-    mel: MelSpectrogram
+    mel: np.ndarray  # (N_MELS, MEL_FRAMES) dB
 
     def set_vector(self, set_name: str) -> np.ndarray:
         return feature_set_vector(self.summaries, set_name)
@@ -168,14 +164,9 @@ def extract_frame_features(signal: AudioSignal, cfg: FeatureConfig):
 
     # cepstrum runs on the native frame count to stay aligned with the other
     # families; only the emitted mel matrix is fitted to the fixed width
-    native_db, f_max = log_mel_frames(spec, cfg.n_mels, cfg.mel_f_min)
-    mel = MelSpectrogram(
-        values=_fit_frames(native_db, cfg.mel_frames, DB_FLOOR),
-        n_mels=cfg.n_mels,
-        f_min=cfg.mel_f_min,
-        f_max=f_max,
-    )
-    frames.append(FrameFeatureMatrix(values=mfcc(native_db, cfg.n_mfcc), family="mfcc"))
+    native_db = log_mel_frames(spec)
+    mel = _fit_frames(native_db, MEL_FRAMES, DB_FLOOR)
+    frames.append(FrameFeatureMatrix(values=mfcc(native_db), family="mfcc"))
 
     frames.extend(spectral_descriptors(spec))
 

@@ -15,6 +15,7 @@ from ..errors import CorruptAudio, EmptyAudio
 
 PCM_INT = 1
 PCM_FLOAT = 3
+SAMPLE_TYPES = {(PCM_INT, 16): "<i2", (PCM_FLOAT, 32): "<f4"}
 
 
 def read_wav(path):
@@ -42,12 +43,17 @@ def read_wav(path):
     audio_format, n_channels, rate, _, _, bits = fmt
     if n_channels not in (1, 2):
         raise CorruptAudio(f"{path}: {n_channels} channels unsupported")
-    if audio_format == PCM_INT and bits == 16:
-        samples = np.frombuffer(payload, dtype="<i2").astype(np.float32) / 32768.0
-    elif audio_format == PCM_FLOAT and bits == 32:
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float32)
-    else:
+    dtype = SAMPLE_TYPES.get((audio_format, bits))
+    if dtype is None:
         raise CorruptAudio(f"{path}: format {audio_format}/{bits}-bit unsupported")
+    if len(payload) % (bits // 8):
+        raise CorruptAudio(
+            f"{path}: data chunk of {len(payload)} bytes is not a whole number of "
+            f"{bits}-bit samples"
+        )
+    samples = np.frombuffer(payload, dtype=dtype).astype(np.float32)
+    if audio_format == PCM_INT:
+        samples /= 32768.0
     if samples.size == 0:
         raise EmptyAudio(f"{path}: empty data chunk")
     usable = (samples.size // n_channels) * n_channels

@@ -112,6 +112,11 @@ class ParamStore:
 
 # -- optimizers -- #
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class OptimizerState:
     """SGD or Adam state over a ParamStore; Adam's moments are flat vectors
@@ -119,9 +124,6 @@ class OptimizerState:
 
     algorithm: str = "adam"
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     moments1: np.ndarray | None = None
     moments2: np.ndarray | None = None
@@ -149,7 +151,7 @@ def optimizer_step(state: OptimizerState, store: ParamStore):
         store.flat -= lr * grad
     else:
         t = state.step_count
-        b1, b2 = state.beta1, state.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         if state.moments1 is None:
             state.moments1 = np.zeros_like(store.flat)
             state.moments2 = np.zeros_like(store.flat)
@@ -161,7 +163,7 @@ def optimizer_step(state: OptimizerState, store: ParamStore):
         m2 += (1.0 - b2) * grad * grad
         m1_hat = m1 / (1.0 - b1**t)
         m2_hat = m2 / (1.0 - b2**t)
-        store.flat -= lr * m1_hat / (np.sqrt(m2_hat) + state.epsilon)
+        store.flat -= lr * m1_hat / (np.sqrt(m2_hat) + ADAM_EPSILON)
     store.zero_grads()
 
 
@@ -182,7 +184,6 @@ def finite_difference_check(
     tolerance: float = 1e-4,
     max_elements: int = 0,
     seed: int = 0,
-    absolute_guard: float = 1e-10,
 ) -> dict[str, GradCheckResult]:
     """Compare store.grads against central differences of loss_fn.
 
@@ -193,7 +194,7 @@ def finite_difference_check(
     checks everything). Values are restored exactly after perturbation.
 
     Relative error uses denominator max(|analytic|, |numeric|, 1e-8), except
-    that an absolute gap below absolute_guard counts as exact agreement: a
+    that an absolute gap of at most 1e-10 counts as exact agreement: a
     structurally-zero gradient (e.g. a parameter that only shifts softmax
     logits uniformly) still leaves central differences with O(eps*|loss|/h)
     rounding noise, which the 1e-8 denominator floor would misreport.
@@ -220,7 +221,7 @@ def finite_difference_check(
             flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * h)
             gap = abs(a_flat[i] - numeric)
-            if gap <= absolute_guard:
+            if gap <= 1e-10:
                 continue
             denom = max(abs(a_flat[i]), abs(numeric), 1e-8)
             max_rel = max(max_rel, gap / denom)

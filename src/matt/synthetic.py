@@ -119,11 +119,9 @@ class BayesOracle:
     and bag members are independent given the genre.
     """
 
-    def __init__(self, centroids: np.ndarray, noise_rate: float, log_prior=None):
+    def __init__(self, centroids: np.ndarray, noise_rate: float, log_prior: np.ndarray):
         self.centroids = np.asarray(centroids, dtype=np.float64)
         self.noise_rate = float(noise_rate)
-        if log_prior is None:
-            log_prior = np.zeros(self.centroids.shape[0])
         self.log_prior = np.asarray(log_prior, dtype=np.float64)
 
     def posterior(self, segment_features: np.ndarray) -> np.ndarray:

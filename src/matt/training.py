@@ -106,6 +106,14 @@ def bag_feature_matrix(bag: Bag, features: dict[str, np.ndarray]) -> np.ndarray:
     return pack_bags([bag], features)[0]
 
 
+def new_model(cfg: TrainConfig, input_dim: int, n_genres: int) -> MattModel:
+    """The configured encoder and aggregator, initialized from cfg.seed."""
+    encoder = EncoderConfig(
+        input_dim=input_dim, hidden_dims=tuple(cfg.hidden_dims), output_dim=cfg.embedding_dim
+    )
+    return MattModel(encoder, n_genres=n_genres, aggregator=cfg.aggregator, seed=cfg.seed)
+
+
 def _bag_accuracy(model: MattModel, packed, golds: np.ndarray) -> float:
     if not len(golds):
         return 0.0
@@ -136,14 +144,7 @@ def train(bags: BagSet, features: dict[str, np.ndarray], cfg: TrainConfig):
         genre_weights = weights * (counts > 0).sum() / weights.sum()
     else:
         genre_weights = None
-    encoder = EncoderConfig(
-        input_dim=train_X.shape[1],
-        hidden_dims=tuple(cfg.hidden_dims),
-        output_dim=cfg.embedding_dim,
-    )
-    model = MattModel(
-        encoder, n_genres=len(bags.vocabulary), aggregator=cfg.aggregator, seed=cfg.seed
-    )
+    model = new_model(cfg, train_X.shape[1], len(bags.vocabulary))
     optimizer = OptimizerState(algorithm=cfg.optimizer, learning_rate=cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     train_log = TrainLog()
@@ -200,7 +201,7 @@ def singleton_bagset(table: SegmentTable) -> BagSet:
             genre_id=rec.genre_id)
         for rec in sorted(table.records, key=lambda r: r.track_id)
     )
-    return BagSet(bags=bags, vocabulary=table.vocabulary, provenance="singletons")
+    return BagSet(bags=bags, vocabulary=table.vocabulary)
 
 
 def train_segment_baseline(table: SegmentTable, features, cfg: TrainConfig):

@@ -82,7 +82,7 @@ def test_criterion_2_mel_shape_contract():
     shapes = []
     for seconds in (1.0, 1.37, 8.0, 33.0):
         mel = extract_feature_sets(noisy_clip(seconds=seconds), cfg).mel
-        shapes.append(mel.values.shape)
+        shapes.append(mel.shape)
     ok = all(s == (96, 1360) for s in shapes)
     report(2, ok, f"shapes {set(shapes)} for 1s..33s clips")
 
@@ -179,7 +179,7 @@ def test_criterion_5_dsp_analytic_suite():
     result = extract_feature_sets(silence, FeatureConfig())
     silence_ok = all(
         np.all(np.isfinite(s.values)) for s in result.summaries.values()
-    ) and bool(np.all(np.isfinite(result.mel.values)))
+    ) and bool(np.all(np.isfinite(result.mel)))
 
     sig = tone(997.0, seconds=0.3, amplitude=0.8)
     spec2 = stft(sig, cfg)

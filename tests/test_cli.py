@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import re
 from pathlib import Path
 
@@ -131,6 +132,43 @@ def test_extract_features_rejects_a_non_positive_sample_rate(tmp_path, capsys, r
     assert not (tmp_path / "features").exists()
 
 
+def test_extract_features_pool_never_exceeds_the_remaining_tracks(corpus, monkeypatch):
+    root, cfg = corpus
+    sizes = []
+
+    class InProcessPool:
+        """Records the requested size and runs every task here: no process starts."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    assert run("extract-features", "--config", cfg, "--workers", 64) == 0
+    for left in (("trk01", "trk02"), ("trk03",)):
+        for track in left:
+            (root / "features" / "parts" / f"{track}.part").unlink()
+        assert run("extract-features", "--config", cfg, "--workers", 64) == 0
+    assert sizes == [4, 2]  # the one-track resume runs without a pool
+
+
+def test_wav_cut_inside_a_sample_fails_validation(corpus, capsys):
+    root, cfg = corpus
+    wav = root / "audio" / "trk01.wav"
+    wav.write_bytes(wav.read_bytes()[:-1])
+    assert run("extract-features", "--config", cfg, "--workers", 1) == 1
+    err = capsys.readouterr().err
+    assert str(wav) in err and "internal error" not in err
+
+
 def test_build_bags_writes_csv(corpus):
     root, cfg = corpus
     assert run("build-bags", "--config", cfg) == 0
@@ -211,6 +249,26 @@ def test_gen_synth_train_evaluate_pipeline(tmp_path):
     assert run("train", "--config", cfg) == 0
     assert run("evaluate", "--config", cfg) == 0
     assert run("evaluate", "--config", cfg, "--mode", "segment") == 0
+
+
+def test_evaluate_on_a_truncated_checkpoint_fails_validation(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        CONFIG_TEMPLATE.format(feature_set="synth", epochs=2)
+        + "\n[synth]\nn_genres = 3\nhead_count = 6\nfeature_dim = 5\n"
+        + "bag_size_min = 1\nbag_size_max = 3\nnoise_rate = 0.1\n",
+        encoding="utf-8",
+    )
+    assert run("gen-synth", "--config", cfg) == 0
+    assert run("train", "--config", cfg) == 0
+    ckpt = tmp_path / "ckpt" / "matt.ckpt"
+    good = ckpt.read_bytes()
+    for cut in (10, 16, 24):  # the header, a parameter name, its shape
+        ckpt.write_bytes(good[:cut])
+        capsys.readouterr()
+        assert run("evaluate", "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "internal error" not in err
 
 
 def test_unknown_command_and_flag_exit_one(capsys):
@@ -368,6 +426,11 @@ def test_every_config_key_reaches_its_field(tmp_path):
         ("[synth]\nbag_size_max = 4.5\n", "[synth] bag_size_max"),
         ("[paths]\nreport_dir = 100%\n", "[paths] report_dir"),
         ("epochs = 3\n", "no section headers"),
+        ("[train]\nlearning_rte = 0.5\n", "[train] learning_rte: unknown key"),
+        ("[bogus]\n", "unknown section [bogus]"),
+        # a [DEFAULT] key is a key of every section, and with no section of none
+        ("[DEFAULT]\nseed = 3\n[run]\n[paths]\n", "[paths] seed: unknown key"),
+        ("[DEFAULT]\nepochs = 3\n", "[DEFAULT] epochs: unknown key"),
     ],
 )
 def test_malformed_config_value_fails_validation(tmp_path, capsys, text, names):
@@ -379,6 +442,12 @@ def test_malformed_config_value_fails_validation(tmp_path, capsys, text, names):
     assert names in str(info.value)
     assert run("build-bags", "--config", path) == 1
     assert "internal error" not in capsys.readouterr().err
+
+
+def test_an_empty_config_file_gives_the_defaults(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("", encoding="utf-8")
+    assert load_run_config(path).train == TrainConfig()
 
 
 def test_flags_override_config_settings(corpus):

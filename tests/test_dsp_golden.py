@@ -89,7 +89,7 @@ def extract_clip(index: int, directory: Path):
 
 
 def golden_record(result) -> dict:
-    mel = result.mel.values
+    mel = result.mel
     return {
         "vector": result.set_vector("1to9"),
         "mel_grid": mel[np.ix_(MEL_ROWS, MEL_COLUMNS)],

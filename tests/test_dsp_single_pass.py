@@ -175,7 +175,7 @@ def test_median_selection_matches_sort_with_ties(rows, cols, values):
 # -- the caches -- #
 
 def test_cached_matrices_are_read_only():
-    weights, centers = mel_filterbank(96, 0.0, 22050.0, 44100, 2048)
+    weights, centers = mel_filterbank(44100, 2048)
     for matrix in (stft_fold_matrix(2048, 44100), cqt_fold_matrix(2048, 44100), weights, centers):
         assert not matrix.flags.writeable
         with pytest.raises(ValueError):

@@ -50,7 +50,7 @@ def test_silence_produces_finite_features_everywhere(feature_cfg):
     result = extract_feature_sets(sig, feature_cfg)
     for family, summary in result.summaries.items():
         assert np.all(np.isfinite(summary.values)), family
-    assert np.all(np.isfinite(result.mel.values))
+    assert np.all(np.isfinite(result.mel))
 
 
 def test_extraction_is_bit_deterministic(feature_cfg):
@@ -58,7 +58,7 @@ def test_extraction_is_bit_deterministic(feature_cfg):
     a = extract_feature_sets(sig, feature_cfg)
     b = extract_feature_sets(sig, feature_cfg)
     assert np.array_equal(a.set_vector("1to9"), b.set_vector("1to9"))
-    assert np.array_equal(a.mel.values, b.mel.values)
+    assert np.array_equal(a.mel, b.mel)
 
 
 def test_scaling_covariance(feature_cfg):

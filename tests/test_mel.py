@@ -9,7 +9,6 @@ from matt.dsp import (
     mel_filterbank,
     mel_to_hz,
 )
-from matt.errors import InvalidBand, InvalidConfig
 
 from conftest import RATE, noisy_clip
 
@@ -26,7 +25,7 @@ def test_mel_hz_round_trip():
 
 
 def test_filterbank_rows_positive_and_centers_increasing():
-    weights, centers = mel_filterbank(96, 0.0, RATE / 2.0, RATE, 2048)
+    weights, centers = mel_filterbank(RATE, 2048)
     assert weights.shape == (96, 1025)
     assert np.all(weights >= 0.0)
     assert np.all(weights.sum(axis=1) > 0.0)
@@ -34,34 +33,25 @@ def test_filterbank_rows_positive_and_centers_increasing():
 
 
 def test_filterbank_rows_unimodal():
-    weights, _ = mel_filterbank(96, 0.0, RATE / 2.0, RATE, 2048)
+    weights, _ = mel_filterbank(RATE, 2048)
     for row in weights:
         peak = row.argmax()
         assert np.all(np.diff(row[: peak + 1]) >= 0.0)
         assert np.all(np.diff(row[peak:]) <= 0.0)
 
 
-def test_filterbank_band_validation():
-    with pytest.raises(InvalidBand):
-        mel_filterbank(96, 0.0, RATE, RATE, 2048)
-    with pytest.raises(InvalidBand):
-        mel_filterbank(96, 500.0, 100.0, RATE, 2048)
-    with pytest.raises(InvalidConfig):
-        mel_filterbank(1, 0.0, RATE / 2.0, RATE, 2048)
-
-
 @pytest.mark.parametrize("seconds", [1.0, 2.5, 35.0])
 def test_log_mel_shape_contract(seconds, feature_cfg):
     mel = extract_feature_sets(noisy_clip(seconds=seconds), feature_cfg).mel
-    assert mel.values.shape == (96, 1360)
-    assert np.all(np.isfinite(mel.values))
-    assert np.all(mel.values >= DB_FLOOR)
+    assert mel.shape == (96, 1360)
+    assert np.all(np.isfinite(mel))
+    assert np.all(mel >= DB_FLOOR)
 
 
 def test_silence_maps_to_db_floor(feature_cfg):
     sig = AudioSignal(samples=np.zeros(RATE, dtype=np.float32), sample_rate_hz=RATE)
     mel = extract_feature_sets(sig, feature_cfg).mel
-    assert np.all(mel.values == DB_FLOOR)
+    assert np.all(mel == DB_FLOOR)
 
 
 def test_center_crop_matches_inner_clip(feature_cfg):
@@ -84,4 +74,4 @@ def test_center_crop_matches_inner_clip(feature_cfg):
         AudioSignal(samples=content.astype(np.float32), sample_rate_hz=RATE), feature_cfg
     ).mel
     # identical up to FFT batch rounding (last ulp)
-    assert np.abs(mel_outer.values - mel_inner.values).max() <= 1e-9
+    assert np.abs(mel_outer - mel_inner).max() <= 1e-9

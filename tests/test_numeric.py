@@ -5,6 +5,9 @@ import pytest
 
 from matt.errors import DivergedError, InvalidConfig, ShapeError
 from matt.numeric import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     OptimizerState,
     ParamStore,
     finite_difference_check,
@@ -217,7 +220,7 @@ def reference_step(state, values, grads, moments1, moments2):
     """The per-parameter update loop the flat optimizer step replaced."""
     lr = state.learning_rate
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, value in values.items():
         grad = grads[name]
         if state.algorithm == "sgd":
@@ -231,7 +234,7 @@ def reference_step(state, values, grads, moments1, moments2):
         m2 += (1.0 - b2) * grad * grad
         m1_hat = m1 / (1.0 - b1**t)
         m2_hat = m2 / (1.0 - b2**t)
-        value -= lr * m1_hat / (np.sqrt(m2_hat) + state.epsilon)
+        value -= lr * m1_hat / (np.sqrt(m2_hat) + ADAM_EPSILON)
 
 
 @pytest.mark.parametrize("algorithm", ["sgd", "adam"])

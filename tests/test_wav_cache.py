@@ -12,6 +12,7 @@ from matt.dsp import (
 )
 from matt.errors import CorruptAudio
 from matt.numeric import ParamStore
+from matt.training import TrainConfig, new_model
 
 
 def test_float32_wav_round_trips_exactly(tmp_path):
@@ -33,6 +34,16 @@ def test_int16_wav_round_trips_within_quantization(tmp_path):
     assert rate == 22050
     assert channels.shape == (1, 4000)
     assert np.max(np.abs(channels[0] - mono)) <= 1.0 / 32768.0
+
+
+@pytest.mark.parametrize("float32", [True, False], ids=["float32", "int16"])
+def test_data_chunk_cut_inside_a_sample_is_corrupt_audio(tmp_path, float32):
+    path = tmp_path / "t.wav"
+    write_wav(path, np.zeros((2, 100)), 44100, float32=float32)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(CorruptAudio, match="not a whole number of") as info:
+        read_wav(path)
+    assert str(path) in str(info.value)
 
 
 def test_non_riff_file_rejected(tmp_path):
@@ -126,3 +137,20 @@ def test_checkpoint_corruption_detected(tmp_path):
     path.write_bytes(bytes(body))
     with pytest.raises(BadCheckpoint):
         load_checkpoint(path)
+
+
+def test_truncated_or_flipped_checkpoint_is_bad_checkpoint_or_loads(tmp_path):
+    model = new_model(TrainConfig(embedding_dim=2), input_dim=3, n_genres=2)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model.params)
+    good = path.read_bytes()
+    truncated = [good[:n] for n in range(len(good))]
+    flipped = [good[:i] + bytes([good[i] ^ 0xFF]) + good[i + 1 :] for i in range(len(good))]
+    for blob in truncated + flipped:
+        path.write_bytes(blob)
+        try:
+            load_checkpoint(path)
+        except BadCheckpoint as exc:
+            assert str(path) in str(exc)
+        else:
+            assert blob not in truncated, f"a cut after {len(blob)} bytes loaded"
