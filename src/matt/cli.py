@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, load_run_config
+from .config import KEYS, RunConfig, load_run_config, with_keys
 from .dataset import build_bags, load_metadata, save_bags_csv
 from .dsp import (
     downmix_and_validate,
@@ -34,7 +34,7 @@ from .dsp import (
     write_mel_cache,
 )
 from .dsp.cache import format_feature_rows, parse_feature_rows
-from .dsp.summarize import set_slices
+from .dsp.summarize import set_columns
 from .errors import (
     EmptyFeature,
     NotUtf8,
@@ -115,18 +115,10 @@ def build_parser() -> CliParser:
     return parser
 
 
-def _flags(args, names) -> dict:
-    """{name: value} for each flag among names that was given on the command line."""
-    return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
-
-
 def _load_config(args) -> RunConfig:
-    cfg = load_run_config(args.config)
-    run = _flags(args, ("feature_set", "label_policy"))
-    if getattr(args, "mode", None) is not None:
-        run["eval_mode"] = args.mode
-    train = replace(cfg.train, **_flags(args, ("seed", "aggregator", "epochs")))
-    return replace(cfg, train=train, **run).validate()
+    """The config file, then each flag named like a config key that was given."""
+    flags = {key: getattr(args, key) for key in KEYS if getattr(args, key, None) is not None}
+    return with_keys(load_run_config(args.config), flags).validate()
 
 
 # -- extract-features -- #
@@ -141,7 +133,7 @@ def _extract_one(task) -> str:
         )
     signal = downmix_and_validate(channels, rate)
     result = extract_feature_sets(signal, feat_cfg)
-    vector = result.set_vector("1to9").astype(np.float32)
+    vector = result.vector.astype(np.float32)
     tmp = f"{part_path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(format_feature_rows([track_id], vector[np.newaxis, :]))
@@ -194,10 +186,8 @@ def cmd_extract_features(args) -> int:
         except UnicodeDecodeError:
             raise NotUtf8.in_file(part) from None
     vectors = parse_feature_rows(lines, feature_set_length("1to9"), parts_dir)
-    slices = set_slices(cfg.feature_set)
-    rows = {
-        tid: np.concatenate([vec[a:b] for a, b in slices]) for tid, vec in vectors.items()
-    }
+    columns = set_columns(cfg.feature_set)
+    rows = {tid: vec[columns] for tid, vec in vectors.items()}
     out = cfg.feature_csv()
     write_feature_csv(out, feature_set_columns(cfg.feature_set), rows)
     print(f"wrote {out} ({len(rows)} tracks) and {len(vectors)} mel caches")
@@ -228,11 +218,7 @@ def cmd_gen_synth(args) -> int:
     cfg.metadata.parent.mkdir(parents=True, exist_ok=True)
     cfg.feature_dir.mkdir(parents=True, exist_ok=True)
 
-    lines = ["track_id,album_id,artist_id,genre,split"]
-    for rec in data.table.records:
-        genre = data.table.vocabulary.names[rec.genre_id]
-        lines.append(f"{rec.track_id},{rec.album_id},{rec.artist_id},{genre},{rec.split}")
-    cfg.metadata.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg.metadata.write_text("\n".join(data.metadata_lines) + "\n", encoding="utf-8")
 
     columns = [f"synth_dim_{i}" for i in range(synth.feature_dim)]
     write_feature_csv(cfg.feature_dir / "synth.csv", columns, data.features)

@@ -1,8 +1,9 @@
 """Plain-text run configuration: `key = value` pairs under [section] headers.
 
-Paths are resolved relative to the config file's directory. A section or
-key that nothing reads is an error, so a typo cannot fall back to a default.
-Command-line flags override individual keys after the file is parsed.
+Paths are resolved relative to the config file's directory. KEYS is the
+whole schema: a section or key it lacks is an error, so a typo cannot fall
+back to a default. Command-line flags, named like their keys, override them
+after the file is parsed.
 """
 
 from __future__ import annotations
@@ -20,25 +21,43 @@ from .training import TrainConfig
 
 EVAL_MODES = ("bag", "segment")
 
-# config file keys per section; the field each sets is named like the key
-PATH_KEYS = ("audio_dir", "metadata", "feature_dir", "checkpoint_dir", "report_dir")
-TRAIN_KEYS = (
-    "epochs",
-    "bags_per_batch",
-    "optimizer",
-    "learning_rate",
-    "early_stop_patience",
-    "aggregator",
-    "class_weighting",
-)
-SYNTH_KEYS = (
-    "n_genres",
-    "zipf_exponent",
-    "head_count",
-    "feature_dim",
-    "centroid_separation",
-    "noise_rate",
-)
+# config key -> ([section], owner, field[, index]). The owner is the RunConfig
+# (None) or its `train` or `synth` part; an index sets one element of a tuple
+# field. Keys are unique across sections, and a flag is named like its key.
+KEYS = {
+    "audio_dir": ("paths", None, "audio_dir"),
+    "metadata": ("paths", None, "metadata"),
+    "feature_dir": ("paths", None, "feature_dir"),
+    "checkpoint_dir": ("paths", None, "checkpoint_dir"),
+    "report_dir": ("paths", None, "report_dir"),
+    "feature_set": ("features", None, "feature_set"),
+    "sample_rate": ("features", None, "sample_rate"),
+    "n_fft": ("features", None, "n_fft"),
+    "hop": ("features", None, "hop"),
+    "seed": ("run", "train", "seed"),
+    "hidden_dims": ("encoder", "train", "hidden_dims"),
+    "embedding_dim": ("encoder", "train", "embedding_dim"),
+    "label_policy": ("train", None, "label_policy"),
+    "epochs": ("train", "train", "epochs"),
+    "bags_per_batch": ("train", "train", "bags_per_batch"),
+    "optimizer": ("train", "train", "optimizer"),
+    "learning_rate": ("train", "train", "learning_rate"),
+    "early_stop_patience": ("train", "train", "early_stop_patience"),
+    "aggregator": ("train", "train", "aggregator"),
+    "class_weighting": ("train", "train", "class_weighting"),
+    "mode": ("eval", None, "eval_mode"),
+    "subsets": ("eval", None, "subsets"),
+    "ks": ("eval", None, "ks"),
+    "n_genres": ("synth", "synth", "n_genres"),
+    "zipf_exponent": ("synth", "synth", "zipf_exponent"),
+    "head_count": ("synth", "synth", "head_count"),
+    "feature_dim": ("synth", "synth", "feature_dim"),
+    "centroid_separation": ("synth", "synth", "centroid_separation"),
+    "noise_rate": ("synth", "synth", "noise_rate"),
+    "bag_size_min": ("synth", "synth", "bag_size_range", 0),
+    "bag_size_max": ("synth", "synth", "bag_size_range", 1),
+}
+SECTIONS = {section for section, *_ in KEYS.values()}
 
 
 @dataclass(frozen=True)
@@ -100,6 +119,25 @@ def _typed(text: str, default, where: str):
         raise InvalidConfig(f"{where}: {text!r} is not a valid {kind}") from None
 
 
+def with_keys(cfg: RunConfig, values: dict) -> RunConfig:
+    """cfg with the field of each config key in values set to its typed value."""
+    parts = {None: cfg, "train": cfg.train, "synth": cfg.synth}
+    fields = {owner: {} for owner in parts}  # owner -> {field: value}
+    for key, value in values.items():
+        _, owner, name, *index = KEYS[key]
+        if index:
+            whole = list(fields[owner].get(name, getattr(parts[owner], name)))
+            whole[index[0]] = value
+            value = tuple(whole)
+        fields[owner][name] = value
+    return replace(
+        cfg,
+        **fields[None],
+        train=replace(cfg.train, **fields["train"]),
+        synth=replace(cfg.synth, **fields["synth"]),
+    )
+
+
 def load_run_config(path) -> RunConfig:
     path = Path(path)
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
@@ -109,54 +147,24 @@ def load_run_config(path) -> RunConfig:
     except configparser.Error as exc:
         raise InvalidConfig(f"{path}: {exc}") from None
 
-    known = {parser.default_section: set()}  # section -> the keys read from it
-
-    def read(section: str, defaults: dict, *keys, **renamed) -> dict:
-        """{field: value} for each key set in [section], typed like the field's
-        default. A key sets the field of its own name; renamed maps key -> field."""
-        out = {}
-        fields = {**{key: key for key in keys}, **renamed}
-        known.setdefault(section, set()).update(fields)
-        for key, name in fields.items():
-            if parser.has_option(section, key):
-                where = f"{path}: [{section}] {key}"
-                try:
-                    text = parser.get(section, key)
-                except configparser.InterpolationError as exc:
-                    raise InvalidConfig(f"{where}: {exc}") from None
-                out[name] = _typed(text, defaults[name], where)
-        return out
-
     cfg = RunConfig()
-    run = vars(cfg)
-    paths = {**run, **read("paths", run, *PATH_KEYS)}
-    train = vars(cfg.train)
-    synth = vars(cfg.synth)
-    bounds = dict(zip(("bag_size_min", "bag_size_max"), cfg.synth.bag_size_range))
-    bounds.update(read("synth", bounds, *bounds))
-    cfg = replace(
-        cfg,
-        **{key: path.parent / paths[key] for key in PATH_KEYS},
-        **read("features", run, "feature_set", "sample_rate", "n_fft", "hop"),
-        **read("train", run, "label_policy"),
-        **read("eval", run, "subsets", "ks", mode="eval_mode"),
-        train=replace(
-            cfg.train,
-            **read("run", train, "seed"),
-            **read("encoder", train, "hidden_dims", "embedding_dim"),
-            **read("train", train, *TRAIN_KEYS),
-        ),
-        synth=replace(
-            cfg.synth,
-            **read("synth", synth, *SYNTH_KEYS),
-            bag_size_range=(bounds["bag_size_min"], bounds["bag_size_max"]),
-        ),
-    )
+    values = {}
     # a [DEFAULT] key is a key of every section; with no section, of none
     for section in parser.sections() or [parser.default_section]:
-        if section not in known:
+        if section not in SECTIONS and section != parser.default_section:
             raise InvalidConfig(f"{path}: unknown section [{section}]")
         for key in parser[section]:
-            if key not in known[section]:
-                raise InvalidConfig(f"{path}: [{section}] {key}: unknown key")
-    return cfg.validate()
+            where = f"{path}: [{section}] {key}"
+            if key not in KEYS or KEYS[key][0] != section:
+                raise InvalidConfig(f"{where}: unknown key")
+            try:
+                text = parser.get(section, key)
+            except configparser.InterpolationError as exc:
+                raise InvalidConfig(f"{where}: {exc}") from None
+            _, owner, name, *index = KEYS[key]
+            default = getattr(cfg if owner is None else getattr(cfg, owner), name)
+            values[key] = _typed(text, default[index[0]] if index else default, where)
+    cfg = with_keys(cfg, values)
+    # paths are relative to the config file's directory, defaults included
+    paths = {name: path.parent / v for name, v in vars(cfg).items() if isinstance(v, Path)}
+    return replace(cfg, **paths).validate()

@@ -113,6 +113,8 @@ def parse_metadata_lines(lines, source: str = "<memory>"):
             genre_index[genre] = len(names)
             names.append(genre)
         records.append(SegmentRecord(track_id, album_id, artist_id, genre_index[genre], split))
+    if not records:
+        raise BadHeader(f"{source}: no rows after the header")
     counts = [0] * len(names)
     for rec in records:
         if rec.split == "train":

@@ -22,11 +22,9 @@ from .summarize import (
     STATISTICS,
     ExtractionResult,
     FeatureConfig,
-    SummaryFeatureVector,
     extract_feature_sets,
     feature_set_columns,
     feature_set_length,
-    feature_set_vector,
     summarize,
 )
 from .wav import read_wav, write_wav
@@ -64,11 +62,9 @@ __all__ = [
     "STATISTICS",
     "ExtractionResult",
     "FeatureConfig",
-    "SummaryFeatureVector",
     "extract_feature_sets",
     "feature_set_columns",
     "feature_set_length",
-    "feature_set_vector",
     "summarize",
     "read_wav",
     "write_wav",

@@ -8,7 +8,8 @@ import numpy as np
 
 from ..errors import ShapeError
 
-# base (per-frame) dimensionality of each feature family
+# base (per-frame) dimensionality of each feature family, in the order the
+# families take in the "1to9" summary vector
 FAMILY_BASE_DIMS = {
     "chroma_stft": 12,
     "chroma_cqt": 12,

@@ -2,8 +2,9 @@
 
 Each feature family is reduced to a fixed-width vector of 7 statistics per
 base dimension (mean, std, skew, kurtosis, median, min, max), laid out
-statistic-major. Named sets concatenate family vectors: "3+6" (189),
-"3+6+4" (196), and "1to9" (518, chroma contributing all three variants).
+statistic-major. Extraction yields one 518-wide "1to9" vector, the families
+in FAMILY_ORDER (chroma contributing all three variants), and each named set
+is a selection of its columns: "3+6" (189), "3+6+4" (196), "1to9" (518).
 """
 
 from __future__ import annotations
@@ -22,19 +23,7 @@ from .stft import StftConfig, stft
 
 STATISTICS = ("mean", "std", "skew", "kurtosis", "median", "min", "max")
 
-FAMILY_ORDER = (
-    "chroma_stft",
-    "chroma_cqt",
-    "chroma_cens",
-    "tonnetz",
-    "mfcc",
-    "spec_centroid",
-    "spec_bandwidth",
-    "spec_contrast",
-    "spec_rolloff",
-    "rms",
-    "zcr",
-)
+FAMILY_ORDER = tuple(FAMILY_BASE_DIMS)
 
 FEATURE_SETS = {
     "1": ("chroma_stft",),
@@ -52,22 +41,7 @@ FEATURE_SETS = {
 }
 
 
-@dataclass(frozen=True)
-class SummaryFeatureVector:
-    """Flat statistic-major summary, length 7 x d_base."""
-
-    values: np.ndarray
-    family: str
-
-    def __post_init__(self):
-        expected = 7 * FAMILY_BASE_DIMS[self.family]
-        if self.values.shape != (expected,):
-            raise EmptyFeature(
-                f"{self.family}: expected length {expected}, got {self.values.shape}"
-            )
-
-
-def summarize(frames: FrameFeatureMatrix) -> SummaryFeatureVector:
+def summarize(frames: FrameFeatureMatrix) -> np.ndarray:
     """Reduce (d_base, n_frames) to the 7-statistic summary vector.
 
     std is the population standard deviation; skew is m3/m2^1.5 and kurtosis
@@ -89,37 +63,33 @@ def summarize(frames: FrameFeatureMatrix) -> SummaryFeatureVector:
     skew = np.where(m2 > 0.0, m3 / safe_m2**1.5, 0.0)
     kurtosis = np.where(m2 > 0.0, m4 / safe_m2**2 - 3.0, 0.0)
     median = np.partition(x, middle, axis=1)[:, middle]
-    vector = np.concatenate([mean, std, skew, kurtosis, median, x.min(axis=1), x.max(axis=1)])
-    return SummaryFeatureVector(values=vector, family=frames.family)
+    return np.concatenate([mean, std, skew, kurtosis, median, x.min(axis=1), x.max(axis=1)])
+
+
+def _layout():
+    """One walk of the "1to9" vector: each family's column indices and every
+    column's name, <family>_<stat>_<index>."""
+    columns, names = {}, []
+    for family, d in FAMILY_BASE_DIMS.items():
+        columns[family] = range(len(names), len(names) + 7 * d)
+        names += [f"{family}_{stat}_{i}" for stat in STATISTICS for i in range(d)]
+    return columns, tuple(names)
+
+
+FAMILY_COLUMNS, COLUMN_NAMES = _layout()
+
+
+def set_columns(set_name: str) -> np.ndarray:
+    """Indices of the set's columns inside the "1to9" vector."""
+    return np.concatenate([FAMILY_COLUMNS[f] for f in FEATURE_SETS[set_name]])
 
 
 def feature_set_length(set_name: str) -> int:
-    return sum(7 * FAMILY_BASE_DIMS[f] for f in FEATURE_SETS[set_name])
+    return len(set_columns(set_name))
 
 
 def feature_set_columns(set_name: str) -> list[str]:
-    """Column names matching the vector layout: <family>_<stat>_<index>."""
-    cols = []
-    for family in FEATURE_SETS[set_name]:
-        d = FAMILY_BASE_DIMS[family]
-        for stat in STATISTICS:
-            cols.extend(f"{family}_{stat}_{i}" for i in range(d))
-    return cols
-
-
-def feature_set_vector(summaries: dict[str, SummaryFeatureVector], set_name: str) -> np.ndarray:
-    return np.concatenate([summaries[f].values for f in FEATURE_SETS[set_name]])
-
-
-def set_slices(set_name: str) -> list[tuple[int, int]]:
-    """(start, stop) spans of the set's families inside the full "1to9" vector."""
-    offsets = {}
-    pos = 0
-    for family in FAMILY_ORDER:
-        width = 7 * FAMILY_BASE_DIMS[family]
-        offsets[family] = (pos, pos + width)
-        pos += width
-    return [offsets[f] for f in FEATURE_SETS[set_name]]
+    return [COLUMN_NAMES[i] for i in set_columns(set_name)]
 
 
 @dataclass(frozen=True)
@@ -143,11 +113,8 @@ class FeatureConfig:
 
 @dataclass(frozen=True)
 class ExtractionResult:
-    summaries: dict[str, SummaryFeatureVector]
+    vector: np.ndarray  # the "1to9" summary vector, families in FAMILY_ORDER
     mel: np.ndarray  # (N_MELS, MEL_FRAMES) dB
-
-    def set_vector(self, set_name: str) -> np.ndarray:
-        return feature_set_vector(self.summaries, set_name)
 
 
 def extract_frame_features(signal: AudioSignal, cfg: FeatureConfig):
@@ -179,5 +146,5 @@ def extract_frame_features(signal: AudioSignal, cfg: FeatureConfig):
 def extract_feature_sets(signal: AudioSignal, cfg: FeatureConfig) -> ExtractionResult:
     """Extract and summarize all 11 base families plus the mel spectrogram."""
     frames, mel = extract_frame_features(signal, cfg)
-    summaries = {family: summarize(f) for family, f in frames.items()}
-    return ExtractionResult(summaries=summaries, mel=mel)
+    vector = np.concatenate([summarize(frames[family]) for family in FAMILY_ORDER])
+    return ExtractionResult(vector=vector, mel=mel)

@@ -19,7 +19,11 @@ SAMPLE_TYPES = {(PCM_INT, 16): "<i2", (PCM_FLOAT, 32): "<f4"}
 
 
 def read_wav(path):
-    """Returns (channels, rate): channels is a (n_channels, n) float32 array."""
+    """Returns (channels, rate): channels is a (n_channels, n) float32 array.
+
+    The data chunk must hold every byte its header declares, in whole frames
+    (one sample per channel), so a cut file is CorruptAudio, not shorter audio.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
@@ -36,7 +40,7 @@ def read_wav(path):
                 raise CorruptAudio(f"{path}: truncated fmt chunk")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif chunk_id == b"data":
-            payload = body
+            payload, declared = body, chunk_size
         offset += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
     if fmt is None or payload is None:
         raise CorruptAudio(f"{path}: missing fmt or data chunk")
@@ -46,18 +50,21 @@ def read_wav(path):
     dtype = SAMPLE_TYPES.get((audio_format, bits))
     if dtype is None:
         raise CorruptAudio(f"{path}: format {audio_format}/{bits}-bit unsupported")
-    if len(payload) % (bits // 8):
+    if len(payload) % (n_channels * bits // 8):
         raise CorruptAudio(
             f"{path}: data chunk of {len(payload)} bytes is not a whole number of "
-            f"{bits}-bit samples"
+            f"{n_channels}-channel {bits}-bit frames"
+        )
+    if len(payload) < declared:
+        raise CorruptAudio(
+            f"{path}: data chunk holds {len(payload)} of the {declared} bytes its header declares"
         )
     samples = np.frombuffer(payload, dtype=dtype).astype(np.float32)
     if audio_format == PCM_INT:
         samples /= 32768.0
     if samples.size == 0:
         raise EmptyAudio(f"{path}: empty data chunk")
-    usable = (samples.size // n_channels) * n_channels
-    return samples[:usable].reshape(-1, n_channels).T.copy(), rate
+    return samples.reshape(-1, n_channels).T.copy(), rate
 
 
 def write_wav(path, channels, rate: int, float32: bool = True):

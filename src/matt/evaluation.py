@@ -10,7 +10,6 @@ has fewer than the threshold training segments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -26,7 +25,7 @@ class EvalReport:
     mode: str
     overall_accuracy: float
     top_k: dict  # (subset_max_train_count, K) -> accuracy; empty subsets omitted
-    pr_points: list  # (threshold, precision, recall), decreasing threshold
+    pr_points: np.ndarray  # (n, 3) rows of threshold, precision, recall; threshold falls
     average_precision: float
     n_units: int
     subset_sizes: dict  # subset_max_train_count -> unit count
@@ -43,8 +42,8 @@ class EvalReport:
             # one % per block of points: as fast as one % over the whole body,
             # without holding all of its text and a flat copy at once
             for i in range(0, len(self.pr_points), 4096):
-                block = self.pr_points[i : i + 4096]
-                fh.write("%.9g,%.9g,%.9g\n" * len(block) % tuple(chain.from_iterable(block)))
+                block = np.ravel(self.pr_points[i : i + 4096]).tolist()
+                fh.write("%.9g,%.9g,%.9g\n" * (len(block) // 3) % tuple(block))
 
     def write_text(self, path):
         lines = [
@@ -90,8 +89,8 @@ def pr_curve(probabilities, golds):
 
     Each pair contributes its predicted probability as score and
     (genre == gold) as label; thresholds sweep every distinct score from high
-    to low. Returns (points, average_precision) with points as
-    (threshold, precision, recall) and AP = sum (R_i - R_{i-1}) * P_i.
+    to low. Returns (points, average_precision) with points an (n, 3) float64
+    array of (threshold, precision, recall) rows and AP = sum (R_i - R_{i-1}) * P_i.
     """
     if not len(golds):
         raise EmptyEval("nothing to evaluate")
@@ -112,7 +111,7 @@ def pr_curve(probabilities, golds):
     recall = tp_cum / total_positive
     # cumsum adds left to right, so AP rounds exactly as the sequential sum
     average_precision = np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1]
-    points = list(zip(scores[last].tolist(), precision.tolist(), recall.tolist()))
+    points = np.column_stack([scores[last], precision, recall])
     return points, float(average_precision)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import BagSet, SegmentTable, build_bags, parse_metadata_lines
+from .dataset import METADATA_HEADER, BagSet, SegmentTable, build_bags, parse_metadata_lines
 from .errors import InfeasibleConfig, InvalidConfig
 
 
@@ -150,6 +150,7 @@ class SyntheticData:
     oracle: BayesOracle
     table: SegmentTable
     centroids: np.ndarray
+    metadata_lines: list[str]  # the table as metadata.csv lines, header first
 
 
 def generate_synthetic(cfg: SynthConfig) -> SyntheticData:
@@ -159,7 +160,7 @@ def generate_synthetic(cfg: SynthConfig) -> SyntheticData:
     lo, hi = cfg.bag_size_range
     counts = split_bag_counts(cfg)
 
-    lines = ["track_id,album_id,artist_id,genre,split"]
+    lines = [METADATA_HEADER]
     features: dict[str, np.ndarray] = {}
     for g in range(cfg.n_genres):
         genre = f"genre{g + 1:02d}"
@@ -187,4 +188,5 @@ def generate_synthetic(cfg: SynthConfig) -> SyntheticData:
         oracle=BayesOracle(centroids, cfg.noise_rate, cfg.genre_log_prior()),
         table=table,
         centroids=centroids,
+        metadata_lines=lines,
     )

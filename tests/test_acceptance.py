@@ -18,12 +18,12 @@ from matt.benchmark import (
     run_benchmark,
 )
 from matt.dsp import (
+    FAMILY_ORDER,
     AudioSignal,
     FeatureConfig,
     StftConfig,
     extract_feature_sets,
     feature_set_length,
-    feature_set_vector,
     frame_signal,
     hann_window,
     spectral_descriptors,
@@ -31,7 +31,7 @@ from matt.dsp import (
     summarize,
     time_domain_descriptors,
 )
-from matt.dsp.summarize import extract_frame_features
+from matt.dsp.summarize import extract_frame_features, set_columns
 from matt.model import EncoderConfig, MattModel
 from matt.numeric import finite_difference_check
 from matt.training import nll_loss
@@ -67,8 +67,8 @@ def benchmark_first_run(tmp_path_factory):
 
 def test_criterion_1_dimensionality_contract(cached_frames):
     started = time.perf_counter()
-    summaries = {family: summarize(f) for family, f in cached_frames.items()}
-    lengths = {name: feature_set_vector(summaries, name).shape[0] for name in TABLE_DIMS}
+    vector = np.concatenate([summarize(cached_frames[family]) for family in FAMILY_ORDER])
+    lengths = {name: vector[set_columns(name)].shape[0] for name in TABLE_DIMS}
     elapsed = time.perf_counter() - started
     ok = lengths == TABLE_DIMS and all(
         feature_set_length(n) == d for n, d in TABLE_DIMS.items()
@@ -177,9 +177,9 @@ def test_criterion_5_dsp_analytic_suite():
 
     silence = AudioSignal(samples=np.zeros(RATE, dtype=np.float32), sample_rate_hz=RATE)
     result = extract_feature_sets(silence, FeatureConfig())
-    silence_ok = all(
-        np.all(np.isfinite(s.values)) for s in result.summaries.values()
-    ) and bool(np.all(np.isfinite(result.mel)))
+    silence_ok = bool(np.all(np.isfinite(result.vector))) and bool(
+        np.all(np.isfinite(result.mel))
+    )
 
     sig = tone(997.0, seconds=0.3, amplitude=0.8)
     spec2 = stft(sig, cfg)

@@ -169,6 +169,32 @@ def test_wav_cut_inside_a_sample_fails_validation(corpus, capsys):
     assert str(wav) in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("track, cut", [("trk00", 800), ("trk03", 2)])
+def test_wav_shorter_than_its_header_fails_validation(corpus, capsys, track, cut):
+    # trk00 is float32 mono cut by 200 frames; trk03 is int16 stereo cut by one
+    # sample, half a frame
+    root, cfg = corpus
+    wav = root / "audio" / f"{track}.wav"
+    wav.write_bytes(wav.read_bytes()[:-cut])
+    assert run("extract-features", "--config", cfg, "--workers", 1) == 1
+    err = capsys.readouterr().err
+    assert str(wav) in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["build-bags"], ["extract-features", "--workers", 1]],
+    ids=["build-bags", "extract-features"],
+)
+def test_header_only_metadata_fails_validation(corpus, capsys, command):
+    root, cfg = corpus
+    (root / "metadata.csv").write_text(METADATA.splitlines()[0] + "\n", encoding="utf-8")
+    assert run(*command, "--config", cfg) == 1
+    err = capsys.readouterr().err
+    assert f"{root / 'metadata.csv'}: no rows after the header" in err
+    assert not (root / "reports").exists() and not (root / "features").exists()
+
+
 def test_build_bags_writes_csv(corpus):
     root, cfg = corpus
     assert run("build-bags", "--config", cfg) == 0
@@ -460,6 +486,14 @@ def test_flags_override_config_settings(corpus):
     assert (cfg.train.seed, cfg.train.epochs, cfg.train.aggregator) == (3, 9, "mean")
     assert cfg.feature_set == "1to9"
     assert cfg.train.learning_rate == 0.01  # untouched keys keep the file's value
+    evaluate = _load_config(build_parser().parse_args(
+        ["evaluate", "--config", str(cfg_path), "--mode", "segment"]
+    ))
+    assert (evaluate.eval_mode, evaluate.label_policy) == ("segment", "majority")
+    bags = _load_config(build_parser().parse_args(
+        ["build-bags", "--config", str(cfg_path), "--label-policy", "strict"]
+    ))
+    assert (bags.label_policy, bags.eval_mode) == ("strict", "bag")
 
 
 # -- bad feature caches -- #

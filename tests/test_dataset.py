@@ -43,6 +43,13 @@ def test_bad_header_rejected():
         parse_metadata_lines(["track_id,album,artist,genre,split", "t1,a,p,rock,train"])
 
 
+def test_header_only_metadata_rejected(tmp_path):
+    path = tmp_path / "meta.csv"
+    path.write_text(HEADER + "\n\n", encoding="utf-8")
+    with pytest.raises(BadHeader, match=f"^{path}: no rows after the header$"):
+        load_metadata(path)
+
+
 def test_duplicate_track_rejected():
     with pytest.raises(DuplicateTrack):
         table_of("t1,a1,p1,rock,train", "t1,a1,p1,rock,train")

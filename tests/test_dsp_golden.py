@@ -91,7 +91,7 @@ def extract_clip(index: int, directory: Path):
 def golden_record(result) -> dict:
     mel = result.mel
     return {
-        "vector": result.set_vector("1to9"),
+        "vector": result.vector,
         "mel_grid": mel[np.ix_(MEL_ROWS, MEL_COLUMNS)],
         "mel_row_sums": mel.sum(axis=1),
     }

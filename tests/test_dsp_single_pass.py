@@ -153,7 +153,7 @@ FAMILY_OF_ROWS = {1: "rms", 6: "tonnetz", 7: "spec_contrast", 12: "chroma_stft",
 
 def median_of(matrix):
     rows = matrix.values.shape[0]
-    return summarize(matrix).values[4 * rows : 5 * rows]
+    return summarize(matrix)[4 * rows : 5 * rows]
 
 
 def reference_median(x):
@@ -193,7 +193,7 @@ def test_geometry_caches_are_keyed_by_rate():
         t = np.arange(rate) / rate
         samples = 0.3 * np.sin(2 * np.pi * 440.0 * t) + 0.2 * np.sin(2 * np.pi * 1661.0 * t)
         clip = AudioSignal(samples=samples.astype(np.float32), sample_rate_hz=rate)
-        return extract_feature_sets(clip, FeatureConfig(sample_rate=rate)).set_vector("1to9")
+        return extract_feature_sets(clip, FeatureConfig(sample_rate=rate)).vector
 
     alone = {}
     for rate in (22050, 44100):

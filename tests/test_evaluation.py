@@ -181,7 +181,7 @@ def test_bag_mode_on_singletons_equals_segment_mode():
     seg_report = evaluate(model, bags, features, mode="segment", ks=(1, 2))
     assert bag_report.overall_accuracy == seg_report.overall_accuracy
     assert bag_report.top_k == seg_report.top_k
-    assert bag_report.pr_points == seg_report.pr_points
+    assert np.array_equal(bag_report.pr_points, seg_report.pr_points)
 
 
 def test_report_files_deterministic(tmp_path):
@@ -239,4 +239,5 @@ def test_matrix_metrics_equal_the_per_unit_loops_exactly(seed):
     acc, top3, points, ap = _loop_reference(list(preds), golds.tolist(), 3)
     assert accuracy(preds, golds) == acc
     assert top_k_accuracy(preds, golds, 3) == top3
-    assert pr_curve(preds, golds) == (points, ap)
+    curve, curve_ap = pr_curve(preds, golds)
+    assert np.array_equal(curve, points) and curve_ap == ap

@@ -9,7 +9,7 @@ from matt.dsp import (
     feature_set_columns,
     feature_set_length,
 )
-from matt.dsp.summarize import set_slices
+from matt.dsp.summarize import FAMILY_COLUMNS, set_columns
 
 from conftest import RATE, noisy_clip
 
@@ -36,20 +36,20 @@ def test_set_lengths_match_published_dims():
 
 def test_extraction_vector_lengths(clip_extraction):
     for name, dim in PUBLISHED_DIMS.items():
-        assert clip_extraction.set_vector(name).shape == (dim,), name
+        assert clip_extraction.vector[set_columns(name)].shape == (dim,), name
 
 
 def test_every_family_summary_is_seven_times_base(clip_extraction):
     for family in FAMILY_ORDER:
-        vec = clip_extraction.summaries[family].values
+        vec = clip_extraction.vector[FAMILY_COLUMNS[family]]
         assert vec.shape == (7 * FAMILY_BASE_DIMS[family],)
 
 
 def test_silence_produces_finite_features_everywhere(feature_cfg):
     sig = AudioSignal(samples=np.zeros(RATE, dtype=np.float32), sample_rate_hz=RATE)
     result = extract_feature_sets(sig, feature_cfg)
-    for family, summary in result.summaries.items():
-        assert np.all(np.isfinite(summary.values)), family
+    for family, columns in FAMILY_COLUMNS.items():
+        assert np.all(np.isfinite(result.vector[columns])), family
     assert np.all(np.isfinite(result.mel))
 
 
@@ -57,7 +57,7 @@ def test_extraction_is_bit_deterministic(feature_cfg):
     sig = noisy_clip(seconds=1.0, seed=3)
     a = extract_feature_sets(sig, feature_cfg)
     b = extract_feature_sets(sig, feature_cfg)
-    assert np.array_equal(a.set_vector("1to9"), b.set_vector("1to9"))
+    assert np.array_equal(a.vector, b.vector)
     assert np.array_equal(a.mel, b.mel)
 
 
@@ -68,12 +68,10 @@ def test_scaling_covariance(feature_cfg):
     a = extract_feature_sets(sig, feature_cfg)
     b = extract_feature_sets(scaled, feature_cfg)
     # rms scales exactly; zcr unchanged; chroma pitch-class ranking unchanged
-    assert np.array_equal(b.summaries["rms"].values[:1], 2.0 * a.summaries["rms"].values[:1])
-    assert np.array_equal(a.summaries["zcr"].values, b.summaries["zcr"].values)
-    assert (
-        a.summaries["chroma_stft"].values[:12].argmax()
-        == b.summaries["chroma_stft"].values[:12].argmax()
-    )
+    rms, zcr, chroma = (FAMILY_COLUMNS[f] for f in ("rms", "zcr", "chroma_stft"))
+    assert np.array_equal(b.vector[rms][:1], 2.0 * a.vector[rms][:1])
+    assert np.array_equal(a.vector[zcr], b.vector[zcr])
+    assert a.vector[chroma][:12].argmax() == b.vector[chroma][:12].argmax()
 
 
 def test_column_names_align_with_slices():
@@ -82,5 +80,10 @@ def test_column_names_align_with_slices():
     assert cols[0] == "chroma_stft_mean_0"
     assert cols[-1] == "zcr_max_0"
     for name in FEATURE_SETS:
-        width = sum(b - a for a, b in set_slices(name))
-        assert width == feature_set_length(name)
+        assert len(set_columns(name)) == feature_set_length(name)
+
+
+def test_every_set_names_the_full_vector_columns_it_selects():
+    full = np.array(feature_set_columns("1to9"))
+    for name in FEATURE_SETS:
+        assert feature_set_columns(name) == full[set_columns(name)].tolist(), name

@@ -2,6 +2,7 @@ import numpy as np
 import scipy.fftpack
 
 from matt.dsp import dct_matrix, mfcc
+from matt.dsp.summarize import FAMILY_COLUMNS
 
 
 def test_constant_column_excites_only_coefficient_zero():
@@ -13,7 +14,7 @@ def test_constant_column_excites_only_coefficient_zero():
 
 
 def test_output_row_count_is_twenty(clip_extraction):
-    assert clip_extraction.summaries["mfcc"].values.shape == (140,)
+    assert clip_extraction.vector[FAMILY_COLUMNS["mfcc"]].shape == (140,)
 
 
 def test_dct_inverts_against_scipy_idct_oracle():

@@ -78,4 +78,4 @@ def test_contrast_band_geometry_is_checked_when_configured(rate, n_fft, valid):
         return
     cfg = FeatureConfig(sample_rate=rate, stft=stft_cfg)
     result = extract_feature_sets(noisy_clip(seconds=0.5, rate=rate), cfg)
-    assert np.all(np.isfinite(result.set_vector("1to9")))
+    assert np.all(np.isfinite(result.vector))

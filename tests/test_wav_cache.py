@@ -46,6 +46,22 @@ def test_data_chunk_cut_inside_a_sample_is_corrupt_audio(tmp_path, float32):
     assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize("float32", [True, False], ids=["float32", "int16"])
+@pytest.mark.parametrize("n_channels", [1, 2], ids=["mono", "stereo"])
+@pytest.mark.parametrize("cut_samples", [1, 200])
+def test_data_chunk_shorter_than_its_header_is_corrupt_audio(
+    tmp_path, float32, n_channels, cut_samples
+):
+    # a cut of whole frames, or of one stereo sample: half a frame
+    path = tmp_path / "t.wav"
+    write_wav(path, np.zeros((n_channels, 1000)), 44100, float32=float32)
+    sample_bytes = 4 if float32 else 2
+    path.write_bytes(path.read_bytes()[: -cut_samples * sample_bytes])
+    with pytest.raises(CorruptAudio, match="not a whole number of|header declares") as info:
+        read_wav(path)
+    assert str(path) in str(info.value)
+
+
 def test_non_riff_file_rejected(tmp_path):
     path = tmp_path / "bad.wav"
     path.write_bytes(b"ID3\x00 definitely not a wav file")
