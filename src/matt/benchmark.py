@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import save_checkpoint
 from .evaluation import EvalReport, evaluate
 from .synthetic import SynthConfig, SyntheticData, generate_synthetic
@@ -36,19 +34,6 @@ BENCHMARK_TRAIN = TrainConfig(
     hidden_dims=(),
     embedding_dim=16,
 )
-
-
-class OracleModel:
-    """Adapts a BayesOracle to the packed model interface used by evaluate()."""
-
-    def __init__(self, oracle):
-        self.oracle = oracle
-
-    def forward_packed(self, features, starts):
-        bounds = np.append(starts, len(features))
-        return np.stack(
-            [self.oracle.posterior(features[a:b]) for a, b in zip(bounds, bounds[1:])]
-        )
 
 
 @dataclass(frozen=True)
@@ -83,7 +68,7 @@ def run_seed(
         matt_bag=evaluate(matt_model, data.bags, data.features, mode="bag"),
         matt_segment=evaluate(matt_model, data.bags, data.features, mode="segment"),
         base_segment=evaluate(base_model, data.bags, data.features, mode="segment"),
-        oracle_bag=evaluate(OracleModel(data.oracle), data.bags, data.features, mode="bag"),
+        oracle_bag=evaluate(data.oracle, data.bags, data.features, mode="bag"),
         matt_log=matt_log,
         base_log=base_log,
     )

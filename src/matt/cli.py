@@ -244,12 +244,6 @@ def _load_features(cfg: RunConfig):
     return features
 
 
-def _checkpoint_path(cfg: RunConfig, args, default_name: str) -> Path:
-    if getattr(args, "checkpoint", None):
-        return Path(args.checkpoint)
-    return cfg.checkpoint_dir / default_name
-
-
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     table = load_metadata(cfg.metadata)
@@ -271,9 +265,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _restore_model(cfg: RunConfig, args, table, features, default_name="matt.ckpt"):
-    path = _checkpoint_path(cfg, args, default_name)
-    if not Path(path).exists():
+def _restore_model(cfg: RunConfig, args, table, features):
+    path = Path(args.checkpoint) if args.checkpoint else cfg.checkpoint_dir / "matt.ckpt"
+    if not path.exists():
         raise ValidationError(f"checkpoint {path} not found; run train")
     raw = load_checkpoint(path)
     model = new_model(cfg.train, len(next(iter(features.values()))), len(table.vocabulary))
@@ -338,10 +332,10 @@ def cmd_predict(args) -> int:
         track_ids = sorted(features)
     # every track is its own bag: one packed pass scores them all
     X = np.array([features[t] for t in track_ids], dtype=np.float64)
-    probabilities, cache = model.forward_packed(X, np.arange(len(X)), keep_cache=True)
-    weights = cache["weights"]
-    del X, cache  # the rows and activations are not needed while formatting
-    text = format_predictions(track_ids, names, probabilities, weights)
+    probabilities = model.forward_packed(X, np.arange(len(X)))
+    del X  # the rows are not needed while formatting
+    # a singleton bag's attention weight is exactly 1
+    text = format_predictions(track_ids, names, probabilities, np.ones(len(track_ids)))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out} ({len(track_ids)} predictions)")

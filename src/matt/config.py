@@ -9,6 +9,7 @@ after the file is parsed.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -107,16 +108,20 @@ class RunConfig:
 
 def _typed(text: str, default, where: str):
     """Parse text as the type of default: bool, comma-separated int tuple,
-    or whatever type(default) accepts (int, float, str, Path)."""
+    or whatever type(default) accepts (int, float, str, Path). A float must
+    be finite."""
     try:
         if isinstance(default, bool):
             return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
         if isinstance(default, tuple):
             return tuple(int(p) for p in text.split(",")) if text.strip() else ()
-        return type(default)(text)
+        value = type(default)(text)
     except (KeyError, ValueError):
         kind = "comma list of int" if isinstance(default, tuple) else type(default).__name__
         raise InvalidConfig(f"{where}: {text!r} is not a valid {kind}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InvalidConfig(f"{where}: {text!r} is not a finite number")
+    return value
 
 
 def with_keys(cfg: RunConfig, values: dict) -> RunConfig:

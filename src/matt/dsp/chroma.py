@@ -23,6 +23,7 @@ import numpy as np
 
 from ..errors import InvalidConfig
 from .frames import FrameFeatureMatrix
+from .mel import triangular_filters
 from .stft import MagnitudeSpectrogram
 
 # C1; chosen so pseudo-CQT bin k has pitch class k mod 12 with C = 0
@@ -36,9 +37,9 @@ NORM_GUARD = 1e-12
 PITCH_CLASSES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
 
 
-def _pitch_class_of_hz(freqs: np.ndarray, a440: float = 440.0) -> np.ndarray:
-    """Nearest equal-tempered pitch class (C=0) for each positive frequency."""
-    midi = 69.0 + 12.0 * np.log2(freqs / a440)
+def _pitch_class_of_hz(freqs: np.ndarray) -> np.ndarray:
+    """Nearest equal-tempered pitch class (C=0, A=440 Hz) for each positive frequency."""
+    midi = 69.0 + 12.0 * np.log2(freqs / 440.0)
     return np.round(midi).astype(int) % 12
 
 
@@ -60,14 +61,8 @@ def stft_fold_matrix(n_fft: int, sample_rate: int) -> np.ndarray:
 
 def _cqt_filterbank(freqs: np.ndarray) -> np.ndarray:
     """Triangular filters at log-spaced centers, rows = CQT bins."""
-    n_bins = CQT_BINS_PER_OCTAVE * CQT_OCTAVES
-    k = np.arange(-1, n_bins + 1)
-    centers = CQT_F_MIN * 2.0 ** (k / CQT_BINS_PER_OCTAVE)
-    diffs = np.diff(centers)
-    ramps = centers[np.newaxis, :] - freqs[:, np.newaxis]
-    lower = -ramps[:, :-2] / diffs[:-1]
-    upper = ramps[:, 2:] / diffs[1:]
-    return np.maximum(0.0, np.minimum(lower, upper)).T
+    k = np.arange(-1, CQT_BINS_PER_OCTAVE * CQT_OCTAVES + 1)
+    return triangular_filters(CQT_F_MIN * 2.0 ** (k / CQT_BINS_PER_OCTAVE), freqs)
 
 
 @lru_cache(maxsize=16)
@@ -82,19 +77,20 @@ def _max_normalize(chroma: np.ndarray) -> np.ndarray:
     return chroma / np.maximum(chroma.max(axis=0, keepdims=True), NORM_GUARD)
 
 
+def _l1_normalize(chroma: np.ndarray) -> np.ndarray:
+    return chroma / np.maximum(np.abs(chroma).sum(axis=0, keepdims=True), NORM_GUARD)
+
+
 def _cens(raw_cqt_chroma: np.ndarray) -> np.ndarray:
-    l1 = raw_cqt_chroma / np.maximum(
-        np.abs(raw_cqt_chroma).sum(axis=0, keepdims=True), NORM_GUARD
-    )
+    l1 = _l1_normalize(raw_cqt_chroma)
     quant = np.zeros_like(l1)
     for step in CENS_QUANT_STEPS:
         quant += 0.25 * (l1 > step)
-    # centered moving average over frames, zero-padded at the boundaries
+    # centered moving average over frames, zero-padded at the boundaries; the
+    # one extra leading zero makes cum[:, t] the sum of the first t columns
     window = CENS_SMOOTH_FRAMES
     pad = window // 2
-    padded = np.pad(quant, ((0, 0), (pad, pad)))
-    cum = np.cumsum(padded, axis=1)
-    cum = np.concatenate([np.zeros((quant.shape[0], 1)), cum], axis=1)
+    cum = np.cumsum(np.pad(quant, ((0, 0), (pad + 1, pad))), axis=1)
     smoothed = (cum[:, window:] - cum[:, :-window]) / window
     norms = np.sqrt((smoothed**2).sum(axis=0, keepdims=True))
     return smoothed / np.maximum(norms, NORM_GUARD)
@@ -133,6 +129,6 @@ TONNETZ_TRANSFORM = _tonnetz_transform()
 
 def tonnetz(chroma: FrameFeatureMatrix) -> FrameFeatureMatrix:
     """6-row tonal centroid of an L1-normalized chroma (normalized here)."""
-    values = chroma.values
-    l1 = values / np.maximum(np.abs(values).sum(axis=0, keepdims=True), NORM_GUARD)
-    return FrameFeatureMatrix(values=TONNETZ_TRANSFORM @ l1, family="tonnetz")
+    return FrameFeatureMatrix(
+        values=TONNETZ_TRANSFORM @ _l1_normalize(chroma.values), family="tonnetz"
+    )

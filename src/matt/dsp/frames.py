@@ -42,7 +42,3 @@ class FrameFeatureMatrix:
             )
         if not np.all(np.isfinite(self.values)):
             raise ShapeError(f"{self.family}: non-finite frame values")
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[1]

@@ -49,6 +49,16 @@ def mel_to_hz(mels):
     return freq if freq.ndim else float(freq)
 
 
+def triangular_filters(edges_hz: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """(len(edges_hz) - 2, len(freqs)) unit-peak triangles: filter i rises
+    over [edge_i, edge_i+1] and falls over [edge_i+1, edge_i+2]."""
+    diffs = np.diff(edges_hz)
+    ramps = edges_hz[np.newaxis, :] - freqs[:, np.newaxis]
+    lower = -ramps[:, :-2] / diffs[:-1]
+    upper = ramps[:, 2:] / diffs[1:]
+    return np.maximum(0.0, np.minimum(lower, upper)).T
+
+
 @lru_cache(maxsize=16)
 def mel_filterbank(rate: int, n_fft: int):
     """Triangular Slaney-scale filterbank spanning 0 Hz to Nyquist.
@@ -59,15 +69,7 @@ def mel_filterbank(rate: int, n_fft: int):
     tuple and returned read-only.
     """
     edges_hz = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(rate / 2.0), N_MELS + 2))
-    fft_freqs = np.fft.rfftfreq(n_fft, 1.0 / rate)
-
-    # triangle for filter i rises over [edge_i, edge_i+1], falls over [edge_i+1, edge_i+2]
-    diffs = np.diff(edges_hz)
-    ramps = edges_hz[np.newaxis, :] - fft_freqs[:, np.newaxis]
-    lower = -ramps[:, :-2] / diffs[:-1]
-    upper = ramps[:, 2:] / diffs[1:]
-    weights = np.maximum(0.0, np.minimum(lower, upper)).T
-
+    weights = triangular_filters(edges_hz, np.fft.rfftfreq(n_fft, 1.0 / rate))
     area = 2.0 / (edges_hz[2:] - edges_hz[:-2])
     weights *= area[:, np.newaxis]
     centers = edges_hz[1:-1].copy()

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CorruptAudio, EmptyAudio, InvalidConfig
+from ..errors import AudioTooShort, CorruptAudio, EmptyAudio, InvalidConfig
 
 CLIP_TOLERANCE = 1e-3
 
@@ -30,9 +30,13 @@ def downmix_and_validate(channels, rate: int) -> AudioSignal:
 
     Accepts a single 1-D array, a list of 1-2 arrays, or a (channels, n)
     matrix. Raises EmptyAudio for empty input and CorruptAudio for non-finite
-    or out-of-range samples.
+    or out-of-range samples. float32 input is checked in float32 and one
+    channel passes through as it is; two channels are averaged in float64.
+    Any other input is read as float64 first.
     """
-    arr = np.asarray(channels, dtype=np.float64)
+    arr = np.asarray(channels)
+    if arr.dtype != np.float32:
+        arr = arr.astype(np.float64, copy=False)
     if arr.ndim == 1:
         arr = arr[np.newaxis, :]
     if arr.ndim != 2 or arr.shape[0] not in (1, 2):
@@ -41,11 +45,12 @@ def downmix_and_validate(channels, rate: int) -> AudioSignal:
         raise EmptyAudio("empty channel data")
     if not np.all(np.isfinite(arr)):
         raise CorruptAudio("non-finite sample value")
-    mono = arr.mean(axis=0)
-    peak = np.max(np.abs(mono))
+    mono = arr[0] if arr.shape[0] == 1 else (arr[0] + arr[1].astype(np.float64)) / 2
+    # a Python float: numpy compares a float32 peak with a float in float32
+    peak = float(np.max(np.abs(mono)))
     if peak > 1.0 + CLIP_TOLERANCE:
         raise CorruptAudio(f"sample magnitude {peak:.6g} exceeds 1 + {CLIP_TOLERANCE}")
-    return AudioSignal(samples=mono.astype(np.float32), sample_rate_hz=int(rate))
+    return AudioSignal(samples=mono.astype(np.float32, copy=False), sample_rate_hz=int(rate))
 
 
 def frame_signal(samples: np.ndarray, n_fft: int, hop: int, center: bool) -> np.ndarray:
@@ -55,16 +60,15 @@ def frame_signal(samples: np.ndarray, n_fft: int, hop: int, center: bool) -> np.
     so frame t is centered on sample t*hop. The result is a read-only strided
     view of the (padded) float64 signal, so overlapping frames share memory.
     """
-    from ..errors import AudioTooShort
-
-    x = np.asarray(samples, dtype=np.float64)
+    x = np.asarray(samples)
     if center:
         pad = n_fft // 2
         if x.size <= pad:
             raise AudioTooShort(
                 f"signal of {x.size} samples too short for reflect pad {pad}"
             )
-        x = np.pad(x, pad, mode="reflect")
+        x = np.pad(x, pad, mode="reflect")  # in the input dtype; then one float64 copy
+    x = x.astype(np.float64, copy=False)
     if x.size < n_fft:
         raise AudioTooShort(f"padded signal ({x.size}) shorter than frame ({n_fft})")
     n_frames = 1 + (x.size - n_fft) // hop

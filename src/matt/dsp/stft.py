@@ -37,10 +37,6 @@ class MagnitudeSpectrogram:
     config: StftConfig
     sample_rate_hz: int
 
-    @property
-    def n_frames(self) -> int:
-        return self.bins.shape[1]
-
     def bin_frequencies_hz(self) -> np.ndarray:
         return np.fft.rfftfreq(self.config.n_fft, 1.0 / self.sample_rate_hz)
 

@@ -19,7 +19,8 @@ SAMPLE_TYPES = {(PCM_INT, 16): "<i2", (PCM_FLOAT, 32): "<f4"}
 
 
 def read_wav(path):
-    """Returns (channels, rate): channels is a (n_channels, n) float32 array.
+    """Returns (channels, rate): channels is a (n_channels, n) float32 view of
+    the one decoded, interleaved sample buffer.
 
     The data chunk must hold every byte its header declares, in whole frames
     (one sample per channel), so a cut file is CorruptAudio, not shorter audio.
@@ -64,7 +65,7 @@ def read_wav(path):
         samples /= 32768.0
     if samples.size == 0:
         raise EmptyAudio(f"{path}: empty data chunk")
-    return samples.reshape(-1, n_channels).T.copy(), rate
+    return samples.reshape(-1, n_channels).T, rate
 
 
 def write_wav(path, channels, rate: int, float32: bool = True):

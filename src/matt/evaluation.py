@@ -115,8 +115,8 @@ def pr_curve(probabilities, golds):
     return points, float(average_precision)
 
 
-def collect_predictions(model, bags: BagSet, features, mode: str, split: str = "test"):
-    """Score the evaluation units of one split in one packed model call.
+def collect_predictions(model, bags: BagSet, features, mode: str):
+    """Score the test split's evaluation units in one packed model call.
 
     Bag mode scores each bag; segment mode scores each member of those bags
     as its own singleton bag. Returns ((units, G) probabilities, (units,)
@@ -124,11 +124,11 @@ def collect_predictions(model, bags: BagSet, features, mode: str, split: str = "
     """
     if mode not in ("bag", "segment"):
         raise InvalidConfig(f"unknown evaluation mode {mode!r}")
-    split_bags = bags.split_bags(split)
-    if not split_bags:
-        raise EmptyEval(f"no {split} units to evaluate")
-    X, starts = pack_bags(split_bags, features)
-    golds = np.array([bag.genre_id for bag in split_bags])
+    test_bags = bags.split_bags("test")
+    if not test_bags:
+        raise EmptyEval("no test units to evaluate")
+    X, starts = pack_bags(test_bags, features)
+    golds = np.array([bag.genre_id for bag in test_bags])
     if mode == "segment":
         golds = np.repeat(golds, np.diff(starts, append=len(X)))
         starts = np.arange(len(X))
@@ -136,16 +136,10 @@ def collect_predictions(model, bags: BagSet, features, mode: str, split: str = "
 
 
 def evaluate(
-    model,
-    bags: BagSet,
-    features,
-    mode: str = "bag",
-    subsets=(100, 200),
-    ks=(2, 3, 5),
-    split: str = "test",
+    model, bags: BagSet, features, mode: str = "bag", subsets=(100, 200), ks=(2, 3, 5)
 ) -> EvalReport:
     """Full report: overall accuracy, PR curve, and Top@K per tail subset."""
-    probabilities, golds = collect_predictions(model, bags, features, mode, split)
+    probabilities, golds = collect_predictions(model, bags, features, mode)
     overall = accuracy(probabilities, golds)
     points, average_precision = pr_curve(probabilities, golds)
 

@@ -142,6 +142,11 @@ class BayesOracle:
         post = np.exp(log_post)
         return post / post.sum()
 
+    def forward_packed(self, features: np.ndarray, starts) -> np.ndarray:
+        """(B, G) posteriors of B packed bags: the model interface evaluate() calls."""
+        bounds = np.append(starts, len(features))
+        return np.stack([self.posterior(features[a:b]) for a, b in zip(bounds, bounds[1:])])
+
 
 @dataclass(frozen=True)
 class SyntheticData:

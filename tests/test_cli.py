@@ -447,6 +447,10 @@ def test_every_config_key_reaches_its_field(tmp_path):
         ("[train]\nepochs = two\n", "[train] epochs"),
         ("[encoder]\nhidden_dims = 8,x\n", "[encoder] hidden_dims"),
         ("[train]\nlearning_rate = fast\n", "[train] learning_rate"),
+        # float() reads these, but no setting is meant to be non-finite
+        ("[synth]\nzipf_exponent = nan\n", "[synth] zipf_exponent"),
+        ("[train]\nlearning_rate = inf\n", "[train] learning_rate"),
+        ("[train]\nlearning_rate = 1e999\n", "[train] learning_rate"),
         ("[train]\nclass_weighting = maybe\n", "[train] class_weighting"),
         ("[eval]\nks = 1;2\n", "[eval] ks"),
         ("[synth]\nbag_size_max = 4.5\n", "[synth] bag_size_max"),

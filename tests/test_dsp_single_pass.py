@@ -47,7 +47,7 @@ EXAMPLES = settings(max_examples=6, deadline=None)
 def reference_stft_chroma_fold(spec):
     power = spec.bins**2
     freqs = spec.bin_frequencies_hz()
-    chroma = np.zeros((12, spec.n_frames))
+    chroma = np.zeros((12, spec.bins.shape[1]))
     positive = freqs > 0
     np.add.at(chroma, _pitch_class_of_hz(freqs[positive]), power[positive])
     return chroma
@@ -55,7 +55,7 @@ def reference_stft_chroma_fold(spec):
 
 def reference_cqt_chroma_fold(spec):
     cq = _cqt_filterbank(spec.bin_frequencies_hz()) @ spec.bins**2
-    chroma = np.zeros((12, spec.n_frames))
+    chroma = np.zeros((12, spec.bins.shape[1]))
     for k in range(cq.shape[0]):
         chroma[k % 12] += cq[k]
     return chroma

@@ -1,7 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from matt.dsp import AudioSignal, downmix_and_validate, frame_signal, time_domain_descriptors
+from matt.dsp import (
+    AudioSignal,
+    downmix_and_validate,
+    frame_signal,
+    read_wav,
+    time_domain_descriptors,
+    write_wav,
+)
 from matt.errors import CorruptAudio, EmptyAudio
 
 from conftest import RATE, tone
@@ -33,9 +42,31 @@ def test_downmix_rejects_inf_and_overrange():
         downmix_and_validate(np.array([0.0, np.inf]), RATE)
     with pytest.raises(CorruptAudio):
         downmix_and_validate(np.array([0.0, 1.2]), RATE)
+    # float32(1.001) is 1.0010000467 > 1 + 1e-3, though it equals float32(1 + 1e-3)
+    with pytest.raises(CorruptAudio, match="exceeds"):
+        downmix_and_validate(np.array([0.0, 1.001], dtype=np.float32), RATE)
+    # the channels are checked before they are averaged: inf + -inf is no NaN warning
+    opposite = np.array([[0.0, np.inf], [0.0, -np.inf]], dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CorruptAudio, match="non-finite"):
+            downmix_and_validate(opposite, RATE)
     # within the clipping tolerance is fine
     sig = downmix_and_validate(np.array([1.0005, -1.0005]), RATE)
     assert sig.samples.size == 2
+
+
+@pytest.mark.parametrize("n_channels", (1, 2))
+@pytest.mark.parametrize("float32", (True, False), ids=("float32", "int16"))
+def test_downmix_of_a_wav_equals_the_float64_mean_bitwise(tmp_path, float32, n_channels):
+    rng = np.random.default_rng(2 * n_channels + float32)
+    write_wav(tmp_path / "clip.wav", np.clip(0.4 * rng.standard_normal((n_channels, 5001)), -1, 1),
+              RATE, float32=float32)
+    channels, rate = read_wav(tmp_path / "clip.wav")
+    expected = np.asarray(channels, np.float64).mean(axis=0).astype(np.float32)
+    samples = downmix_and_validate(channels, rate).samples
+    assert samples.dtype == expected.dtype == np.float32
+    assert samples.tobytes() == expected.tobytes()
 
 
 def test_downmix_rejects_empty():
