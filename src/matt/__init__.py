@@ -2,38 +2,8 @@
 
 Submodules: dsp (feature extraction), dataset (bags), synthetic (desk-scale
 long-tail generator), numeric (gradient core), model, training, evaluation,
-benchmark, cli.
+benchmark, cli. The package itself re-exports nothing: import from the
+submodules.
 """
 
 __version__ = "0.1.0"
-
-from .dataset import Bag, BagSet, GenreVocabulary, SegmentRecord, build_bags, load_metadata
-from .model import BagPrediction, EncoderConfig, MattModel
-from .synthetic import BayesOracle, SynthConfig, generate_synthetic
-from .training import TrainConfig, nll_loss, train, train_segment_baseline
-from .evaluation import EvalReport, accuracy, evaluate, pr_curve, top_k_accuracy
-
-__all__ = [
-    "__version__",
-    "Bag",
-    "BagSet",
-    "GenreVocabulary",
-    "SegmentRecord",
-    "build_bags",
-    "load_metadata",
-    "BagPrediction",
-    "EncoderConfig",
-    "MattModel",
-    "BayesOracle",
-    "SynthConfig",
-    "generate_synthetic",
-    "TrainConfig",
-    "nll_loss",
-    "train",
-    "train_segment_baseline",
-    "EvalReport",
-    "accuracy",
-    "evaluate",
-    "pr_curve",
-    "top_k_accuracy",
-]

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .checkpoint import save_checkpoint
 from .evaluation import EvalReport, evaluate
-from .synthetic import SynthConfig, SyntheticData, generate_synthetic
+from .synthetic import SynthConfig, generate_synthetic
 from .training import TrainConfig, train, train_segment_baseline
 
 BENCHMARK_SEEDS = (1, 2, 3, 4, 5)
@@ -39,15 +39,12 @@ BENCHMARK_TRAIN = TrainConfig(
 @dataclass(frozen=True)
 class SeedResult:
     seed: int
-    data: SyntheticData
     matt_model: object
     base_model: object
     matt_bag: EvalReport
     matt_segment: EvalReport
     base_segment: EvalReport
     oracle_bag: EvalReport
-    matt_log: object
-    base_log: object
 
 
 def run_seed(
@@ -58,19 +55,16 @@ def run_seed(
 ) -> SeedResult:
     data = generate_synthetic(replace(synth_cfg, seed=seed))
     seeded = replace(train_cfg, seed=seed)
-    matt_model, matt_log = train(data.bags, data.features, seeded)
-    base_model, base_log = train_segment_baseline(data.table, data.features, seeded)
+    matt_model, _ = train(data.bags, data.features, seeded)
+    base_model, _ = train_segment_baseline(data.table, data.features, seeded)
     result = SeedResult(
         seed=seed,
-        data=data,
         matt_model=matt_model,
         base_model=base_model,
         matt_bag=evaluate(matt_model, data.bags, data.features, mode="bag"),
         matt_segment=evaluate(matt_model, data.bags, data.features, mode="segment"),
         base_segment=evaluate(base_model, data.bags, data.features, mode="segment"),
         oracle_bag=evaluate(data.oracle, data.bags, data.features, mode="bag"),
-        matt_log=matt_log,
-        base_log=base_log,
     )
     if out_dir is not None:
         write_seed_artifacts(Path(out_dir), result)

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import KEYS, RunConfig, load_run_config, with_keys
-from .dataset import build_bags, load_metadata, save_bags_csv
+from .dataset import LABEL_POLICIES, build_bags, load_metadata, save_bags_csv
 from .dsp import (
     downmix_and_validate,
     extract_feature_sets,
@@ -42,10 +42,11 @@ from .errors import (
     SampleRateMismatch,
     ValidationError,
 )
-from .evaluation import evaluate
+from .evaluation import EVAL_MODES, evaluate
+from .model import AGGREGATORS
 from .numeric import finite_difference_check
 from .synthetic import generate_synthetic
-from .training import new_model, nll_loss, train, train_segment_baseline
+from .training import new_model, nll_losses, train, train_segment_baseline
 
 log = logging.getLogger("matt")
 
@@ -83,13 +84,13 @@ def build_parser() -> CliParser:
                    help="parallel extraction workers (default: logical cores)")
 
     p = add("build-bags", "group segments into album-artist bags and write bags.csv")
-    p.add_argument("--label-policy", choices=("strict", "majority"),
+    p.add_argument("--label-policy", choices=LABEL_POLICIES,
                    help="bag label policy (default from config)")
 
     add("gen-synth", "generate the synthetic long-tail dataset and feature store")
 
     p = add("train", "train a genre classifier on bags")
-    p.add_argument("--aggregator", choices=("matt", "mean"),
+    p.add_argument("--aggregator", choices=AGGREGATORS,
                    help="bag aggregation (default from config)")
     p.add_argument("--segment-level", action="store_true",
                    help="train the per-segment baseline (every segment its own bag)")
@@ -97,17 +98,17 @@ def build_parser() -> CliParser:
     p.add_argument("--feature-set", help="feature set to train on (default from config)")
 
     p = add("evaluate", "evaluate a checkpoint and write report files")
-    p.add_argument("--mode", choices=("bag", "segment"), help="evaluation unit")
+    p.add_argument("--mode", choices=EVAL_MODES, help="evaluation unit")
     p.add_argument("--checkpoint", help="checkpoint path (default from train)")
     p.add_argument("--feature-set", help="feature set (default from config)")
-    p.add_argument("--aggregator", choices=("matt", "mean"))
+    p.add_argument("--aggregator", choices=AGGREGATORS)
 
     p = add("predict", "write per-track predictions from a checkpoint")
     p.add_argument("--checkpoint", help="checkpoint path (default from train)")
     p.add_argument("--tracks", help="comma-separated track ids (default: all cached)")
     p.add_argument("--out", help="output file (default: stdout)")
     p.add_argument("--feature-set", help="feature set (default from config)")
-    p.add_argument("--aggregator", choices=("matt", "mean"))
+    p.add_argument("--aggregator", choices=AGGREGATORS)
 
     p = add("grad-check", "finite-difference check the model gradients")
     p.add_argument("--feature-set", help="feature set fixing the input width")
@@ -355,16 +356,17 @@ def cmd_grad_check(args) -> int:
     rng = np.random.default_rng(seed)
     all_ok = True
     for m in (1, 2, 7):
-        X = rng.standard_normal((m, input_dim))
-        gold = int(rng.integers(0, 16))
+        # a packed batch of three bags of m members: the pass train() runs
+        X = rng.standard_normal((3 * m, input_dim))
+        starts = np.arange(0, 3 * m, m)
+        golds = rng.integers(0, 16, size=3)
 
         def loss_fn():
-            return nll_loss(model.forward_bag(X), gold)[0]
+            return nll_losses(model.forward_packed(X, starts), golds)[0].sum()
 
         model.params.zero_grads()
-        pred, cache = model.forward_bag(X, keep_cache=True)
-        _, d_scores = nll_loss(pred, gold)
-        model.backward_bag(cache, d_scores)
+        probabilities, cache = model.forward_packed(X, starts, keep_cache=True)
+        model.backward_packed(cache, nll_losses(probabilities, golds)[1])
         report = finite_difference_check(
             loss_fn, model.params, tolerance=args.tolerance, max_elements=200, seed=seed
         )

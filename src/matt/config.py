@@ -13,14 +13,15 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .dataset import LABEL_POLICIES
 from .errors import InvalidConfig
 from .dsp import FEATURE_SETS
 from .dsp.stft import StftConfig
 from .dsp.summarize import FeatureConfig
+from .evaluation import EVAL_MODES
+from .model import AGGREGATORS
 from .synthetic import SynthConfig
 from .training import TrainConfig
-
-EVAL_MODES = ("bag", "segment")
 
 # config key -> ([section], owner, field[, index]). The owner is the RunConfig
 # (None) or its `train` or `synth` part; an index sets one element of a tuple
@@ -88,11 +89,11 @@ class RunConfig:
                 f"unknown feature_set {self.feature_set!r}; "
                 f"expected one of {sorted(FEATURE_SETS)} or 'synth'"
             )
-        if self.train.aggregator not in ("matt", "mean"):
+        if self.train.aggregator not in AGGREGATORS:
             raise InvalidConfig(f"unknown aggregator {self.train.aggregator!r}")
         if self.eval_mode not in EVAL_MODES:
             raise InvalidConfig(f"unknown eval mode {self.eval_mode!r}")
-        if self.label_policy not in ("strict", "majority"):
+        if self.label_policy not in LABEL_POLICIES:
             raise InvalidConfig(f"unknown label_policy {self.label_policy!r}")
         return self
 

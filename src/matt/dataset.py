@@ -28,6 +28,7 @@ log = logging.getLogger(__name__)
 
 METADATA_HEADER = "track_id,album_id,artist_id,genre,split"
 SPLITS = ("train", "validation", "test")
+LABEL_POLICIES = ("strict", "majority")
 
 
 class SegmentRecord(NamedTuple):
@@ -140,7 +141,7 @@ def build_bags(table: SegmentTable, label_policy: str = "majority") -> BagSet:
     bag's members disagree on genre, "majority" picks the most common label
     (ties broken by lowest genre_id, with a warning); "strict" raises.
     """
-    if label_policy not in ("strict", "majority"):
+    if label_policy not in LABEL_POLICIES:
         raise InvalidConfig(f"unknown label policy {label_policy!r}")
     groups: dict[tuple, list[SegmentRecord]] = {}
     for rec in table.records:

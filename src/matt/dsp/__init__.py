@@ -3,7 +3,7 @@ descriptors, and the 7-statistic summarization that yields the fixed feature
 dimensionalities used by the classifier."""
 
 from .signal import AudioSignal, downmix_and_validate, frame_signal, time_domain_descriptors
-from .stft import MagnitudeSpectrogram, StftConfig, hann_window, stft
+from .stft import StftConfig, hann_window, stft
 from .mel import (
     DB_FLOOR,
     dct_matrix,
@@ -11,16 +11,13 @@ from .mel import (
     mel_filterbank,
     mel_to_hz,
     mfcc,
-    power_to_db,
 )
 from .frames import FAMILY_BASE_DIMS, FrameFeatureMatrix
-from .chroma import PITCH_CLASSES, chroma_features, tonnetz
+from .chroma import chroma_features, tonnetz
 from .spectral import spectral_descriptors
 from .summarize import (
     FAMILY_ORDER,
     FEATURE_SETS,
-    STATISTICS,
-    ExtractionResult,
     FeatureConfig,
     extract_feature_sets,
     feature_set_columns,
@@ -40,7 +37,6 @@ __all__ = [
     "downmix_and_validate",
     "frame_signal",
     "time_domain_descriptors",
-    "MagnitudeSpectrogram",
     "StftConfig",
     "hann_window",
     "stft",
@@ -50,17 +46,13 @@ __all__ = [
     "mel_filterbank",
     "mel_to_hz",
     "mfcc",
-    "power_to_db",
     "FAMILY_BASE_DIMS",
     "FrameFeatureMatrix",
-    "PITCH_CLASSES",
     "chroma_features",
     "tonnetz",
     "spectral_descriptors",
     "FAMILY_ORDER",
     "FEATURE_SETS",
-    "STATISTICS",
-    "ExtractionResult",
     "FeatureConfig",
     "extract_feature_sets",
     "feature_set_columns",

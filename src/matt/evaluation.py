@@ -19,6 +19,8 @@ from .errors import EmptyEval, InvalidConfig, InvalidK
 # benchmark's tracer to find it in this module
 from .training import bag_feature_matrix, pack_bags  # noqa: F401
 
+EVAL_MODES = ("bag", "segment")
+
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -122,7 +124,7 @@ def collect_predictions(model, bags: BagSet, features, mode: str):
     as its own singleton bag. Returns ((units, G) probabilities, (units,)
     gold genre ids).
     """
-    if mode not in ("bag", "segment"):
+    if mode not in EVAL_MODES:
         raise InvalidConfig(f"unknown evaluation mode {mode!r}")
     test_bags = bags.split_bags("test")
     if not test_bags:

@@ -20,6 +20,8 @@ import numpy as np
 from .errors import EmptyBag, InvalidConfig, ShapeError
 from .numeric import ParamStore, softmax, xavier_uniform
 
+AGGREGATORS = ("matt", "mean")
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -73,7 +75,7 @@ class MattModel:
         aggregator: str = "matt",
         seed: int = 0,
     ):
-        if aggregator not in ("matt", "mean"):
+        if aggregator not in AGGREGATORS:
             raise InvalidConfig(f"unknown aggregator {aggregator!r}")
         if n_genres < 2:
             raise InvalidConfig(f"need at least 2 genres, got {n_genres}")
@@ -163,22 +165,6 @@ class MattModel:
         }
         return probabilities, cache
 
-    def forward_bag(self, features: np.ndarray, keep_cache: bool = False):
-        """Full pass over a (m, input_dim) bag, a packed batch of one; returns
-        BagPrediction (+cache for backward_bag)."""
-        probabilities, cache = self.forward_packed(features, [0], keep_cache=True)
-        prediction = BagPrediction(
-            probabilities=probabilities[0],
-            attention_weights=cache["weights"],
-            bag_representation=cache["representations"][0],
-        )
-        return (prediction, cache) if keep_cache else prediction
-
-    def predict_segment(self, features: np.ndarray) -> BagPrediction:
-        """Score one segment with no bag metadata: a singleton bag."""
-        features = np.asarray(features, dtype=np.float64)
-        return self.forward_bag(features[np.newaxis, :])
-
     # -- backward -- #
 
     def backward_packed(self, cache: dict, d_scores: np.ndarray):
@@ -217,12 +203,28 @@ class MattModel:
             if i:
                 d_h = d_h @ p.values[f"enc_w{i}"]
 
+    # -- per-bag wrappers: nothing in matt calls them; they exist only because
+    # perfbench/layers.PROBES wraps each of them by name -- #
+
+    def forward_bag(self, features: np.ndarray, keep_cache: bool = False):
+        """Full pass over a (m, input_dim) bag, a packed batch of one; returns
+        BagPrediction (+cache for backward_bag)."""
+        probabilities, cache = self.forward_packed(features, [0], keep_cache=True)
+        prediction = BagPrediction(
+            probabilities=probabilities[0],
+            attention_weights=cache["weights"],
+            bag_representation=cache["representations"][0],
+        )
+        return (prediction, cache) if keep_cache else prediction
+
+    def predict_segment(self, features: np.ndarray) -> BagPrediction:
+        """Score one segment with no bag metadata: a singleton bag."""
+        features = np.asarray(features, dtype=np.float64)
+        return self.forward_bag(features[np.newaxis, :])
+
     def backward_bag(self, cache: dict, d_scores: np.ndarray):
         """Accumulate parameter gradients given dLoss/dScores (G,) for one bag."""
         self.backward_packed(cache, d_scores[np.newaxis, :])
-
-    # -- singleton API: nothing in matt calls it any more; it stays because
-    # perfbench/layers.PROBES wraps both methods by name -- #
 
     def forward_singletons(self, features: np.ndarray):
         """(B, input_dim) -> (activations, embeddings, per-row probabilities)."""

@@ -16,6 +16,7 @@ import numpy as np
 
 from .dataset import METADATA_HEADER, BagSet, SegmentTable, build_bags, parse_metadata_lines
 from .errors import InfeasibleConfig, InvalidConfig
+from .numeric import softmax
 
 
 @dataclass(frozen=True)
@@ -124,28 +125,23 @@ class BayesOracle:
         self.noise_rate = float(noise_rate)
         self.log_prior = np.asarray(log_prior, dtype=np.float64)
 
-    def posterior(self, segment_features: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(segment_features, dtype=np.float64))
+    def forward_packed(self, features: np.ndarray, starts) -> np.ndarray:
+        """(B, G) posteriors of B packed bags: the model interface evaluate() calls.
+
+        Every member row's log-likelihood comes from one broadcast, and
+        np.add.reduceat sums a bag's rows from its start in `starts`.
+        """
+        x = np.asarray(features, dtype=np.float64)
         # log N(x; mu, I) up to a genre-independent constant
         gaps = x[:, np.newaxis, :] - self.centroids[np.newaxis, :, :]
-        log_signal = -0.5 * (gaps**2).sum(axis=2)  # (m, G)
-        if self.noise_rate == 0.0:
-            log_per_segment = log_signal
-        else:
-            log_background = -0.5 * (x**2).sum(axis=1, keepdims=True)  # (m, 1)
+        log_per_segment = -0.5 * (gaps**2).sum(axis=2)  # (n_rows, G)
+        if self.noise_rate:
+            log_background = -0.5 * (x**2).sum(axis=1, keepdims=True)  # (n_rows, 1)
             log_per_segment = np.logaddexp(
-                np.log1p(-self.noise_rate) + log_signal,
+                np.log1p(-self.noise_rate) + log_per_segment,
                 np.log(self.noise_rate) + log_background,
             )
-        log_post = self.log_prior + log_per_segment.sum(axis=0)
-        log_post -= log_post.max()
-        post = np.exp(log_post)
-        return post / post.sum()
-
-    def forward_packed(self, features: np.ndarray, starts) -> np.ndarray:
-        """(B, G) posteriors of B packed bags: the model interface evaluate() calls."""
-        bounds = np.append(starts, len(features))
-        return np.stack([self.posterior(features[a:b]) for a, b in zip(bounds, bounds[1:])])
+        return softmax(self.log_prior + np.add.reduceat(log_per_segment, starts, axis=0))
 
 
 @dataclass(frozen=True)
@@ -154,7 +150,6 @@ class SyntheticData:
     features: dict[str, np.ndarray]  # track_id -> float32 vector
     oracle: BayesOracle
     table: SegmentTable
-    centroids: np.ndarray
     metadata_lines: list[str]  # the table as metadata.csv lines, header first
 
 
@@ -192,6 +187,5 @@ def generate_synthetic(cfg: SynthConfig) -> SyntheticData:
         features=features,
         oracle=BayesOracle(centroids, cfg.noise_rate, cfg.genre_log_prior()),
         table=table,
-        centroids=centroids,
         metadata_lines=lines,
     )

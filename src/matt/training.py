@@ -76,15 +76,6 @@ def nll_losses(probabilities: np.ndarray, golds: np.ndarray, genre_weights=None)
     return losses, d_scores
 
 
-def nll_loss(prediction, gold: int):
-    """Returns (loss, dLoss/dScores) for -log p[gold] of one bag."""
-    p = prediction.probabilities
-    if not 0 <= gold < p.shape[0]:
-        raise InvalidConfig(f"gold genre {gold} out of range for {p.shape[0]} genres")
-    losses, d_scores = nll_losses(p[np.newaxis, :], np.array([gold]))
-    return float(losses[0]), d_scores[0]
-
-
 def pack_bags(bags, features: dict[str, np.ndarray]):
     """Members of bags as one packed float64 matrix, bag after bag.
 
@@ -98,12 +89,6 @@ def pack_bags(bags, features: dict[str, np.ndarray]):
     except KeyError as exc:
         raise MissingFeature(f"no features for segment {exc.args[0]!r}") from None
     return np.array(rows, dtype=np.float64), np.cumsum(sizes) - sizes
-
-
-def bag_feature_matrix(bag: Bag, features: dict[str, np.ndarray]) -> np.ndarray:
-    """One bag's (m, D) member rows. Nothing in matt calls it any more; it
-    stays because perfbench/layers.PROBES wraps it by name."""
-    return pack_bags([bag], features)[0]
 
 
 def new_model(cfg: TrainConfig, input_dim: int, n_genres: int) -> MattModel:
@@ -207,3 +192,20 @@ def singleton_bagset(table: SegmentTable) -> BagSet:
 def train_segment_baseline(table: SegmentTable, features, cfg: TrainConfig):
     """Plain per-segment training: train() over singleton bags."""
     return train(singleton_bagset(table), features, cfg)
+
+
+# -- per-bag wrappers: nothing in matt calls them; they exist only because
+# perfbench/layers.PROBES wraps each of them by name -- #
+
+def nll_loss(prediction, gold: int):
+    """Returns (loss, dLoss/dScores) for -log p[gold] of one bag."""
+    p = prediction.probabilities
+    if not 0 <= gold < p.shape[0]:
+        raise InvalidConfig(f"gold genre {gold} out of range for {p.shape[0]} genres")
+    losses, d_scores = nll_losses(p[np.newaxis, :], np.array([gold]))
+    return float(losses[0]), d_scores[0]
+
+
+def bag_feature_matrix(bag: Bag, features: dict[str, np.ndarray]) -> np.ndarray:
+    """One bag's (m, D) member rows."""
+    return pack_bags([bag], features)[0]

@@ -5,11 +5,24 @@ perfbench/layers.PROBES; a renamed or deleted target breaks that run. This
 imports the probe table without writing anything under perfbench/.
 """
 
+import ast
 import importlib
 import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "matt"
+
+# the per-bag wrappers that stay only because PROBES wraps them by name
+PER_BAG = {
+    "forward_bag",
+    "backward_bag",
+    "predict_segment",
+    "forward_singletons",
+    "backward_singletons",
+    "nll_loss",
+    "bag_feature_matrix",
+}
 
 
 def test_every_probe_target_resolves(monkeypatch):
@@ -66,3 +79,28 @@ def test_traced_extraction_records_every_dsp_layer(monkeypatch, tmp_path):
     ops = {tracer.op_id}
     assert tracer.counter("dsp.stft_bytes", ops) > 0
     assert tracer.counter("dsp.frame_signal_calls", ops) == 1
+
+
+def per_bag_calls(node, inside=False):
+    """Line and name of each call to a PER_BAG name outside the wrappers."""
+    if isinstance(node, ast.FunctionDef) and node.name in PER_BAG:
+        inside = True
+    found = []
+    if isinstance(node, ast.Call) and not inside:
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name in PER_BAG:
+            found.append((node.lineno, name))
+    for child in ast.iter_child_nodes(node):
+        found += per_bag_calls(child, inside)
+    return found
+
+
+def test_matt_runs_the_packed_engine_only():
+    """Only the wrappers themselves may call the per-bag names; every other
+    pass in matt goes through the packed engine. Delete this test together
+    with the wrappers."""
+    modules = sorted(SRC.rglob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        calls = per_bag_calls(ast.parse(path.read_text(encoding="utf-8")))
+        assert not calls, f"{path.relative_to(SRC)} calls {calls}"

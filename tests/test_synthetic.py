@@ -9,7 +9,7 @@ from matt.synthetic import (
     make_centroids,
     train_bag_counts,
 )
-from matt.training import bag_feature_matrix
+from matt.training import pack_bags
 
 
 def small_cfg(**overrides):
@@ -46,13 +46,13 @@ def test_same_seed_is_bit_identical():
     assert sorted(a.features) == sorted(b.features)
     for track_id in a.features:
         assert np.array_equal(a.features[track_id], b.features[track_id])
-    assert np.array_equal(a.centroids, b.centroids)
+    assert np.array_equal(a.oracle.centroids, b.oracle.centroids)
 
 
 def test_different_seeds_differ():
     a = generate_synthetic(small_cfg(seed=1))
     b = generate_synthetic(small_cfg(seed=2))
-    assert not np.array_equal(a.centroids, b.centroids)
+    assert not np.array_equal(a.oracle.centroids, b.oracle.centroids)
 
 
 def test_centroids_unit_norm_and_separated():
@@ -112,14 +112,26 @@ def test_oracle_is_near_perfect_on_easy_config():
         genre = int(rng.integers(0, 2))
         m = int(rng.integers(8, 13))
         X = centroids[genre] + rng.standard_normal((m, 8))
-        hits += int(np.argmax(oracle.posterior(X)) == genre)
+        hits += int(np.argmax(oracle.forward_packed(X, [0])[0]) == genre)
     assert hits / n_bags >= 0.99
 
 
 def test_oracle_posterior_is_probability_vector():
     data = generate_synthetic(small_cfg())
-    bag = data.bags.bags[0]
-    post = data.oracle.posterior(bag_feature_matrix(bag, data.features))
+    X, _ = pack_bags(data.bags.bags[:1], data.features)
+    post = data.oracle.forward_packed(X, [0])[0]
     assert post.shape == (4,)
     assert np.all(post > 0.0)
     assert abs(post.sum() - 1.0) <= 1e-12
+
+
+def test_packed_oracle_equals_one_call_per_bag():
+    # ragged bags of 2-5 members, with background segments (noise_rate 0.2)
+    data = generate_synthetic(small_cfg())
+    X, starts = pack_bags(data.bags.split_bags("test"), data.features)
+    packed = data.oracle.forward_packed(X, starts)
+    bounds = np.append(starts, len(X))
+    assert len(set(np.diff(bounds))) > 1
+    for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        alone = data.oracle.forward_packed(X[lo:hi], [0])[0]
+        assert np.max(np.abs(packed[b] - alone)) <= 1e-12, f"bag {b}"
