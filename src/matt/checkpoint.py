@@ -49,8 +49,11 @@ def save_checkpoint(path, store: ParamStore):
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read parameters back as a name -> (rows, cols) float64 dict."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise BadCheckpoint(f"cannot read checkpoint {path}: {exc}") from exc
     if data[:4] != MAGIC:
         raise BadCheckpoint(f"{path}: bad magic {data[:4]!r}")
     offset = 4

@@ -2,6 +2,13 @@
 
 Feature cache: one CSV per feature set, header `track_id,<family>_<stat>_<index>,...`,
 float32 values printed as %.9g (9 significant digits round-trip float32).
+The CSV is the interchange format; the writer also leaves a binary sidecar
+`<set>.csv.bin` beside it: magic "FEAT", version u32=1, the SHA-256 of the
+CSV's bytes, rows u32, columns u32, id-block length u32, the track ids as
+UTF-8 joined by "\n", row-major little-endian float32 (NaN as the parser
+reads "nan"), then a SHA-256 of everything before it. The reader serves the
+sidecar only when it is whole and was written with the CSV's current bytes;
+otherwise it parses the CSV text. Reads never write either file.
 
 Mel cache: per track, magic "MELF", version u32=1, n_mels u32, n_frames u32,
 then row-major little-endian float32.
@@ -9,16 +16,21 @@ then row-major little-endian float32.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 from itertools import chain
 
 import numpy as np
 
-from ..errors import CorruptAudio, DuplicateTrack, NotUtf8, ShapeError
+from ..errors import CorruptAudio, DuplicateTrack, NotUtf8, ShapeError, ValidationError
 
 MEL_MAGIC = b"MELF"
 MEL_VERSION = 1
+FEATURE_MAGIC = b"FEAT"
+FEATURE_VERSION = 1
+# magic, version, SHA-256 of the CSV, rows, columns, id-block length
+SIDECAR_HEAD = struct.Struct("<4sI32sIII")
 
 
 WRITE_BLOCK = 4096  # rows formatted per %
@@ -33,10 +45,12 @@ def format_feature_rows(track_ids: list[str], matrix: np.ndarray) -> str:
 
 
 def write_feature_csv(path, columns: list[str], rows: dict[str, np.ndarray]):
-    """Write track_id -> vector rows (sorted by track id) atomically.
+    """Write track_id -> vector rows (sorted by track id) atomically, and the
+    binary sidecar `<path>.bin` beside it.
 
     For a named feature set, pass feature_set_columns(set_name) as columns.
-    Vectors are stored as float32.
+    Vectors are stored as float32. Both files are written block by block; the
+    sidecar's CSV digest and checksum are filled in at the end.
     """
     track_ids = sorted(rows)
     for track_id in track_ids:
@@ -45,26 +59,105 @@ def write_feature_csv(path, columns: list[str], rows: dict[str, np.ndarray]):
                 f"{track_id}: vector length {np.shape(rows[track_id])} "
                 f"!= header width {len(columns)}"
             )
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("track_id," + ",".join(columns) + "\n")
+    _check_names(path, columns, track_ids)
+    csv_digest = hashlib.sha256()
+    tmp, tmp_sidecar = f"{path}.tmp", f"{path}.bin.tmp"
+    with open(tmp, "wb") as csv, open(tmp_sidecar, "w+b") as sidecar:
+        _write_hashed(csv, csv_digest, ("track_id," + ",".join(columns) + "\n").encode("utf-8"))
+        _write_sidecar_head(sidecar, track_ids, len(columns))
         for i in range(0, len(track_ids), WRITE_BLOCK):
             block = track_ids[i : i + WRITE_BLOCK]
             matrix = np.array([rows[t] for t in block], dtype=np.float32)
-            fh.write(format_feature_rows(block, matrix))
+            # the text goes straight through: a local would keep it alive
+            # while the next block is formatted, the writer's peak
+            _write_hashed(csv, csv_digest, format_feature_rows(block, matrix).encode("utf-8"))
+            # the text keeps no NaN sign or payload: store the NaN it parses to
+            np.copyto(matrix, np.float32(np.nan), where=np.isnan(matrix))
+            sidecar.write(np.ascontiguousarray(matrix, dtype="<f4").tobytes())
+        sidecar.seek(len(FEATURE_MAGIC) + 4)  # past magic and version
+        sidecar.write(csv_digest.digest())
+        sidecar.seek(0)
+        sidecar.write(hashlib.file_digest(sidecar, "sha256").digest())
     os.replace(tmp, path)
+    os.replace(tmp_sidecar, f"{path}.bin")
+
+
+def _check_names(path, columns: list[str], track_ids: list[str]):
+    """Each name must read back from the text as written: none may hold a
+    comma or a line break, and the header needs a column."""
+    if not columns:
+        raise ShapeError(f"{path}: no feature columns")
+    names = "".join(columns) + "".join(track_ids)
+    if "," in names or "\n" in names or "\r" in names:
+        bad = next(n for n in [*columns, *track_ids] if {",", "\n", "\r"} & set(n))
+        raise ShapeError(f"{path}: name {bad!r} holds a comma or a line break")
+
+
+def _write_sidecar_head(fh, track_ids: list[str], n_columns: int):
+    """Everything before the values, with a zero CSV digest for the writer
+    to fill in; the id block is freed before the rows are formatted."""
+    ids = "\n".join(track_ids).encode("utf-8")
+    fh.write(SIDECAR_HEAD.pack(FEATURE_MAGIC, FEATURE_VERSION, bytes(32),
+                               len(track_ids), n_columns, len(ids)))
+    fh.write(ids)
+
+
+def _write_hashed(fh, digest, data: bytes):
+    fh.write(data)
+    digest.update(data)
 
 
 def read_feature_csv(path) -> dict[str, np.ndarray]:
-    """Returns track_id -> float32 vector; header is not validated against a set."""
+    """Returns track_id -> float32 vector; header is not validated against a set.
+
+    The sidecar `<path>.bin` is served when it is valid for the CSV's current
+    bytes; any other CSV, edited or hand-written, is parsed as text.
+    """
     try:
+        table = _read_sidecar(path)
+        if table is not None:
+            return table
         with open(path, encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     except UnicodeDecodeError:
         raise NotUtf8.in_file(path) from None
+    except OSError as exc:
+        raise ValidationError(f"cannot read feature cache {path}: {exc}") from exc
     if not lines or not lines[0].startswith("track_id,"):
         raise CorruptAudio(f"{path}: missing feature header")
     return parse_feature_rows(lines[1:], lines[0].count(","), path)
+
+
+def _read_sidecar(csv_path) -> dict[str, np.ndarray] | None:
+    """The rows of the CSV's sidecar, or None unless its magic, version,
+    size, stored CSV digest and checksum all match. Only an error reading
+    the CSV itself is raised."""
+    try:
+        fh = open(f"{csv_path}.bin", "rb")
+    except OSError:
+        return None
+    with fh:
+        head = fh.read(SIDECAR_HEAD.size)
+        if len(head) != SIDECAR_HEAD.size:
+            return None
+        magic, version, digest, n_rows, n_columns, n_id_bytes = SIDECAR_HEAD.unpack(head)
+        size = SIDECAR_HEAD.size + n_id_bytes + 4 * n_rows * n_columns + 32
+        if (
+            (magic, version) != (FEATURE_MAGIC, FEATURE_VERSION)
+            or os.fstat(fh.fileno()).st_size != size
+        ):
+            return None
+        with open(csv_path, "rb") as csv:
+            if hashlib.file_digest(csv, "sha256").digest() != digest:
+                return None
+        ids = fh.read(n_id_bytes)
+        matrix = np.fromfile(fh, dtype="<f4", count=n_rows * n_columns)
+        checksum = hashlib.sha256(head + ids)
+        checksum.update(matrix)
+        if fh.read() != checksum.digest():
+            return None
+    track_ids = ids.decode("utf-8").split("\n") if n_rows else []
+    return dict(zip(track_ids, matrix.reshape(n_rows, n_columns)))
 
 
 def parse_feature_rows(lines: list[str], n_values: int, source) -> dict[str, np.ndarray]:

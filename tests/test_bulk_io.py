@@ -2,10 +2,14 @@
 
 Each reference below is the loop the fast path replaced, kept here so the fast
 path is proven equal to it: bitwise for the feature cache read, byte for byte
-for the feature cache write, pr.csv and predict output.
+for the feature cache write, pr.csv and predict output. The feature cache's
+binary sidecar is proven equal to the text parse it stands in for, and never
+served for a CSV it was not written with.
 """
 
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from matt.cli import format_predictions
 from matt.dataset import load_metadata
 from matt.dsp import read_feature_csv, write_feature_csv
 from matt.dsp.cache import WRITE_BLOCK, format_feature_rows, parse_feature_rows
-from matt.errors import CorruptAudio, DuplicateTrack, NotUtf8
+from matt.errors import CorruptAudio, DuplicateTrack, NotUtf8, ShapeError
 from matt.evaluation import EvalReport
 
 
@@ -45,6 +49,35 @@ def reference_read_feature_csv(path) -> dict[str, np.ndarray]:
         with np.errstate(over="ignore"):  # beyond float32 range is inf, as in the loader
             rows[parts[0]] = np.array([float(p) for p in parts[1:]], dtype=np.float32)
     return rows
+
+
+def assert_same_table(table, reference):
+    """Same ids in the same order, each vector float32 and bitwise equal."""
+    assert list(table) == list(reference)
+    for track_id, vector in reference.items():
+        assert table[track_id].dtype == np.float32
+        assert table[track_id].tobytes() == vector.tobytes()
+
+
+def read_served_and_parsed(path):
+    """The sidecar read, with the text parser barred from running, and the
+    text parse of the same CSV after the sidecar is deleted."""
+    with mock.patch("matt.dsp.cache.parse_feature_rows", side_effect=AssertionError("parsed")):
+        served = read_feature_csv(path)
+    Path(f"{path}.bin").unlink()
+    return served, read_feature_csv(path)
+
+
+def read_parsed(path):
+    """read_feature_csv, asserting that it parsed the text and wrote nothing."""
+    before = {p: p.read_bytes() for p in Path(path).parent.iterdir()}
+    with mock.patch(
+        "matt.dsp.cache.parse_feature_rows", wraps=parse_feature_rows
+    ) as parser:
+        table = read_feature_csv(path)
+    assert parser.called, "the sidecar was served"
+    assert {p: p.read_bytes() for p in Path(path).parent.iterdir()} == before
+    return table
 
 
 def reference_pr_csv(points) -> str:
@@ -162,6 +195,8 @@ def test_feature_csv_write_blocks_equal_the_per_cell_reference(tmp_path, n_rows)
     write_feature_csv(tmp_path / "fast.csv", columns, rows)
     reference_write_feature_csv(tmp_path / "reference.csv", columns, rows)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    # the sidecar is written in the same blocks; its read equals the text parse
+    assert_same_table(*read_served_and_parsed(tmp_path / "fast.csv"))
 
 
 def test_part_row_equals_the_per_cell_reference():
@@ -179,19 +214,19 @@ def test_header_only_feature_csv_is_empty_without_a_warning(tmp_path):
         assert read_feature_csv(path) == {}
 
 
-@pytest.mark.parametrize(
-    "row, error, message",
-    [
-        ("b,1,2,3", CorruptAudio, "track 'b': row width 4 != header 3"),
-        ("b,1", CorruptAudio, "track 'b': row width 2 != header 3"),
-        ("a,5,6", DuplicateTrack, "duplicate track 'a'"),
-        ("b,1,abc", CorruptAudio, "track 'b': 'abc' is not a number"),
-        ("b,1,", CorruptAudio, "track 'b': '' is not a number"),
-        # float() takes these two; the loader does not, and the reader says so
-        ("b,1_000,2", CorruptAudio, "track 'b': '1_000' is not a number"),
-        ("b,1,١", CorruptAudio, "track 'b': '١' is not a number"),
-    ],
-)
+BAD_ROWS = [
+    ("b,1,2,3", CorruptAudio, "track 'b': row width 4 != header 3"),
+    ("b,1", CorruptAudio, "track 'b': row width 2 != header 3"),
+    ("a,5,6", DuplicateTrack, "duplicate track 'a'"),
+    ("b,1,abc", CorruptAudio, "track 'b': 'abc' is not a number"),
+    ("b,1,", CorruptAudio, "track 'b': '' is not a number"),
+    # float() takes these two; the loader does not, and the reader says so
+    ("b,1_000,2", CorruptAudio, "track 'b': '1_000' is not a number"),
+    ("b,1,١", CorruptAudio, "track 'b': '١' is not a number"),
+]
+
+
+@pytest.mark.parametrize("row, error, message", BAD_ROWS)
 def test_bad_feature_row_names_the_file_and_track(tmp_path, row, error, message):
     path = tmp_path / "set.csv"
     path.write_text(f"track_id,x_0,x_1\na,1,2\n{row}\nc,3,4\n", encoding="utf-8")
@@ -213,6 +248,101 @@ def test_non_utf8_text_names_the_file_and_line(tmp_path, reader):
     path.write_bytes(header + b"\nt1,a,p,rock,train\nt2,a,p,caf\xe9,train\n")
     with pytest.raises(NotUtf8, match=r"input\.csv: line 3 is not UTF-8 \(byte 0xe9\)$"):
         reader(path)
+
+
+sidecar_cells = st.one_of(
+    st.sampled_from(SPECIAL_FLOAT32),
+    st.floats(width=32, allow_nan=True),
+    # any bit pattern: NaNs with a sign or payload the text cannot carry
+    st.integers(0, 2**32 - 1).map(lambda b: np.uint32(b).view(np.float32)),
+)
+track_ids = st.text(
+    st.characters(blacklist_characters=",\r\n", blacklist_categories=("Cs",)), max_size=6
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n_rows=st.integers(0, 6), n_values=st.integers(1, 5))
+def test_sidecar_read_equals_the_text_parse_bitwise(tmp_path_factory, data, n_rows, n_values):
+    ids = data.draw(st.lists(track_ids, min_size=n_rows, max_size=n_rows, unique=True))
+    cells = st.lists(sidecar_cells, min_size=n_values, max_size=n_values)
+    rows = {t: np.array(data.draw(cells), dtype=np.float32) for t in ids}
+    path = tmp_path_factory.mktemp("sidecar") / "set.csv"
+    write_feature_csv(path, [f"f_mean_{i}" for i in range(n_values)], rows)
+    served, parsed = read_served_and_parsed(path)
+    assert_same_table(served, parsed)
+    assert list(served) == sorted(rows)
+    for track_id, vector in rows.items():
+        assert np.array_equal(served[track_id], vector, equal_nan=True)
+
+
+def small_cache(path, offset=0.0):
+    rows = {"a": [1.5 + offset, -0.0], "b": [np.nan, 3e-45], "c": [-np.inf, 2.0]}
+    write_feature_csv(path, ["x_0", "x_1"], {t: np.float32(v) for t, v in rows.items()})
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text.replace("1.5", "1.25"),
+        lambda text: text + "d,4,5\n",
+        lambda text: text.replace("\n", "\r\n"),
+    ],
+    ids=["cell-changed", "row-appended", "crlf"],
+)
+def test_sidecar_of_an_edited_csv_is_not_served(tmp_path, edit):
+    path = small_cache(tmp_path / "set.csv")
+    path.write_bytes(edit(path.read_text(encoding="utf-8")).encode("utf-8"))
+    assert_same_table(read_parsed(path), reference_read_feature_csv(path))
+
+
+def test_sidecar_of_a_different_csv_is_not_served(tmp_path):
+    path = small_cache(tmp_path / "set.csv")
+    other = small_cache(tmp_path / "other.csv", offset=1.0)
+    Path(f"{path}.bin").write_bytes(Path(f"{other}.bin").read_bytes())
+    assert_same_table(read_parsed(path), reference_read_feature_csv(path))
+
+
+def test_truncated_or_flipped_sidecar_is_never_served(tmp_path):
+    path = small_cache(tmp_path / "set.csv")
+    sidecar = Path(f"{path}.bin")
+    good = sidecar.read_bytes()
+    truncated = [good[:n] for n in range(len(good))]
+    flipped = [good[:i] + bytes([good[i] ^ 0xFF]) + good[i + 1 :] for i in range(len(good))]
+    reference = reference_read_feature_csv(path)
+    for blob in truncated + flipped:
+        sidecar.write_bytes(blob)
+        assert_same_table(read_parsed(path), reference)
+
+
+@pytest.mark.parametrize("row, error, message", BAD_ROWS)
+def test_bad_csv_beside_a_stale_sidecar_raises_the_text_error(tmp_path, row, error, message):
+    path = tmp_path / "set.csv"
+    write_feature_csv(path, ["x_0", "x_1"], {"a": np.float32([1, 2]), "c": np.float32([3, 4])})
+    path.write_text(f"track_id,x_0,x_1\na,1,2\n{row}\nc,3,4\n", encoding="utf-8")
+    with pytest.raises(error) as info:
+        read_feature_csv(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_non_utf8_csv_beside_a_stale_sidecar_names_the_file_and_line(tmp_path):
+    path = small_cache(tmp_path / "set.csv")
+    path.write_bytes(path.read_bytes().replace(b"b,", b"\xe9,"))
+    with pytest.raises(NotUtf8, match=r"set\.csv: line 3 is not UTF-8 \(byte 0xe9\)$"):
+        read_feature_csv(path)
+
+
+@pytest.mark.parametrize(
+    "columns, track_id",
+    [(["x_0"], "a,b"), (["x_0"], "a\nb"), (["x_0"], "a\r"), (["x,0"], "a"), ([], "a")],
+)
+def test_feature_csv_write_rejects_what_the_text_cannot_hold(tmp_path, columns, track_id):
+    # the text parse would split such a name or reject such a file; the
+    # sidecar, written from the same rows, would then not equal it
+    with pytest.raises(ShapeError, match="set.csv"):
+        write_feature_csv(tmp_path / "set.csv", columns, {track_id: np.ones(len(columns))})
+    assert list(tmp_path.iterdir()) == []
 
 
 PR_POINTS = [

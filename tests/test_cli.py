@@ -297,6 +297,31 @@ def test_evaluate_on_a_truncated_checkpoint_fails_validation(tmp_path, capsys):
         assert str(ckpt) in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("target", ["feature-cache", "checkpoint"])
+def test_a_directory_in_place_of_an_input_file_fails_validation(tmp_path, capsys, target):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        CONFIG_TEMPLATE.format(feature_set="synth", epochs=2)
+        + "\n[synth]\nn_genres = 3\nhead_count = 6\nfeature_dim = 5\n"
+        + "bag_size_min = 1\nbag_size_max = 3\nnoise_rate = 0.1\n",
+        encoding="utf-8",
+    )
+    assert run("gen-synth", "--config", cfg) == 0
+    assert run("train", "--config", cfg) == 0
+    if target == "feature-cache":
+        path = tmp_path / "features" / "synth.csv"
+        path.unlink()
+        path.mkdir()
+        argv = ["evaluate", "--config", cfg]
+    else:
+        path = tmp_path / "ckpt"
+        argv = ["evaluate", "--config", cfg, "--checkpoint", path]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "internal error" not in err
+
+
 def test_unknown_command_and_flag_exit_one(capsys):
     assert pytest.raises(SystemExit, run, "frobnicate").value.code == 1
     err = capsys.readouterr().err

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -69,13 +71,21 @@ def test_non_riff_file_rejected(tmp_path):
         read_wav(path)
 
 
-def test_feature_csv_round_trips_float32(tmp_path):
+def read_back(path, sidecar: str):
+    """read_feature_csv with the writer's binary sidecar present or removed."""
+    if sidecar == "removed":
+        Path(f"{path}.bin").unlink()
+    return read_feature_csv(path)
+
+
+@pytest.mark.parametrize("sidecar", ["present", "removed"])
+def test_feature_csv_round_trips_float32(tmp_path, sidecar):
     rng = np.random.default_rng(2)
     rows = {f"trk{i}": rng.standard_normal(5).astype(np.float32) * 1e3 for i in range(4)}
     path = tmp_path / "set.csv"
     columns = [f"phony_mean_{i}" for i in range(5)]
     write_feature_csv(path, columns, rows)
-    back = read_feature_csv(path)
+    back = read_back(path, sidecar)
     assert sorted(back) == sorted(rows)
     for track_id, vec in rows.items():
         assert np.array_equal(back[track_id], vec)
@@ -87,17 +97,19 @@ def test_feature_csv_write_is_deterministic(tmp_path):
     write_feature_csv(p1, ["x_mean_0"], rows)
     write_feature_csv(p2, ["x_mean_0"], dict(reversed(list(rows.items()))))
     assert p1.read_bytes() == p2.read_bytes()
+    assert Path(f"{p1}.bin").read_bytes() == Path(f"{p2}.bin").read_bytes()
     # rows come out sorted by track id
     lines = p1.read_text().splitlines()
     assert lines[1].startswith("a,") and lines[2].startswith("b,")
 
 
-def test_nine_significant_digits_round_trip_float32(tmp_path):
+@pytest.mark.parametrize("sidecar", ["present", "removed"])
+def test_nine_significant_digits_round_trip_float32(tmp_path, sidecar):
     rng = np.random.default_rng(3)
     values = rng.uniform(-1e6, 1e6, size=200).astype(np.float32)
     rows = {f"t{i:03d}": [v] for i, v in enumerate(values)}
     write_feature_csv(tmp_path / "f.csv", ["x_mean_0"], rows)
-    back = read_feature_csv(tmp_path / "f.csv")
+    back = read_back(tmp_path / "f.csv", sidecar)
     assert np.array_equal([back[f"t{i:03d}"][0] for i in range(200)], values)
 
 
