@@ -155,15 +155,15 @@ def cmd_extract_features(args) -> int:
     mel_dir.mkdir(parents=True, exist_ok=True)
 
     tasks = []
-    for rec in table.records:
-        part = parts_dir / f"{rec.track_id}.part"
-        mel = mel_dir / f"{rec.track_id}.mel"
+    for track_id in table.track_ids:
+        part = parts_dir / f"{track_id}.part"
+        mel = mel_dir / f"{track_id}.mel"
         if part.exists() and mel.exists():
             continue  # resume: already extracted
-        wav = cfg.audio_dir / f"{rec.track_id}.wav"
+        wav = cfg.audio_dir / f"{track_id}.wav"
         if not wav.exists():
             raise ValidationError(f"missing audio file {wav}")
-        tasks.append((rec.track_id, str(wav), str(part), str(mel), feat_cfg))
+        tasks.append((track_id, str(wav), str(part), str(mel), feat_cfg))
 
     if tasks:
         workers = min(max(1, args.workers or 1), len(tasks))
@@ -180,8 +180,8 @@ def cmd_extract_features(args) -> int:
 
     # assemble the requested set from the per-track parts
     lines = []
-    for rec in table.records:
-        part = parts_dir / f"{rec.track_id}.part"
+    for track_id in table.track_ids:
+        part = parts_dir / f"{track_id}.part"
         try:
             lines.append(part.read_text(encoding="utf-8").strip())
         except UnicodeDecodeError:
@@ -229,7 +229,7 @@ def cmd_gen_synth(args) -> int:
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     print(
-        f"wrote {cfg.metadata} ({len(data.table.records)} segments, "
+        f"wrote {cfg.metadata} ({len(data.table)} segments, "
         f"{len(data.bags.bags)} bags) and {cfg.feature_dir / 'synth.csv'}"
     )
     return 0

@@ -9,8 +9,10 @@ shared album.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import compress, groupby, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -31,16 +33,6 @@ SPLITS = ("train", "validation", "test")
 LABEL_POLICIES = ("strict", "majority")
 
 
-class SegmentRecord(NamedTuple):
-    """One metadata row; a tuple, so building one per row costs no per-field setattr."""
-
-    track_id: str
-    album_id: str
-    artist_id: str
-    genre_id: int
-    split: str
-
-
 @dataclass(frozen=True)
 class GenreVocabulary:
     """Genre names in order of first appearance, with training segment counts."""
@@ -58,14 +50,20 @@ class GenreVocabulary:
 
 @dataclass(frozen=True)
 class SegmentTable:
-    records: tuple[SegmentRecord, ...]
+    """Metadata stored by column in file order: row i is entry i of each column."""
+
+    track_ids: tuple[str, ...]
+    album_ids: tuple[str, ...]
+    artist_ids: tuple[str, ...]
+    genre_ids: tuple[int, ...]
+    splits: tuple[str, ...]
     vocabulary: GenreVocabulary
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.track_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bag:
     key: tuple[str, str, str]  # (artist_id, album_id, split)
     segment_ids: tuple[str, ...]
@@ -89,20 +87,39 @@ class BagSet:
 
 
 def parse_metadata_lines(lines, source: str = "<memory>"):
-    """Parse header + rows into a SegmentTable; builds the vocabulary on the fly."""
-    rows = [ln.rstrip("\n") for ln in lines]
-    rows = [ln for ln in rows if ln.strip()]
+    """Parse header + rows into a columnar SegmentTable, split in one pass and
+    checked a column at a time; the first bad row in file order raises."""
+    rows = list(filter(str.strip, lines))
     if not rows or rows[0].strip() != METADATA_HEADER:
         raise BadHeader(f"{source}: expected header {METADATA_HEADER!r}")
-    names: list[str] = []
-    genre_index: dict[str, int] = {}
+    # rows before the first one with a wrong field count are checked first, so
+    # an earlier bad row wins; the header has five fields and is skipped below
+    n = next((i for i, ln in enumerate(rows) if ln.count(",") != 4), len(rows))
+    fields = ",".join(rows[:n]).split(",")
+    track_ids, album_ids, artist_ids, genres, splits = (
+        tuple(map(str.strip, fields[c::5])) for c in range(5, 10)
+    )
+    _check_columns(source, track_ids, genres, splits)
+    if n < len(rows):
+        ln = rows[n].rstrip("\n")
+        raise BadHeader(f"{source}: row has {ln.count(',') + 1} fields: {ln!r}")
+    if not track_ids:
+        raise BadHeader(f"{source}: no rows after the header")
+    genre_index = {name: i for i, name in enumerate(dict.fromkeys(genres))}
+    train = Counter(compress(genres, map("train".__eq__, splits)))
+    vocabulary = GenreVocabulary(tuple(genre_index), tuple(map(train.__getitem__, genre_index)))
+    genre_ids = tuple(map(genre_index.__getitem__, genres))
+    return SegmentTable(track_ids, album_ids, artist_ids, genre_ids, splits, vocabulary)
+
+
+def _check_columns(source: str, track_ids, genres, splits):
+    """Check whole columns; when one fails, raise for the first bad row."""
+    unique = set(track_ids)
+    if (len(unique) == len(track_ids) and "" not in unique and "" not in genres
+            and set(splits).issubset(SPLITS)):
+        return
     seen: set[str] = set()
-    records = []
-    for ln in rows[1:]:
-        parts = ln.split(",")
-        if len(parts) != 5:
-            raise BadHeader(f"{source}: row has {len(parts)} fields: {ln!r}")
-        track_id, album_id, artist_id, genre, split = [p.strip() for p in parts]
+    for track_id, genre, split in zip(track_ids, genres, splits):
         if not track_id:
             raise BadHeader(f"{source}: empty track_id")
         if track_id in seen:
@@ -110,18 +127,8 @@ def parse_metadata_lines(lines, source: str = "<memory>"):
         seen.add(track_id)
         if split not in SPLITS:
             raise BadSplit(f"{source}: unknown split {split!r} for {track_id!r}")
-        if genre not in genre_index:
-            genre_index[genre] = len(names)
-            names.append(genre)
-        records.append(SegmentRecord(track_id, album_id, artist_id, genre_index[genre], split))
-    if not records:
-        raise BadHeader(f"{source}: no rows after the header")
-    counts = [0] * len(names)
-    for rec in records:
-        if rec.split == "train":
-            counts[rec.genre_id] += 1
-    vocab = GenreVocabulary(names=tuple(names), train_counts=tuple(counts))
-    return SegmentTable(records=tuple(records), vocabulary=vocab)
+        if not genre:
+            raise BadHeader(f"{source}: empty genre for {track_id!r}")
 
 
 def load_metadata(path) -> SegmentTable:
@@ -143,39 +150,30 @@ def build_bags(table: SegmentTable, label_policy: str = "majority") -> BagSet:
     """
     if label_policy not in LABEL_POLICIES:
         raise InvalidConfig(f"unknown label policy {label_policy!r}")
-    groups: dict[tuple, list[SegmentRecord]] = {}
-    for rec in table.records:
-        if rec.artist_id and rec.album_id:
-            key = (rec.artist_id, rec.album_id, rec.split, "")
-        else:
-            # missing metadata: private key component keeps the bag singleton
-            key = (rec.artist_id, rec.album_id, rec.split, rec.track_id)
-        groups.setdefault(key, []).append(rec)
-
+    # one sort orders bags by (artist, album, split) and members by track id;
+    # track ids are unique, so the genre column is never compared
+    rows = sorted(zip(table.artist_ids, table.album_ids, table.splits, table.track_ids,
+                      table.genre_ids))
     bags = []
-    for key in sorted(groups):
-        members = sorted(groups[key], key=lambda r: r.track_id)
-        labels = [r.genre_id for r in members]
+    for key, run in groupby(rows, itemgetter(0, 1, 2)):
+        *_, segment_ids, labels = zip(*run)
+        if not (key[0] and key[1]):
+            # missing metadata: every segment is its own bag
+            bags.extend(map(Bag, repeat(key), zip(segment_ids), labels))
+            continue
         distinct = sorted(set(labels))
         if len(distinct) == 1:
             genre_id = distinct[0]
         elif label_policy == "strict":
             raise InconsistentBagLabel(
-                f"bag {key[:3]} mixes genres {distinct} across {len(members)} segments"
+                f"bag {key} mixes genres {distinct} across {len(labels)} segments"
             )
         else:
-            top = max(labels.count(g) for g in distinct)
-            genre_id = min(g for g in distinct if labels.count(g) == top)
+            genre_id = max(distinct, key=labels.count)  # a tie keeps the first, lowest id
             log.warning(
-                "bag %s mixes genres %s; majority label %d chosen", key[:3], distinct, genre_id
+                "bag %s mixes genres %s; majority label %d chosen", key, distinct, genre_id
             )
-        bags.append(
-            Bag(
-                key=key[:3],
-                segment_ids=tuple(r.track_id for r in members),
-                genre_id=genre_id,
-            )
-        )
+        bags.append(Bag(key=key, segment_ids=segment_ids, genre_id=genre_id))
     return BagSet(bags=tuple(bags), vocabulary=table.vocabulary)
 
 

@@ -63,8 +63,13 @@ class TrainLog:
 def nll_losses(probabilities: np.ndarray, golds: np.ndarray, genre_weights=None):
     """Per-row -log p[gold] and dLoss/dScores for (B, G) probabilities.
 
-    With genre_weights, row b is scaled by genre_weights[golds[b]].
+    With genre_weights, row b is scaled by genre_weights[golds[b]]. A gold id
+    outside [0, G) raises InvalidConfig.
     """
+    ids = golds.tolist()  # min and max of a short list are cheaper in Python
+    if ids and not 0 <= min(ids) <= max(ids) < probabilities.shape[1]:
+        bad = min(ids) if min(ids) < 0 else max(ids)
+        raise InvalidConfig(f"gold genre {bad} out of range for {probabilities.shape[1]} genres")
     rows = np.arange(len(golds))
     losses = -np.log(np.maximum(probabilities[rows, golds], PROB_FLOOR))
     d_scores = probabilities.copy()
@@ -180,12 +185,10 @@ def train(bags: BagSet, features: dict[str, np.ndarray], cfg: TrainConfig):
 
 
 def singleton_bagset(table: SegmentTable) -> BagSet:
-    """Every segment as its own bag: the segment-level (no-bagging) view."""
-    bags = tuple(
-        Bag(key=(rec.artist_id, rec.album_id, rec.split), segment_ids=(rec.track_id,),
-            genre_id=rec.genre_id)
-        for rec in sorted(table.records, key=lambda r: r.track_id)
-    )
+    """Every segment as its own bag, in track id order: the segment-level view."""
+    track_ids, *key_columns, genre_ids = zip(*sorted(
+        zip(table.track_ids, table.artist_ids, table.album_ids, table.splits, table.genre_ids)))
+    bags = tuple(map(Bag, zip(*key_columns), zip(track_ids), genre_ids))
     return BagSet(bags=bags, vocabulary=table.vocabulary)
 
 
@@ -199,10 +202,7 @@ def train_segment_baseline(table: SegmentTable, features, cfg: TrainConfig):
 
 def nll_loss(prediction, gold: int):
     """Returns (loss, dLoss/dScores) for -log p[gold] of one bag."""
-    p = prediction.probabilities
-    if not 0 <= gold < p.shape[0]:
-        raise InvalidConfig(f"gold genre {gold} out of range for {p.shape[0]} genres")
-    losses, d_scores = nll_losses(p[np.newaxis, :], np.array([gold]))
+    losses, d_scores = nll_losses(prediction.probabilities[np.newaxis, :], np.array([gold]))
     return float(losses[0]), d_scores[0]
 
 

@@ -1,7 +1,13 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matt.dataset import (
+    SPLITS,
+    Bag,
     build_bags,
     load_metadata,
     parse_metadata_lines,
@@ -13,7 +19,9 @@ from matt.errors import (
     DuplicateTrack,
     InconsistentBagLabel,
     InvalidConfig,
+    ValidationError,
 )
+from matt.training import singleton_bagset
 
 HEADER = "track_id,album_id,artist_id,genre,split"
 
@@ -50,6 +58,11 @@ def test_header_only_metadata_rejected(tmp_path):
         load_metadata(path)
 
 
+def test_empty_genre_rejected_naming_the_file_and_track():
+    with pytest.raises(BadHeader, match=r"^<memory>: empty genre for 't2'$"):
+        table_of("t1,a,p,rock,train", "t2,a,p, ,train")
+
+
 def test_duplicate_track_rejected():
     with pytest.raises(DuplicateTrack):
         table_of("t1,a1,p1,rock,train", "t1,a1,p1,rock,train")
@@ -59,7 +72,9 @@ def test_metadata_file_round_trip(tmp_path):
     path = tmp_path / "meta.csv"
     path.write_text(HEADER + "\nt1,a1,p1,rock,train\n", encoding="utf-8")
     table = load_metadata(path)
-    assert table.records[0].track_id == "t1"
+    assert table.track_ids == ("t1",)
+    assert (table.album_ids, table.artist_ids, table.genre_ids) == (("a1",), ("p1",), (0,))
+    assert table.splits == ("train",)
 
 
 def test_same_key_same_genre_makes_one_bag():
@@ -174,3 +189,185 @@ def test_save_bags_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "artist_id,album_id,split,genre,track_ids"
     assert lines[1] == "p1,a1,train,rock,t1;t2"
+
+
+# -- the per-row reference: the parser and bag builders the columnar ones
+# replaced, kept here so the columnar ones are proven equal to them -- #
+
+def reference_parse(lines, source="<memory>"):
+    """(records, names, train_counts); a record is (track, album, artist, genre_id, split)."""
+    rows = [ln.rstrip("\n") for ln in lines]
+    rows = [ln for ln in rows if ln.strip()]
+    if not rows or rows[0].strip() != HEADER:
+        raise BadHeader(f"{source}: expected header {HEADER!r}")
+    names, genre_index, seen, records = [], {}, set(), []
+    for ln in rows[1:]:
+        parts = ln.split(",")
+        if len(parts) != 5:
+            raise BadHeader(f"{source}: row has {len(parts)} fields: {ln!r}")
+        track_id, album_id, artist_id, genre, split = [p.strip() for p in parts]
+        if not track_id:
+            raise BadHeader(f"{source}: empty track_id")
+        if track_id in seen:
+            raise DuplicateTrack(f"{source}: duplicate track_id {track_id!r}")
+        seen.add(track_id)
+        if split not in SPLITS:
+            raise BadSplit(f"{source}: unknown split {split!r} for {track_id!r}")
+        if not genre:
+            raise BadHeader(f"{source}: empty genre for {track_id!r}")
+        if genre not in genre_index:
+            genre_index[genre] = len(names)
+            names.append(genre)
+        records.append((track_id, album_id, artist_id, genre_index[genre], split))
+    if not records:
+        raise BadHeader(f"{source}: no rows after the header")
+    counts = [0] * len(names)
+    for rec in records:
+        if rec[4] == "train":
+            counts[rec[3]] += 1
+    return records, tuple(names), tuple(counts)
+
+
+def reference_load(path):
+    with open(path, encoding="utf-8") as fh:
+        return reference_parse(fh, source=str(path))
+
+
+def reference_build_bags(records, label_policy):
+    """(bags, warnings): the bags in order, and each majority warning's text."""
+    groups = {}
+    for rec in records:
+        track_id, album_id, artist_id, _, split = rec
+        private = "" if artist_id and album_id else track_id
+        groups.setdefault((artist_id, album_id, split, private), []).append(rec)
+    bags, warnings = [], []
+    for key in sorted(groups):
+        members = sorted(groups[key], key=lambda r: r[0])
+        labels = [r[3] for r in members]
+        distinct = sorted(set(labels))
+        if len(distinct) == 1:
+            genre_id = distinct[0]
+        elif label_policy == "strict":
+            raise InconsistentBagLabel(
+                f"bag {key[:3]} mixes genres {distinct} across {len(members)} segments"
+            )
+        else:
+            top = max(labels.count(g) for g in distinct)
+            genre_id = min(g for g in distinct if labels.count(g) == top)
+            warnings.append(
+                f"bag {key[:3]} mixes genres {distinct}; majority label {genre_id} chosen"
+            )
+        bags.append(Bag(key=key[:3], segment_ids=tuple(r[0] for r in members), genre_id=genre_id))
+    return bags, warnings
+
+
+def reference_singletons(records):
+    return [
+        Bag(key=(artist_id, album_id, split), segment_ids=(track_id,), genre_id=genre_id)
+        for track_id, album_id, artist_id, genre_id, split in sorted(records, key=lambda r: r[0])
+    ]
+
+
+def outcome(fn, *args):
+    """fn(*args), or the class and message of the ValidationError it raises."""
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def build_bags_logged(table, label_policy):
+    """(bags, warnings) from build_bags, with the text of each warning it logs."""
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logger = logging.getLogger("matt.dataset")
+    logger.addHandler(handler)
+    try:
+        bags = build_bags(table, label_policy)
+    finally:
+        logger.removeHandler(handler)
+    return list(bags.bags), [r.getMessage() for r in records]
+
+
+def assert_table_equals_reference(table, expected):
+    records, names, counts = expected
+    assert (table.vocabulary.names, table.vocabulary.train_counts) == (names, counts)
+    columns = (table.track_ids, table.album_ids, table.artist_ids, table.genre_ids, table.splits)
+    assert columns == tuple(zip(*records))
+    for policy in ("strict", "majority"):
+        assert outcome(build_bags_logged, table, policy) == outcome(
+            reference_build_bags, records, policy
+        )
+    assert list(singleton_bagset(table).bags) == reference_singletons(records)
+
+
+def padded(values):
+    """Cells drawn from values, some padded with spaces or tabs."""
+    pad = st.sampled_from(["", "", " ", "\t", "  "])
+    return st.tuples(pad, st.sampled_from(values), pad).map("".join)
+
+
+# few albums, artists and genres, so bags share members, mix labels and tie;
+# a repeated value is drawn more often
+CLEAN_ROW = st.tuples(
+    padded(["", "a1", "a1", "a2"]),
+    padded(["", "p1", "p1", "p2"]),
+    padded(["rock", "jazz", "pop"]),
+    padded(SPLITS),
+)
+FAULTS = {
+    "duplicate id": lambda row, other: [other[0], *row[1:]],
+    "empty id": lambda row, other: [" ", *row[1:]],
+    "unknown split": lambda row, other: [*row[:4], "dev"],
+    "empty genre": lambda row, other: [*row[:3], "", row[4]],
+    "extra field": lambda row, other: [*row, "x"],
+    "missing field": lambda row, other: row[:4],
+}
+
+
+@st.composite
+def metadata_lines(draw):
+    """Header and rows in shuffled order, with blank lines and up to three faults."""
+    n = draw(st.integers(1, 14))
+    ids = draw(st.lists(padded([f"t{i}" for i in range(20)]), min_size=n, max_size=n,
+                        unique_by=str.strip))
+    rows = [[track_id, *draw(CLEAN_ROW)] for track_id in ids]
+    # faults land on the first three rows, so one row often has several;
+    # the shuffle below still puts them anywhere in the file
+    faults = draw(st.lists(st.tuples(
+        st.sampled_from(sorted(FAULTS)), st.integers(0, min(n, 3) - 1), st.integers(0, n - 1)
+    ), max_size=3))
+    # faults that change a row's field count go last, so every other finds five
+    for kind, where, other in sorted(faults, key=lambda f: f[0].endswith("field")):
+        rows[where] = FAULTS[kind](rows[where], rows[other])
+    lines = [",".join(row) for row in draw(st.permutations(rows))]
+    for at, blank in draw(st.lists(st.tuples(st.integers(1, n), st.sampled_from(["", " ", "\t "])),
+                                   max_size=3)):
+        lines.insert(at, blank)
+    return [HEADER, *lines]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=metadata_lines())
+def test_columnar_parse_and_bags_equal_the_per_row_reference(lines):
+    expected = outcome(reference_parse, lines)
+    table = outcome(parse_metadata_lines, lines)
+    if isinstance(expected, tuple) and isinstance(expected[0], type):
+        assert table == expected  # the same error for the same first bad row
+    else:
+        assert_table_equals_reference(table, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lines=metadata_lines(), newline=st.sampled_from(["\n", "\r\n"]),
+       final=st.booleans())
+def test_load_metadata_equals_the_per_row_reference(tmp_path_factory, lines, newline, final):
+    path = tmp_path_factory.mktemp("meta") / "metadata.csv"
+    path.write_bytes((newline.join(lines) + newline * final).encode("utf-8"))
+    expected = outcome(reference_load, path)
+    table = outcome(load_metadata, path)
+    if isinstance(expected, tuple) and isinstance(expected[0], type):
+        assert table == expected
+    else:
+        assert_table_equals_reference(table, expected)

@@ -88,7 +88,7 @@ def test_bag_sizes_respect_range():
 def test_partition_and_split_purity():
     data = generate_synthetic(small_cfg())
     seen = [tid for b in data.bags.bags for tid in b.segment_ids]
-    assert len(seen) == len(set(seen)) == len(data.table.records)
+    assert len(seen) == len(set(seen)) == len(data.table)
 
 
 def test_oracle_is_near_perfect_on_easy_config():

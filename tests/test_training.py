@@ -10,6 +10,7 @@ from matt.synthetic import SynthConfig, generate_synthetic
 from matt.training import (
     TrainConfig,
     nll_loss,
+    nll_losses,
     singleton_bagset,
     train,
     train_segment_baseline,
@@ -58,6 +59,13 @@ def test_loss_gradient_matches_finite_differences():
 def test_invalid_gold_rejected():
     with pytest.raises(InvalidConfig):
         nll_loss(prediction_with([0.5, 0.5]), 7)
+
+
+@pytest.mark.parametrize("golds, bad", [([0, -1], -1), ([1, 2], 2), ([2, -3, 1], -3)])
+def test_nll_losses_rejects_a_gold_id_outside_the_genres(golds, bad):
+    probabilities = np.full((len(golds), 2), 0.5)
+    with pytest.raises(InvalidConfig, match=rf"^gold genre {bad} out of range for 2 genres$"):
+        nll_losses(probabilities, np.array(golds))
 
 
 def two_genre_data(seed=0):
