@@ -120,14 +120,14 @@ class MattModel:
         mean aggregator) and its (n_rows,) weight; weights sum to 1 per bag.
         """
         if self.aggregator == "mean":
-            return None, np.repeat(1.0 / sizes, sizes)
+            return None, (1.0 / sizes).repeat(sizes)
         w = self.params.values["att_w"][0]
         d = self.encoder.output_dim
         q = self.params.values["att_q"][:, 0]
         squashed = np.tanh(embeddings @ w[:d] + w[d:] @ q)
         logits = squashed + self.params.values["att_b"][0]
-        e = np.exp(logits - np.repeat(np.maximum.reduceat(logits, starts), sizes))
-        return squashed, e / np.repeat(np.add.reduceat(e, starts), sizes)
+        e = np.exp(logits - np.maximum.reduceat(logits, starts).repeat(sizes))
+        return squashed, e / np.add.reduceat(e, starts).repeat(sizes)
 
     def genre_scores(self, representations: np.ndarray) -> np.ndarray:
         """(B, d) bag representations -> (B, G) genre probabilities."""
@@ -143,9 +143,12 @@ class MattModel:
         features = np.asarray(features, dtype=np.float64)
         starts = np.asarray(starts, dtype=np.intp)
         ok = features.ndim == 2 and starts.ndim == 1 and starts.size and starts[0] == 0
-        # bag sizes are computed once here; attention and backward reuse them
-        sizes = np.diff(starts, append=len(features)) if ok else None
-        if not ok or not (sizes > 0).all():
+        if ok:
+            # bag sizes are computed once here; attention and backward reuse them
+            sizes = np.empty_like(starts)
+            np.subtract(starts[1:], starts[:-1], out=sizes[:-1])
+            sizes[-1] = len(features) - starts[-1]
+        if not ok or sizes.min() <= 0:
             raise EmptyBag(
                 f"{features.shape} features with bag starts {starts[:8]} hold an empty bag"
             )
@@ -169,39 +172,42 @@ class MattModel:
 
     def backward_packed(self, cache: dict, d_scores: np.ndarray):
         """Accumulate parameter gradients given (B, G) dLoss/dScores, one row per bag."""
-        p = self.params
+        values = self.params.values
+        grads = self.params.grads
         starts = cache["starts"]
         sizes = cache["sizes"]
         weights = cache["weights"]
-        embeddings = cache["activations"][-1]
-        p.add_grad("out_m", d_scores.T @ cache["representations"])
+        activations = cache["activations"]
+        embeddings = activations[-1]
+        grads["out_m"] += d_scores.T @ cache["representations"]
         # each member row receives its bag's dLoss/dRepresentation
-        d_repr = np.repeat(d_scores @ p.values["out_m"], sizes, axis=0)
+        d_repr = (d_scores @ values["out_m"]).repeat(sizes, axis=0)
         d_embeddings = weights[:, np.newaxis] * d_repr
         if self.aggregator == "matt":
             d_weights = np.einsum("ij,ij->i", embeddings, d_repr)
             # softmax backward within each bag
             bag_dot = np.add.reduceat(weights * d_weights, starts)
-            d_logits = weights * (d_weights - np.repeat(bag_dot, sizes))
-            p.add_grad("att_b", np.array([d_logits.sum()]))
+            d_logits = weights * (d_weights - bag_dot.repeat(sizes))
+            grads["att_b"] += d_logits.sum()
             d_pre = d_logits * (1.0 - cache["squashed"] ** 2)
+            d_pre_sum = d_pre.sum()
             d = self.encoder.output_dim
-            w = p.values["att_w"][0]
-            q = p.values["att_q"][:, 0]
-            d_w = np.concatenate([embeddings.T @ d_pre, d_pre.sum() * q])
-            p.add_grad("att_w", d_w[np.newaxis, :])
-            p.add_grad("att_q", (d_pre.sum() * w[d:])[:, np.newaxis])
-            d_embeddings = d_embeddings + np.outer(d_pre, w[:d])
+            w = values["att_w"][0]
+            d_w = grads["att_w"][0]
+            d_w[:d] += embeddings.T @ d_pre
+            d_w[d:] += d_pre_sum * values["att_q"][:, 0]
+            grads["att_q"][:, 0] += d_pre_sum * w[d:]
+            d_embeddings += d_pre[:, np.newaxis] * w[:d]
 
         # encoder backward, last affine layer first
         d_h = d_embeddings
         for i in range(self.n_layers - 1, -1, -1):
             if i != self.n_layers - 1:
-                d_h = d_h * (1.0 - cache["activations"][i + 1] ** 2)
-            p.add_grad(f"enc_w{i}", d_h.T @ cache["activations"][i])
-            p.add_grad(f"enc_b{i}", d_h.sum(axis=0))
+                d_h *= 1.0 - activations[i + 1] ** 2
+            grads[f"enc_w{i}"] += d_h.T @ activations[i]
+            grads[f"enc_b{i}"] += d_h.sum(axis=0)
             if i:
-                d_h = d_h @ p.values[f"enc_w{i}"]
+                d_h = d_h @ values[f"enc_w{i}"]
 
     # -- per-bag wrappers: nothing in matt calls them; they exist only because
     # perfbench/layers.PROBES wraps each of them by name -- #

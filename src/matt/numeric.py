@@ -1,17 +1,18 @@
 """Dense numeric core: initialization, softmax, parameters, optimizers.
 
 Everything here works on float64 numpy arrays. The model writes its forward
-and backward passes by hand in numpy, calling softmax from here, and
-accumulates parameter gradients additively into a ParamStore. The store keeps
-every parameter in one flat value vector and one flat gradient vector, with a
-named, shaped view per parameter, so an optimizer step, gradient scaling and
-zeroing are each one array operation over the whole model. A central
-finite-difference checker verifies the gradients.
+and backward passes by hand in numpy, calling softmax from here, and adds
+parameter gradients straight into a ParamStore's gradient views. The store
+keeps every parameter in one flat value vector and one flat gradient vector,
+with a named, shaped view per parameter, so an optimizer step, gradient
+scaling and zeroing are each one array operation over the whole model. A
+central finite-difference checker verifies the gradients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,9 +33,9 @@ def xavier_uniform(rows: int, cols: int, seed: int) -> np.ndarray:
 def softmax(x: np.ndarray) -> np.ndarray:
     """Stable softmax along the last axis with max subtraction; every row is
     strictly positive and sums to 1."""
-    e = x - np.max(x, axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
     np.exp(e, out=e)  # in place: a batch's (B, G) temporaries add up
-    e /= np.sum(e, axis=-1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
@@ -83,14 +84,6 @@ class ParamStore:
     def zero_grads(self):
         self.flat_grad[...] = 0.0
 
-    def add_grad(self, name: str, grad: np.ndarray):
-        g = self.grads[name]
-        if g.shape != np.shape(grad):
-            raise ShapeError(
-                f"gradient for {name!r} has shape {np.shape(grad)}, expected {g.shape}"
-            )
-        g += grad
-
     def scale_grads(self, factor: float):
         self.flat_grad *= factor
 
@@ -119,14 +112,16 @@ ADAM_EPSILON = 1e-8
 
 @dataclass
 class OptimizerState:
-    """SGD or Adam state over a ParamStore; Adam's moments are flat vectors
-    aligned with the store's `flat`, created on the first step."""
+    """SGD or Adam state over a ParamStore; Adam's moments and the step's
+    two scratch vectors are flat vectors aligned with the store's `flat`,
+    created on the first step."""
 
     algorithm: str = "adam"
     learning_rate: float = 1e-3
     step_count: int = 0
     moments1: np.ndarray | None = None
     moments2: np.ndarray | None = None
+    scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.algorithm not in ("sgd", "adam"):
@@ -139,16 +134,22 @@ def optimizer_step(state: OptimizerState, store: ParamStore):
     """Apply one update from the accumulated gradients, then zero them.
 
     Every operation is elementwise over the whole flat buffer, so each entry
-    is updated exactly as a per-parameter loop would update it.
+    is updated exactly as a per-parameter loop would update it. Adam writes
+    its intermediates into two scratch vectors kept with its moments, in the
+    textbook order: m2 += ((1 - b2) * g) * g, step = lr * m1_hat / (sqrt(m2_hat) + eps).
     """
     grad = store.flat_grad
-    if not np.isfinite(grad).all():
+    # a finite sum proves every entry finite; only a non-finite one needs the scan
+    if not math.isfinite(grad.sum()) and not np.isfinite(grad).all():
         name = next(n for n, g in store.grads.items() if not np.isfinite(g).all())
         raise DivergedError(f"non-finite gradient in {name!r}")
     state.step_count += 1
     lr = state.learning_rate
+    if state.scratch is None:
+        state.scratch = (np.empty_like(store.flat), np.empty_like(store.flat))
+    step, denom = state.scratch
     if state.algorithm == "sgd":
-        store.flat -= lr * grad
+        np.multiply(lr, grad, out=step)
     else:
         t = state.step_count
         b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -158,12 +159,18 @@ def optimizer_step(state: OptimizerState, store: ParamStore):
         m1 = state.moments1
         m2 = state.moments2
         m1 *= b1
-        m1 += (1.0 - b1) * grad
+        m1 += np.multiply(1.0 - b1, grad, out=step)
         m2 *= b2
-        m2 += (1.0 - b2) * grad * grad
-        m1_hat = m1 / (1.0 - b1**t)
-        m2_hat = m2 / (1.0 - b2**t)
-        store.flat -= lr * m1_hat / (np.sqrt(m2_hat) + ADAM_EPSILON)
+        np.multiply(1.0 - b2, grad, out=step)
+        step *= grad
+        m2 += step
+        np.divide(m1, 1.0 - b1**t, out=step)  # m1_hat
+        step *= lr
+        np.divide(m2, 1.0 - b2**t, out=denom)  # m2_hat
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPSILON
+        step /= denom
+    store.flat -= step
     store.zero_grads()
 
 

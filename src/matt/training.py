@@ -114,8 +114,9 @@ def _bag_accuracy(model: MattModel, packed, golds: np.ndarray) -> float:
 def train(bags: BagSet, features: dict[str, np.ndarray], cfg: TrainConfig):
     """Train on split=train bags, early-stopping on split=validation accuracy.
 
-    Both splits are packed once, before the first epoch; each batch is then
-    one row gather and one packed forward/backward pass. Returns (model,
+    Both splits are packed once, before the first epoch. Each epoch gathers
+    the train rows once in shuffled order; a batch is then a contiguous slice
+    of that gather and one packed forward/backward pass. Returns (model,
     train_log); the model carries the best-validation parameters (or the
     final ones when there is no validation split).
     """
@@ -143,23 +144,30 @@ def train(bags: BagSet, features: dict[str, np.ndarray], cfg: TrainConfig):
     best_accuracy = -1.0
     stale_epochs = 0
 
+    epoch_X = np.empty_like(train_X)
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
         order = rng.permutation(len(train_bags))
+        # gather the epoch's rows once, bag after bag in shuffled order, so
+        # each batch is a contiguous slice of epoch_X
+        sizes = train_sizes[order]
+        ends = np.cumsum(sizes)
+        bag_starts = ends - sizes
+        rows = (train_starts[order] - bag_starts).repeat(sizes) + np.arange(len(train_X))
+        # rows are in range; the default mode="raise" would gather through a copy
+        np.take(train_X, rows, axis=0, out=epoch_X, mode="clip")
+        golds = train_golds[order]
         total_loss = 0.0
         for start in range(0, len(order), cfg.bags_per_batch):
-            batch = order[start : start + cfg.bags_per_batch]
-            sizes = train_sizes[batch]
-            starts = np.cumsum(sizes) - sizes
-            # row j of the batch is row j - starts[b] of bag b in train_X
-            rows = np.repeat(train_starts[batch] - starts, sizes) + np.arange(sizes.sum())
+            stop = min(start + cfg.bags_per_batch, len(order))
+            first = bag_starts[start]
             probabilities, cache = model.forward_packed(
-                train_X[rows], starts, keep_cache=True
+                epoch_X[first : ends[stop - 1]], bag_starts[start:stop] - first, keep_cache=True
             )
-            losses, d_scores = nll_losses(probabilities, train_golds[batch], genre_weights)
+            losses, d_scores = nll_losses(probabilities, golds[start:stop], genre_weights)
             total_loss += float(losses.sum())
             model.backward_packed(cache, d_scores)
-            model.params.scale_grads(1.0 / len(batch))
+            model.params.scale_grads(1.0 / (stop - start))
             optimizer_step(optimizer, model.params)
         mean_loss = total_loss / len(train_bags)
         if not np.isfinite(mean_loss):
@@ -186,9 +194,15 @@ def train(bags: BagSet, features: dict[str, np.ndarray], cfg: TrainConfig):
 
 def singleton_bagset(table: SegmentTable) -> BagSet:
     """Every segment as its own bag, in track id order: the segment-level view."""
-    track_ids, *key_columns, genre_ids = zip(*sorted(
-        zip(table.track_ids, table.artist_ids, table.album_ids, table.splits, table.genre_ids)))
-    bags = tuple(map(Bag, zip(*key_columns), zip(track_ids), genre_ids))
+    # track ids are unique, so sorting row indices by them orders the rows
+    # exactly as sorting whole rows would
+    order = sorted(range(len(table)), key=table.track_ids.__getitem__)
+    track_ids, artist_ids, album_ids, splits, genre_ids = (
+        map(column.__getitem__, order)
+        for column in (table.track_ids, table.artist_ids, table.album_ids, table.splits,
+                       table.genre_ids)
+    )
+    bags = tuple(map(Bag, zip(artist_ids, album_ids, splits), zip(track_ids), genre_ids))
     return BagSet(bags=bags, vocabulary=table.vocabulary)
 
 

@@ -124,6 +124,28 @@ def test_empty_bag_rejected():
         model.forward_bag(np.empty((0, 6)))
 
 
+@pytest.mark.parametrize(
+    "n_rows, starts",
+    [
+        (5, []),  # no bag at all
+        (5, [1, 3]),  # rows before the first bag
+        (5, [0, 2, 2]),  # a repeated start: an empty bag between
+        (5, [0, 3, 1]),  # decreasing
+        (5, [0, 5]),  # the last bag starts at n_rows
+        (5, [0, 7]),  # a start past n_rows
+        (5, [[0], [2]]),  # 2-D
+        (0, [0]),  # no feature rows
+    ],
+)
+def test_forward_packed_rejects_malformed_starts(n_rows, starts):
+    model = make_model()
+    features = np.random.default_rng(0).standard_normal((n_rows, 6))
+    with pytest.raises(EmptyBag):
+        model.forward_packed(features, starts)
+    with pytest.raises(EmptyBag):
+        model.forward_packed(features, starts, keep_cache=True)
+
+
 def test_wrong_feature_width_rejected():
     model = make_model()
     with pytest.raises(ShapeError):

@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matt import training
-from matt.dataset import parse_metadata_lines, build_bags
+from matt.dataset import (
+    SPLITS,
+    Bag,
+    BagSet,
+    GenreVocabulary,
+    SegmentTable,
+    build_bags,
+    parse_metadata_lines,
+)
 from matt.errors import InvalidConfig, MissingFeature
 from matt.model import BagPrediction, MattModel
-from matt.numeric import softmax
+from matt.numeric import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, softmax
 from matt.synthetic import SynthConfig, generate_synthetic
 from matt.training import (
     TrainConfig,
@@ -219,3 +229,218 @@ def test_trainlog_csv_format(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "epoch,loss,val_accuracy,seconds"
     assert len(lines) == 3
+
+
+# -- the lean training step equals the step it replaced -- #
+#
+# train() gathers each epoch's rows once and slices batches from that
+# gather, forward_packed subtracts starts into a preallocated sizes array,
+# backward_packed adds straight into the gradient views, and Adam runs in
+# place. The references below are the step those replaced: a row gather per
+# batch, np.diff sizes, np.repeat/np.max/np.sum, a shape-checked add per
+# gradient and the textbook Adam expression. Every bit must agree.
+
+
+def reference_forward(model, features, starts):
+    """(B, G) probabilities and the backward cache of a packed batch."""
+    values = model.params.values
+    sizes = np.diff(starts, append=len(features))
+    activations, embeddings = model.encode(features)
+    squashed = None
+    if model.aggregator == "mean":
+        weights = np.repeat(1.0 / sizes, sizes)
+    else:
+        d = model.encoder.output_dim
+        w = values["att_w"][0]
+        squashed = np.tanh(embeddings @ w[:d] + w[d:] @ values["att_q"][:, 0])
+        logits = squashed + values["att_b"][0]
+        e = np.exp(logits - np.repeat(np.maximum.reduceat(logits, starts), sizes))
+        weights = e / np.repeat(np.add.reduceat(e, starts), sizes)
+    representations = np.add.reduceat(weights[:, np.newaxis] * embeddings, starts)
+    scores = representations @ values["out_m"].T
+    e = scores - np.max(scores, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e, (starts, sizes, activations, squashed, weights, representations)
+
+
+def reference_add_grad(store, name, grad):
+    assert store.grads[name].shape == np.shape(grad), name
+    store.grads[name] += grad
+
+
+def reference_backward(model, cache, d_scores):
+    starts, sizes, activations, squashed, weights, representations = cache
+    p = model.params
+    embeddings = activations[-1]
+    reference_add_grad(p, "out_m", d_scores.T @ representations)
+    d_repr = np.repeat(d_scores @ p.values["out_m"], sizes, axis=0)
+    d_embeddings = weights[:, np.newaxis] * d_repr
+    if model.aggregator == "matt":
+        d_weights = np.einsum("ij,ij->i", embeddings, d_repr)
+        bag_dot = np.add.reduceat(weights * d_weights, starts)
+        d_logits = weights * (d_weights - np.repeat(bag_dot, sizes))
+        reference_add_grad(p, "att_b", np.array([d_logits.sum()]))
+        d_pre = d_logits * (1.0 - squashed**2)
+        d = model.encoder.output_dim
+        w = p.values["att_w"][0]
+        q = p.values["att_q"][:, 0]
+        d_w = np.concatenate([embeddings.T @ d_pre, d_pre.sum() * q])
+        reference_add_grad(p, "att_w", d_w[np.newaxis, :])
+        reference_add_grad(p, "att_q", (d_pre.sum() * w[d:])[:, np.newaxis])
+        d_embeddings = d_embeddings + np.outer(d_pre, w[:d])
+    d_h = d_embeddings
+    for i in range(model.n_layers - 1, -1, -1):
+        if i != model.n_layers - 1:
+            d_h = d_h * (1.0 - activations[i + 1] ** 2)
+        reference_add_grad(p, f"enc_w{i}", d_h.T @ activations[i])
+        reference_add_grad(p, f"enc_b{i}", d_h.sum(axis=0))
+        if i:
+            d_h = d_h @ p.values[f"enc_w{i}"]
+
+
+def reference_optimizer_step(cfg, state, store):
+    grad = store.flat_grad
+    assert np.isfinite(grad).all()
+    state["t"] += 1
+    lr = cfg.learning_rate
+    if cfg.optimizer == "sgd":
+        store.flat -= lr * grad
+    else:
+        t = state["t"]
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        m1 = state.setdefault("m1", np.zeros_like(store.flat))
+        m2 = state.setdefault("m2", np.zeros_like(store.flat))
+        m1 *= b1
+        m1 += (1.0 - b1) * grad
+        m2 *= b2
+        m2 += (1.0 - b2) * grad * grad
+        m1_hat = m1 / (1.0 - b1**t)
+        m2_hat = m2 / (1.0 - b2**t)
+        store.flat -= lr * m1_hat / (np.sqrt(m2_hat) + ADAM_EPSILON)
+    store.flat_grad[...] = 0.0
+
+
+def reference_train(bags, features, cfg):
+    """train() with one row gather and one reference step per batch; returns
+    (flat parameters, [(epoch, loss, val_accuracy)])."""
+    train_bags = bags.split_bags("train")
+    val_bags = bags.split_bags("validation")
+    train_X, train_starts = training.pack_bags(train_bags, features)
+    train_sizes = np.diff(train_starts, append=len(train_X))
+    train_golds = np.array([b.genre_id for b in train_bags])
+    val_X, val_starts = training.pack_bags(val_bags, features)
+    val_golds = np.array([b.genre_id for b in val_bags])
+    genre_weights = None
+    if cfg.class_weighting:
+        counts = np.bincount(train_golds, minlength=len(bags.vocabulary)).astype(np.float64)
+        weights = np.where(counts > 0, counts.sum() / np.maximum(counts, 1.0), 0.0)
+        genre_weights = weights * (counts > 0).sum() / weights.sum()
+    model = training.new_model(cfg, train_X.shape[1], len(bags.vocabulary))
+    state = {"t": 0}
+    rng = np.random.default_rng(cfg.seed)
+    epochs = []
+    best_values, best_accuracy = model.params.flat.copy(), -1.0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(train_bags))
+        total_loss = 0.0
+        for start in range(0, len(order), cfg.bags_per_batch):
+            batch = order[start : start + cfg.bags_per_batch]
+            sizes = train_sizes[batch]
+            starts = np.cumsum(sizes) - sizes
+            rows = np.repeat(train_starts[batch] - starts, sizes) + np.arange(sizes.sum())
+            probabilities, cache = reference_forward(model, train_X[rows], starts)
+            losses, d_scores = nll_losses(probabilities, train_golds[batch], genre_weights)
+            total_loss += float(losses.sum())
+            reference_backward(model, cache, d_scores)
+            model.params.flat_grad *= 1.0 / len(batch)
+            reference_optimizer_step(cfg, state, model.params)
+        winners = reference_forward(model, val_X, val_starts)[0].argmax(axis=1)
+        val_accuracy = np.count_nonzero(winners == val_golds) / len(val_golds)
+        epochs.append((epoch, total_loss / len(train_bags), val_accuracy))
+        if val_accuracy > best_accuracy:
+            best_values, best_accuracy = model.params.flat.copy(), val_accuracy
+    return best_values, epochs
+
+
+def ragged_data(seed=0, dim=6, n_genres=3):
+    """Bags of 2 to 7 members mixed with singletons, in shuffled order, about
+    one in five of them in the validation split."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.permutation([1] * 14 + rng.integers(2, 8, size=30).tolist())
+    bags, features = [], {}
+    for b, size in enumerate(sizes):
+        split = "validation" if b % 5 == 0 else "train"
+        genre_id = int(rng.integers(n_genres))
+        ids = tuple(f"s{b}m{k}" for k in range(size))
+        for track_id in ids:
+            features[track_id] = (rng.standard_normal(dim) + genre_id).astype(np.float32)
+        key = ("", "", split) if size == 1 else (f"artist{b}", f"album{b}", split)
+        bags.append(Bag(key=key, segment_ids=ids, genre_id=genre_id))
+    vocabulary = GenreVocabulary(tuple(f"g{g}" for g in range(n_genres)), (1,) * n_genres)
+    return BagSet(bags=tuple(bags), vocabulary=vocabulary), features
+
+
+@pytest.mark.parametrize(
+    "aggregator, optimizer, hidden_dims, class_weighting",
+    [
+        ("matt", "adam", (5,), False),
+        ("matt", "sgd", (5,), False),
+        ("mean", "adam", (5,), False),
+        ("mean", "sgd", (5,), False),
+        ("matt", "adam", (), True),
+    ],
+)
+def test_train_equals_the_per_batch_gather_reference_bitwise(
+    aggregator, optimizer, hidden_dims, class_weighting
+):
+    bags, features = ragged_data()
+    cfg = TrainConfig(
+        epochs=3, bags_per_batch=8, optimizer=optimizer, learning_rate=3e-2, seed=11,
+        aggregator=aggregator, hidden_dims=hidden_dims, embedding_dim=4,
+        class_weighting=class_weighting,
+    )
+    model, log = train(bags, features, cfg)
+    expected_flat, expected_epochs = reference_train(bags, features, cfg)
+    assert [e[:3] for e in log.epochs] == expected_epochs
+    assert model.params.flat.tobytes() == expected_flat.tobytes()
+
+
+# -- singleton bags from one index sort -- #
+
+def reference_singleton_bagset(table):
+    """The segment-level view from one sort of whole (track, ...) rows."""
+    track_ids, *key_columns, genre_ids = zip(*sorted(
+        zip(table.track_ids, table.artist_ids, table.album_ids, table.splits, table.genre_ids)))
+    bags = tuple(map(Bag, zip(*key_columns), zip(track_ids), genre_ids))
+    return BagSet(bags=bags, vocabulary=table.vocabulary)
+
+
+@st.composite
+def segment_tables(draw):
+    """Columnar tables of 1 to 25 rows; ids sort as strings ("t10" < "t2"),
+    and artist or album ids may be empty."""
+    track_ids = draw(st.lists(st.sampled_from([f"t{i}" for i in range(40)]) | st.text(
+        "ab1 ", min_size=1, max_size=3), min_size=1, max_size=25, unique=True))
+    n = len(track_ids)
+    column = lambda values: st.lists(st.sampled_from(values), min_size=n, max_size=n)  # noqa: E731
+    vocabulary = GenreVocabulary(("rock", "jazz", "pop"), (0, 0, 0))
+    return SegmentTable(
+        track_ids=tuple(track_ids),
+        album_ids=tuple(draw(column(["", "p1", "p2"]))),
+        artist_ids=tuple(draw(column(["", "a1", "a2"]))),
+        genre_ids=tuple(draw(column([0, 1, 2]))),
+        splits=tuple(draw(column(list(SPLITS)))),
+        vocabulary=vocabulary,
+    )
+
+
+ONE_ROW = SegmentTable(("t1",), ("",), ("",), (2,), ("test",),
+                       GenreVocabulary(("rock", "jazz", "pop"), (0, 0, 0)))
+
+
+@settings(max_examples=200, deadline=None)
+@example(table=ONE_ROW)
+@given(table=segment_tables())
+def test_singleton_bagset_equals_the_row_sort_reference(table):
+    assert singleton_bagset(table) == reference_singleton_bagset(table)
