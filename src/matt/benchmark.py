@@ -17,9 +17,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .checkpoint import save_checkpoint
+from .dataset import segment_bags
 from .evaluation import EvalReport, evaluate
 from .synthetic import SynthConfig, generate_synthetic
-from .training import TrainConfig, train, train_segment_baseline
+from .training import TrainConfig, train
 
 BENCHMARK_SEEDS = (1, 2, 3, 4, 5)
 BENCHMARK_SYNTH = SynthConfig()  # 16 genres, zipf 1.2, head 400, bags 3-10, dim 32, noise 0.4
@@ -56,7 +57,7 @@ def run_seed(
     data = generate_synthetic(replace(synth_cfg, seed=seed))
     seeded = replace(train_cfg, seed=seed)
     matt_model, _ = train(data.bags, data.features, seeded)
-    base_model, _ = train_segment_baseline(data.table, data.features, seeded)
+    base_model, _ = train(segment_bags(data.bags.table), data.features, seeded)
     result = SeedResult(
         seed=seed,
         matt_model=matt_model,

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import KEYS, RunConfig, load_run_config, with_keys
-from .dataset import LABEL_POLICIES, build_bags, load_metadata, save_bags_csv
+from .dataset import LABEL_POLICIES, build_bags, load_metadata, save_bags_csv, segment_bags
 from .dsp import (
     downmix_and_validate,
     extract_feature_sets,
@@ -46,7 +46,7 @@ from .evaluation import EVAL_MODES, evaluate
 from .model import AGGREGATORS
 from .numeric import finite_difference_check
 from .synthetic import generate_synthetic
-from .training import new_model, nll_losses, train, train_segment_baseline
+from .training import new_model, nll_losses, train
 
 log = logging.getLogger("matt")
 
@@ -204,10 +204,10 @@ def cmd_build_bags(args) -> int:
     cfg.report_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.report_dir / "bags.csv"
     save_bags_csv(out, bags)
-    sizes = [len(b) for b in bags.bags]
+    sizes = np.diff(bags.starts, append=len(bags.rows))
     print(
-        f"wrote {out}: {len(bags.bags)} bags over {sum(sizes)} segments "
-        f"(max bag {max(sizes)}, genres {len(bags.vocabulary)})"
+        f"wrote {out}: {len(sizes)} bags over {len(bags.rows)} segments "
+        f"(max bag {sizes.max()}, genres {len(table.vocabulary)})"
     )
     return 0
 
@@ -229,8 +229,8 @@ def cmd_gen_synth(args) -> int:
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     print(
-        f"wrote {cfg.metadata} ({len(data.table)} segments, "
-        f"{len(data.bags.bags)} bags) and {cfg.feature_dir / 'synth.csv'}"
+        f"wrote {cfg.metadata} ({len(data.bags.rows)} segments, "
+        f"{len(data.bags.starts)} bags) and {cfg.feature_dir / 'synth.csv'}"
     )
     return 0
 
@@ -250,12 +250,10 @@ def cmd_train(args) -> int:
     table = load_metadata(cfg.metadata)
     features = _load_features(cfg)
     if args.segment_level:
-        model, train_log = train_segment_baseline(table, features, cfg.train)
-        name = "baseline.ckpt"
+        bags, name = segment_bags(table), "baseline.ckpt"
     else:
-        bags = build_bags(table, label_policy=cfg.label_policy)
-        model, train_log = train(bags, features, cfg.train)
-        name = "matt.ckpt"
+        bags, name = build_bags(table, label_policy=cfg.label_policy), "matt.ckpt"
+    model, train_log = train(bags, features, cfg.train)
     cfg.checkpoint_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.checkpoint_dir / name
     save_checkpoint(out, model.params)
@@ -281,7 +279,9 @@ def cmd_evaluate(args) -> int:
     table = load_metadata(cfg.metadata)
     features = _load_features(cfg)
     model = _restore_model(cfg, args, table, features)
-    bags = build_bags(table, label_policy=cfg.label_policy)
+    # segment mode reads no album or artist metadata, so it builds no album bags
+    bags = (segment_bags(table) if cfg.eval_mode == "segment"
+            else build_bags(table, label_policy=cfg.label_policy))
     report = evaluate(
         model, bags, features, mode=cfg.eval_mode, subsets=cfg.subsets, ks=cfg.ks
     )

@@ -63,27 +63,26 @@ class SegmentTable:
         return len(self.track_ids)
 
 
-@dataclass(frozen=True, slots=True)
-class Bag:
-    key: tuple[str, str, str]  # (artist_id, album_id, split)
-    segment_ids: tuple[str, ...]
-    genre_id: int
-
-    @property
-    def split(self) -> str:
-        return self.key[2]
-
-    def __len__(self) -> int:
-        return len(self.segment_ids)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BagSet:
-    bags: tuple[Bag, ...]
-    vocabulary: GenreVocabulary
+    """Bags packed as the model takes them: bag b is the table rows
+    rows[starts[b]:starts[b + 1]] (to the end for the last bag), labelled
+    genre_ids[b]; its key (artist_id, album_id, split) is in any of its rows."""
 
-    def split_bags(self, split: str) -> list[Bag]:
-        return [b for b in self.bags if b.split == split]
+    table: SegmentTable
+    rows: np.ndarray  # (n,) table row indices, bag after bag
+    starts: np.ndarray  # (B,) each bag's first entry in rows
+    genre_ids: np.ndarray  # (B,) bag labels
+
+    def split(self, name: str) -> BagSet:
+        """The bags of one split, in order, packed afresh."""
+        first_rows = self.rows[self.starts].tolist()
+        in_split = map(name.__eq__, map(self.table.splits.__getitem__, first_rows))
+        keep = np.flatnonzero(list(in_split))
+        sizes = np.diff(self.starts, append=len(self.rows))[keep]
+        starts = np.cumsum(sizes) - sizes
+        rows = self.rows[(self.starts[keep] - starts).repeat(sizes) + np.arange(sizes.sum())]
+        return BagSet(self.table, rows, starts, self.genre_ids[keep])
 
 
 def parse_metadata_lines(lines, source: str = "<memory>"):
@@ -151,15 +150,18 @@ def build_bags(table: SegmentTable, label_policy: str = "majority") -> BagSet:
     if label_policy not in LABEL_POLICIES:
         raise InvalidConfig(f"unknown label policy {label_policy!r}")
     # one sort orders bags by (artist, album, split) and members by track id;
-    # track ids are unique, so the genre column is never compared
-    rows = sorted(zip(table.artist_ids, table.album_ids, table.splits, table.track_ids,
-                      table.genre_ids))
-    bags = []
-    for key, run in groupby(rows, itemgetter(0, 1, 2)):
-        *_, segment_ids, labels = zip(*run)
+    # track ids are unique, so the row index is never compared
+    order = sorted(zip(table.artist_ids, table.album_ids, table.splits, table.track_ids,
+                       range(len(table))))
+    rows, sizes, genre_ids = [], [], []
+    for key, run in groupby(order, itemgetter(0, 1, 2)):
+        members = [r[4] for r in run]
+        labels = list(map(table.genre_ids.__getitem__, members))
+        rows += members
         if not (key[0] and key[1]):
             # missing metadata: every segment is its own bag
-            bags.extend(map(Bag, repeat(key), zip(segment_ids), labels))
+            sizes += repeat(1, len(members))
+            genre_ids += labels
             continue
         distinct = sorted(set(labels))
         if len(distinct) == 1:
@@ -173,14 +175,26 @@ def build_bags(table: SegmentTable, label_policy: str = "majority") -> BagSet:
             log.warning(
                 "bag %s mixes genres %s; majority label %d chosen", key, distinct, genre_id
             )
-        bags.append(Bag(key=key, segment_ids=segment_ids, genre_id=genre_id))
-    return BagSet(bags=tuple(bags), vocabulary=table.vocabulary)
+        sizes.append(len(members))
+        genre_ids.append(genre_id)
+    sizes = np.array(sizes, dtype=np.intp)
+    return BagSet(table, np.array(rows, dtype=np.intp), np.cumsum(sizes) - sizes,
+                  np.array(genre_ids, dtype=np.intp))
+
+
+def segment_bags(table: SegmentTable) -> BagSet:
+    """Every segment as its own bag with its own genre, in track id order."""
+    rows = np.array(sorted(range(len(table)), key=table.track_ids.__getitem__), dtype=np.intp)
+    return BagSet(table, rows, np.arange(len(rows)), np.array(table.genre_ids)[rows])
 
 
 def save_bags_csv(path, bags: BagSet):
+    t = bags.table
     lines = ["artist_id,album_id,split,genre,track_ids"]
-    for b in bags.bags:
-        genre = bags.vocabulary.names[b.genre_id]
-        lines.append(f"{b.key[0]},{b.key[1]},{b.key[2]},{genre}," + ";".join(b.segment_ids))
+    for members, genre_id in zip(np.split(bags.rows, bags.starts[1:]), bags.genre_ids.tolist()):
+        first = members[0]
+        ids = ";".join(map(t.track_ids.__getitem__, members.tolist()))
+        lines.append(f"{t.artist_ids[first]},{t.album_ids[first]},{t.splits[first]},"
+                     f"{t.vocabulary.names[genre_id]},{ids}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -1,10 +1,11 @@
 """Evaluation: accuracy, micro-averaged Top@K on long-tail subsets, and
 micro-averaged one-vs-rest precision-recall curves.
 
-Bag mode scores one prediction per test bag; segment mode scores every test
-segment individually (no album/artist metadata consumed). Either way the
-whole split is one packed model call. Tail subsets keep the units whose genre
-has fewer than the threshold training segments.
+Bag mode scores one prediction per test bag against the bag's label; segment
+mode scores every test segment as its own bag against the segment's own genre
+(no album/artist metadata consumed). Either way the whole split is one packed
+model call. Tail subsets keep the units whose genre has fewer than the
+threshold training segments.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import BagSet
+from .dataset import BagSet, segment_bags
 from .errors import EmptyEval, InvalidConfig, InvalidK
 # bag_feature_matrix stays bound here: perfbench/test_perfbench.py requires the
 # benchmark's tracer to find it in this module
@@ -117,38 +118,35 @@ def pr_curve(probabilities, golds):
     return points, float(average_precision)
 
 
-def collect_predictions(model, bags: BagSet, features, mode: str):
-    """Score the test split's evaluation units in one packed model call.
+def collect_predictions(model, units: BagSet, features):
+    """Score every bag of units in one packed model call.
 
-    Bag mode scores each bag; segment mode scores each member of those bags
-    as its own singleton bag. Returns ((units, G) probabilities, (units,)
-    gold genre ids).
+    Returns ((units, G) probabilities, (units,) gold genre ids).
     """
-    if mode not in EVAL_MODES:
-        raise InvalidConfig(f"unknown evaluation mode {mode!r}")
-    test_bags = bags.split_bags("test")
-    if not test_bags:
+    if not len(units.starts):
         raise EmptyEval("no test units to evaluate")
-    X, starts = pack_bags(test_bags, features)
-    golds = np.array([bag.genre_id for bag in test_bags])
-    if mode == "segment":
-        golds = np.repeat(golds, np.diff(starts, append=len(X)))
-        starts = np.arange(len(X))
-    return model.forward_packed(X, starts), golds
+    return model.forward_packed(*pack_bags(units, features)), units.genre_ids
 
 
 def evaluate(
     model, bags: BagSet, features, mode: str = "bag", subsets=(100, 200), ks=(2, 3, 5)
 ) -> EvalReport:
-    """Full report: overall accuracy, PR curve, and Top@K per tail subset."""
-    probabilities, golds = collect_predictions(model, bags, features, mode)
+    """Full report: overall accuracy, PR curve, and Top@K per tail subset.
+
+    Bag mode scores the test bags of bags; segment mode scores the test
+    segments of bags.table, each as its own bag.
+    """
+    if mode not in EVAL_MODES:
+        raise InvalidConfig(f"unknown evaluation mode {mode!r}")
+    units = segment_bags(bags.table) if mode == "segment" else bags
+    probabilities, golds = collect_predictions(model, units.split("test"), features)
     overall = accuracy(probabilities, golds)
     points, average_precision = pr_curve(probabilities, golds)
 
     top_k = {}
     subset_sizes = {}
     for subset in subsets:
-        tail = bags.vocabulary.tail_mask(subset)[golds]
+        tail = bags.table.vocabulary.tail_mask(subset)[golds]
         subset_sizes[subset] = int(np.count_nonzero(tail))
         if not subset_sizes[subset]:
             continue

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import METADATA_HEADER, BagSet, SegmentTable, build_bags, parse_metadata_lines
+from .dataset import METADATA_HEADER, BagSet, build_bags, parse_metadata_lines
 from .errors import InfeasibleConfig, InvalidConfig
 from .numeric import softmax
 
@@ -149,7 +149,6 @@ class SyntheticData:
     bags: BagSet
     features: dict[str, np.ndarray]  # track_id -> float32 vector
     oracle: BayesOracle
-    table: SegmentTable
     metadata_lines: list[str]  # the table as metadata.csv lines, header first
 
 
@@ -186,6 +185,5 @@ def generate_synthetic(cfg: SynthConfig) -> SyntheticData:
         bags=bags,
         features=features,
         oracle=BayesOracle(centroids, cfg.noise_rate, cfg.genre_log_prior()),
-        table=table,
         metadata_lines=lines,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Bag, BagSet, SegmentTable
+from .dataset import BagSet
 from .errors import DivergedError, InvalidConfig, MissingFeature
 from .model import EncoderConfig, MattModel
 from .numeric import OptimizerState, optimizer_step
@@ -81,19 +81,19 @@ def nll_losses(probabilities: np.ndarray, golds: np.ndarray, genre_weights=None)
     return losses, d_scores
 
 
-def pack_bags(bags, features: dict[str, np.ndarray]):
+def pack_bags(bags: BagSet, features: dict[str, np.ndarray]):
     """Members of bags as one packed float64 matrix, bag after bag.
 
     Returns ((n_rows, D) features, (B,) first row of each bag). All member
     rows are gathered in one pass; a missing feature row raises
     MissingFeature naming the first such track.
     """
-    sizes = np.array([len(b) for b in bags], dtype=np.intp)
     try:
-        rows = [features[track_id] for bag in bags for track_id in bag.segment_ids]
+        rows = [features[track_id]
+                for track_id in map(bags.table.track_ids.__getitem__, bags.rows.tolist())]
     except KeyError as exc:
         raise MissingFeature(f"no features for segment {exc.args[0]!r}") from None
-    return np.array(rows, dtype=np.float64), np.cumsum(sizes) - sizes
+    return np.array(rows, dtype=np.float64), bags.starts
 
 
 def new_model(cfg: TrainConfig, input_dim: int, n_genres: int) -> MattModel:
@@ -120,22 +120,24 @@ def train(bags: BagSet, features: dict[str, np.ndarray], cfg: TrainConfig):
     train_log); the model carries the best-validation parameters (or the
     final ones when there is no validation split).
     """
-    train_bags = bags.split_bags("train")
-    val_bags = bags.split_bags("validation")
-    if not train_bags:
+    train_bags = bags.split("train")
+    val_bags = bags.split("validation")
+    n_train = len(train_bags.starts)
+    if not n_train:
         raise InvalidConfig("no training bags")
     train_X, train_starts = pack_bags(train_bags, features)
     train_sizes = np.diff(train_starts, append=len(train_X))
-    train_golds = np.array([b.genre_id for b in train_bags])
-    val_packed = pack_bags(val_bags, features) if val_bags else None
-    val_golds = np.array([b.genre_id for b in val_bags])
+    train_golds = train_bags.genre_ids
+    val_packed = pack_bags(val_bags, features) if len(val_bags.starts) else None
+    val_golds = val_bags.genre_ids
+    n_genres = len(bags.table.vocabulary)
     if cfg.class_weighting:
-        counts = np.bincount(train_golds, minlength=len(bags.vocabulary)).astype(np.float64)
+        counts = np.bincount(train_golds, minlength=n_genres).astype(np.float64)
         weights = np.where(counts > 0, counts.sum() / np.maximum(counts, 1.0), 0.0)
         genre_weights = weights * (counts > 0).sum() / weights.sum()
     else:
         genre_weights = None
-    model = new_model(cfg, train_X.shape[1], len(bags.vocabulary))
+    model = new_model(cfg, train_X.shape[1], n_genres)
     optimizer = OptimizerState(algorithm=cfg.optimizer, learning_rate=cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     train_log = TrainLog()
@@ -147,7 +149,7 @@ def train(bags: BagSet, features: dict[str, np.ndarray], cfg: TrainConfig):
     epoch_X = np.empty_like(train_X)
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
-        order = rng.permutation(len(train_bags))
+        order = rng.permutation(n_train)
         # gather the epoch's rows once, bag after bag in shuffled order, so
         # each batch is a contiguous slice of epoch_X
         sizes = train_sizes[order]
@@ -169,13 +171,13 @@ def train(bags: BagSet, features: dict[str, np.ndarray], cfg: TrainConfig):
             model.backward_packed(cache, d_scores)
             model.params.scale_grads(1.0 / (stop - start))
             optimizer_step(optimizer, model.params)
-        mean_loss = total_loss / len(train_bags)
+        mean_loss = total_loss / n_train
         if not np.isfinite(mean_loss):
             raise DivergedError(f"training loss diverged at epoch {epoch}")
         val_accuracy = _bag_accuracy(model, val_packed, val_golds)
         train_log.append(epoch, mean_loss, val_accuracy, time.perf_counter() - started)
 
-        if val_bags:
+        if val_packed is not None:
             if val_accuracy > best_accuracy:
                 best_accuracy = val_accuracy
                 best_values = model.params.flat.copy()
@@ -192,25 +194,6 @@ def train(bags: BagSet, features: dict[str, np.ndarray], cfg: TrainConfig):
     return model, train_log
 
 
-def singleton_bagset(table: SegmentTable) -> BagSet:
-    """Every segment as its own bag, in track id order: the segment-level view."""
-    # track ids are unique, so sorting row indices by them orders the rows
-    # exactly as sorting whole rows would
-    order = sorted(range(len(table)), key=table.track_ids.__getitem__)
-    track_ids, artist_ids, album_ids, splits, genre_ids = (
-        map(column.__getitem__, order)
-        for column in (table.track_ids, table.artist_ids, table.album_ids, table.splits,
-                       table.genre_ids)
-    )
-    bags = tuple(map(Bag, zip(artist_ids, album_ids, splits), zip(track_ids), genre_ids))
-    return BagSet(bags=bags, vocabulary=table.vocabulary)
-
-
-def train_segment_baseline(table: SegmentTable, features, cfg: TrainConfig):
-    """Plain per-segment training: train() over singleton bags."""
-    return train(singleton_bagset(table), features, cfg)
-
-
 # -- per-bag wrappers: nothing in matt calls them; they exist only because
 # perfbench/layers.PROBES wraps each of them by name -- #
 
@@ -220,6 +203,6 @@ def nll_loss(prediction, gold: int):
     return float(losses[0]), d_scores[0]
 
 
-def bag_feature_matrix(bag: Bag, features: dict[str, np.ndarray]) -> np.ndarray:
-    """One bag's (m, D) member rows."""
-    return pack_bags([bag], features)[0]
+def bag_feature_matrix(bags: BagSet, features: dict[str, np.ndarray]) -> np.ndarray:
+    """The (n_rows, D) member rows of bags, bag after bag."""
+    return pack_bags(bags, features)[0]

@@ -27,6 +27,18 @@ def noisy_clip(seconds: float = 1.5, seed: int = 0, rate: int = RATE):
     )
 
 
+def bag_list(bags):
+    """A BagSet as one (key, member track ids, genre id) tuple per bag, in
+    order; every member of a bag must share its (artist, album, split) key."""
+    t = bags.table
+    out = []
+    for members, genre_id in zip(np.split(bags.rows, bags.starts[1:]), bags.genre_ids.tolist()):
+        keys = {(t.artist_ids[i], t.album_ids[i], t.splits[i]) for i in members.tolist()}
+        assert len(keys) == 1, f"bag members disagree on their key: {keys}"
+        out.append((keys.pop(), tuple(t.track_ids[i] for i in members.tolist()), genre_id))
+    return out
+
+
 @pytest.fixture(scope="session")
 def feature_cfg():
     return FeatureConfig()

@@ -240,6 +240,36 @@ def test_evaluate_segment_mode_flag(corpus):
     assert "mode: segment" in (root / "reports" / "report.txt").read_text()
 
 
+def test_evaluate_segment_mode_builds_no_album_bags(tmp_path, capsys):
+    """Segment mode reads no album or artist metadata: a test album that mixes
+    genres stops bag mode under the strict label policy, but not segment mode."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        CONFIG_TEMPLATE.format(feature_set="synth", epochs=2).replace(
+            "[train]\n", "[train]\nlabel_policy = strict\n")
+        + "\n[synth]\nn_genres = 3\nhead_count = 6\nfeature_dim = 5\n"
+        + "bag_size_min = 2\nbag_size_max = 3\nnoise_rate = 0.1\n",
+        encoding="utf-8",
+    )
+    assert run("gen-synth", "--config", cfg) == 0
+    assert run("train", "--config", cfg) == 0
+    meta = tmp_path / "metadata.csv"
+    lines = meta.read_text(encoding="utf-8").splitlines()
+    # relabel one member of the first test album with another genre
+    at = next(i for i, ln in enumerate(lines) if ln.endswith(",test"))
+    track, album, artist, genre, split = lines[at].split(",")
+    other = next(ln.split(",")[3] for ln in lines[1:] if ln.split(",")[3] != genre)
+    lines[at] = ",".join((track, album, artist, other, split))
+    meta.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+
+    assert run("evaluate", "--config", cfg, "--mode", "bag") == 1
+    assert "mixes genres" in capsys.readouterr().err
+    assert run("evaluate", "--config", cfg, "--mode", "segment") == 0
+    report = (tmp_path / "reports" / "report.txt").read_text(encoding="utf-8")
+    assert "mode: segment" in report
+
+
 def test_grad_check_command(corpus):
     _, cfg = corpus
     assert run("grad-check", "--config", cfg) == 0

@@ -2,16 +2,19 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import bag_list
 from matt.dataset import (
     SPLITS,
-    Bag,
+    GenreVocabulary,
+    SegmentTable,
     build_bags,
     load_metadata,
     parse_metadata_lines,
     save_bags_csv,
+    segment_bags,
 )
 from matt.errors import (
     BadHeader,
@@ -21,7 +24,6 @@ from matt.errors import (
     InvalidConfig,
     ValidationError,
 )
-from matt.training import singleton_bagset
 
 HEADER = "track_id,album_id,artist_id,genre,split"
 
@@ -84,9 +86,9 @@ def test_same_key_same_genre_makes_one_bag():
         "t3,a1,p1,rock,train",
         "t4,a1,p1,rock,train",
     )
-    bags = build_bags(table)
-    assert len(bags.bags) == 1
-    assert bags.bags[0].segment_ids == ("t1", "t2", "t3", "t4")
+    bags = bag_list(build_bags(table))
+    assert len(bags) == 1
+    assert bags[0][1] == ("t1", "t2", "t3", "t4")
 
 
 def test_strict_policy_rejects_mixed_labels():
@@ -104,7 +106,7 @@ def test_majority_policy_breaks_ties_to_lowest_genre_id(caplog):
     )
     with caplog.at_level("WARNING"):
         bags = build_bags(table, label_policy="majority")
-    assert bags.bags[0].genre_id == 0  # rock appeared first, tie broken low
+    assert bags.genre_ids.tolist() == [0]  # rock appeared first, tie broken low
     assert any("majority" in rec.message for rec in caplog.records)
 
 
@@ -114,9 +116,9 @@ def test_missing_metadata_makes_singleton_bags():
         "t2,,p1,rock,train",
         "t3,a1,,rock,train",
     )
-    bags = build_bags(table)
-    assert len(bags.bags) == 3
-    assert all(len(b) == 1 for b in bags.bags)
+    bags = bag_list(build_bags(table))
+    assert len(bags) == 3
+    assert all(len(members) == 1 for _, members, _ in bags)
 
 
 def test_bags_never_cross_splits():
@@ -125,9 +127,9 @@ def test_bags_never_cross_splits():
         "t2,a1,p1,rock,test",
         "t3,a1,p1,rock,validation",
     )
-    bags = build_bags(table)
-    assert len(bags.bags) == 3
-    assert {b.split for b in bags.bags} == {"train", "validation", "test"}
+    bags = bag_list(build_bags(table))
+    assert len(bags) == 3
+    assert {key[2] for key, _, _ in bags} == {"train", "validation", "test"}
 
 
 def test_bags_partition_segments_randomized():
@@ -140,12 +142,12 @@ def test_bags_partition_segments_randomized():
         split = ("train", "validation", "test")[rng.integers(0, 3)]
         rows.append(f"t{i:03d},{album},{artist},{genre},{split}")
     table = table_of(*rows)
-    bags = build_bags(table)
-    seen = [tid for b in bags.bags for tid in b.segment_ids]
+    bags = bag_list(build_bags(table))
+    seen = [tid for _, members, _ in bags for tid in members]
     assert len(seen) == 300
     assert len(set(seen)) == 300
-    for bag in bags.bags:
-        assert list(bag.segment_ids) == sorted(bag.segment_ids)
+    for _, members, _ in bags:
+        assert list(members) == sorted(members)
 
 
 def test_build_bags_is_deterministic():
@@ -153,10 +155,7 @@ def test_build_bags_is_deterministic():
     t1 = table_of(*rows)
     t2 = table_of(*reversed(rows))
     # same records in a different file order produce the same sorted bags
-    b1 = build_bags(t1)
-    b2 = build_bags(t2)
-    assert [b.key for b in b1.bags] == [b.key for b in b2.bags]
-    assert [b.segment_ids for b in b1.bags] == [b.segment_ids for b in b2.bags]
+    assert bag_list(build_bags(t1)) == bag_list(build_bags(t2))
 
 
 def test_bad_label_policy_rejected():
@@ -168,7 +167,7 @@ def test_long_tail_subset_thresholds():
     rows = ["thead%02d,ah%d,ph,rock,train" % (i, i) for i in range(150)]
     rows += ["ttail%02d,at%d,pt,jazz,train" % (i, i) for i in range(50)]
     rows += ["tx1,ah0,ph,rock,test", "tx2,at0,pt,jazz,test"]
-    vocab = build_bags(table_of(*rows)).vocabulary
+    vocab = build_bags(table_of(*rows)).table.vocabulary
     assert vocab.train_counts == (150, 50)
     assert vocab.tail_mask(1000).tolist() == [True, True]  # above every count
     assert vocab.tail_mask(0).tolist() == [False, False]
@@ -192,7 +191,8 @@ def test_save_bags_csv(tmp_path):
 
 
 # -- the per-row reference: the parser and bag builders the columnar ones
-# replaced, kept here so the columnar ones are proven equal to them -- #
+# replaced, kept here so the columnar ones are proven equal to them. A bag is
+# (key, member track ids, genre id), as bag_list reads a BagSet -- #
 
 def reference_parse(lines, source="<memory>"):
     """(records, names, train_counts); a record is (track, album, artist, genre_id, split)."""
@@ -257,13 +257,13 @@ def reference_build_bags(records, label_policy):
             warnings.append(
                 f"bag {key[:3]} mixes genres {distinct}; majority label {genre_id} chosen"
             )
-        bags.append(Bag(key=key[:3], segment_ids=tuple(r[0] for r in members), genre_id=genre_id))
+        bags.append((key[:3], tuple(r[0] for r in members), genre_id))
     return bags, warnings
 
 
 def reference_singletons(records):
     return [
-        Bag(key=(artist_id, album_id, split), segment_ids=(track_id,), genre_id=genre_id)
+        ((artist_id, album_id, split), (track_id,), genre_id)
         for track_id, album_id, artist_id, genre_id, split in sorted(records, key=lambda r: r[0])
     ]
 
@@ -287,7 +287,7 @@ def build_bags_logged(table, label_policy):
         bags = build_bags(table, label_policy)
     finally:
         logger.removeHandler(handler)
-    return list(bags.bags), [r.getMessage() for r in records]
+    return bag_list(bags), [r.getMessage() for r in records]
 
 
 def assert_table_equals_reference(table, expected):
@@ -299,7 +299,7 @@ def assert_table_equals_reference(table, expected):
         assert outcome(build_bags_logged, table, policy) == outcome(
             reference_build_bags, records, policy
         )
-    assert list(singleton_bagset(table).bags) == reference_singletons(records)
+    assert bag_list(segment_bags(table)) == reference_singletons(records)
 
 
 def padded(values):
@@ -371,3 +371,65 @@ def test_load_metadata_equals_the_per_row_reference(tmp_path_factory, lines, new
         assert table == expected
     else:
         assert_table_equals_reference(table, expected)
+
+
+# -- the segment-level view from one index sort, and splits of packed bags -- #
+
+def reference_segment_bags(table):
+    """The segment-level view from one sort of whole (track, ...) rows."""
+    track_ids, *key_columns, genre_ids = zip(*sorted(
+        zip(table.track_ids, table.artist_ids, table.album_ids, table.splits, table.genre_ids)))
+    return list(zip(zip(*key_columns), zip(track_ids), genre_ids))
+
+
+@st.composite
+def segment_tables(draw):
+    """Columnar tables of 1 to 25 rows; ids sort as strings ("t10" < "t2"),
+    and artist or album ids may be empty."""
+    track_ids = draw(st.lists(st.sampled_from([f"t{i}" for i in range(40)]) | st.text(
+        "ab1 ", min_size=1, max_size=3), min_size=1, max_size=25, unique=True))
+    n = len(track_ids)
+    column = lambda values: st.lists(st.sampled_from(values), min_size=n, max_size=n)  # noqa: E731
+    vocabulary = GenreVocabulary(("rock", "jazz", "pop"), (0, 0, 0))
+    return SegmentTable(
+        track_ids=tuple(track_ids),
+        album_ids=tuple(draw(column(["", "p1", "p2"]))),
+        artist_ids=tuple(draw(column(["", "a1", "a2"]))),
+        genre_ids=tuple(draw(column([0, 1, 2]))),
+        splits=tuple(draw(column(list(SPLITS)))),
+        vocabulary=vocabulary,
+    )
+
+
+ONE_ROW = SegmentTable(("t1",), ("",), ("",), (2,), ("test",),
+                       GenreVocabulary(("rock", "jazz", "pop"), (0, 0, 0)))
+
+
+@settings(max_examples=200, deadline=None)
+@example(table=ONE_ROW)
+@given(table=segment_tables())
+def test_segment_bags_equals_the_row_sort_reference(table):
+    bags = segment_bags(table)
+    assert bags.table is table
+    assert bags.starts.tolist() == list(range(len(table)))
+    assert bag_list(bags) == reference_segment_bags(table)
+
+
+@settings(max_examples=200, deadline=None)
+@example(table=ONE_ROW)
+@given(table=segment_tables())
+def test_split_equals_the_reference_bags_of_that_split(table):
+    records = list(zip(table.track_ids, table.album_ids, table.artist_ids, table.genre_ids,
+                       table.splits))
+    cases = [(segment_bags(table), reference_segment_bags(table))]
+    for policy in ("majority", "strict"):
+        expected = outcome(reference_build_bags, records, policy)
+        if not isinstance(expected[0], type):  # strict meeting a mixed bag raises
+            cases.append((build_bags(table, policy), expected[0]))
+    for bags, reference in cases:
+        for split in SPLITS:
+            part = bags.split(split)
+            assert part.table is table
+            assert part.starts[:1].tolist() in ([], [0])
+            assert bag_list(part) == [bag for bag in reference if bag[0][2] == split]
+            assert bag_list(part.split(split)) == bag_list(part)

@@ -6,6 +6,7 @@ from matt.errors import EmptyEval, InvalidK
 from matt.evaluation import accuracy, evaluate, pr_curve, top_k_accuracy
 from matt.model import EncoderConfig, MattModel
 from matt.synthetic import SynthConfig, generate_synthetic
+from matt.training import pack_bags
 
 
 def one_hot(i, n):
@@ -182,6 +183,73 @@ def test_bag_mode_on_singletons_equals_segment_mode():
     assert bag_report.overall_accuracy == seg_report.overall_accuracy
     assert bag_report.top_k == seg_report.top_k
     assert np.array_equal(bag_report.pr_points, seg_report.pr_points)
+
+
+class MeanOfMembers:
+    """A model whose posterior is the mean of its members' feature rows."""
+
+    def forward_packed(self, X, starts):
+        sizes = np.diff(starts, append=len(X))
+        return np.add.reduceat(X, starts, axis=0) / sizes[:, np.newaxis]
+
+
+def test_segment_mode_scores_each_segment_against_its_own_genre():
+    # a test album of rock, rock and jazz: the majority policy labels the bag
+    # rock, but in segment mode the jazz segment's gold is jazz
+    HEADER = "track_id,album_id,artist_id,genre,split"
+    table = parse_metadata_lines(
+        [HEADER, "t1,alb,art,rock,test", "t2,alb,art,rock,test", "t3,alb,art,jazz,test"])
+    bags = build_bags(table, label_policy="majority")
+    # each segment's features are the one-hot vector of its own genre
+    features = {t: np.eye(2, dtype=np.float32)[g] for t, g in zip(table.track_ids, (0, 0, 1))}
+    bag_report = evaluate(MeanOfMembers(), bags, features, mode="bag", ks=(1,))
+    seg_report = evaluate(MeanOfMembers(), bags, features, mode="segment", ks=(1,))
+    assert (bag_report.n_units, bag_report.overall_accuracy) == (1, 1.0)
+    assert (seg_report.n_units, seg_report.overall_accuracy) == (3, 1.0)
+    assert seg_report.average_precision == 1.0
+
+
+def shuffled_id_bags(seed=4):
+    """Strict album bags of 1 to 4 segments over a table whose track ids sort
+    in another order than the test bags' members do."""
+    rng = np.random.default_rng(seed)
+    names = rng.permutation(64).tolist()
+    rows, features = ["track_id,album_id,artist_id,genre,split"], {}
+    for album in range(16):
+        split = "train" if album < 4 else "test"
+        for _ in range(rng.integers(1, 5)):
+            track = f"t{names.pop():02d}"
+            rows.append(f"{track},alb{album},art{album},g{album % 3},{split}")
+            features[track] = rng.standard_normal(5).astype(np.float32)
+    return build_bags(parse_metadata_lines(rows), label_policy="strict"), features
+
+
+@pytest.mark.parametrize("hidden_dims", [(), (6,)])
+def test_segment_report_equals_the_bag_member_order_report(hidden_dims):
+    """Segment mode scores the test segments in track id order. Scored in
+    the order of the test bags' members instead, each against its bag's label
+    (the same as its own genre on strict data), every report figure is equal."""
+    bags, features = shuffled_id_bags()
+    model = MattModel(
+        EncoderConfig(input_dim=5, hidden_dims=hidden_dims, output_dim=4), n_genres=3, seed=3
+    )
+    report = evaluate(model, bags, features, mode="segment", ks=(1, 2))
+    test = bags.split("test")
+    X, starts = pack_bags(test, features)
+    member_ids = [bags.table.track_ids[i] for i in test.rows.tolist()]
+    assert member_ids != sorted(member_ids)
+    probabilities = model.forward_packed(X, np.arange(len(X)))
+    golds = np.repeat(test.genre_ids, np.diff(starts, append=len(X)))
+    assert report.n_units == len(golds)
+    assert report.overall_accuracy == accuracy(probabilities, golds)
+    points, average_precision = pr_curve(probabilities, golds)
+    assert np.array_equal(report.pr_points, points)
+    assert report.average_precision == average_precision
+    for subset in (100, 200):
+        tail = bags.table.vocabulary.tail_mask(subset)[golds]
+        assert report.subset_sizes[subset] == np.count_nonzero(tail)
+        for k in (1, 2):
+            assert report.top_k[(subset, k)] == top_k_accuracy(probabilities[tail], golds[tail], k)
 
 
 def test_report_files_deterministic(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import bag_list
 from matt.errors import InfeasibleConfig, InvalidConfig
 from matt.synthetic import (
     BayesOracle,
@@ -42,7 +43,7 @@ def test_power_law_counts_decrease():
 def test_same_seed_is_bit_identical():
     a = generate_synthetic(small_cfg(seed=9))
     b = generate_synthetic(small_cfg(seed=9))
-    assert a.bags.bags == b.bags.bags
+    assert bag_list(a.bags) == bag_list(b.bags)
     assert sorted(a.features) == sorted(b.features)
     for track_id in a.features:
         assert np.array_equal(a.features[track_id], b.features[track_id])
@@ -82,13 +83,15 @@ def test_bad_noise_rate_rejected():
 def test_bag_sizes_respect_range():
     data = generate_synthetic(small_cfg())
     lo, hi = 2, 5
-    assert all(lo <= len(b) <= hi for b in data.bags.bags)
+    sizes = np.diff(data.bags.starts, append=len(data.bags.rows))
+    assert lo <= sizes.min() and sizes.max() <= hi
 
 
 def test_partition_and_split_purity():
     data = generate_synthetic(small_cfg())
-    seen = [tid for b in data.bags.bags for tid in b.segment_ids]
-    assert len(seen) == len(set(seen)) == len(data.table)
+    # bag_list also checks that every member of a bag shares its split
+    seen = [tid for _, members, _ in bag_list(data.bags) for tid in members]
+    assert len(seen) == len(set(seen)) == len(data.bags.table)
 
 
 def test_oracle_is_near_perfect_on_easy_config():
@@ -118,8 +121,8 @@ def test_oracle_is_near_perfect_on_easy_config():
 
 def test_oracle_posterior_is_probability_vector():
     data = generate_synthetic(small_cfg())
-    X, _ = pack_bags(data.bags.bags[:1], data.features)
-    post = data.oracle.forward_packed(X, [0])[0]
+    X, starts = pack_bags(data.bags, data.features)
+    post = data.oracle.forward_packed(X[: starts[1]], [0])[0]
     assert post.shape == (4,)
     assert np.all(post > 0.0)
     assert abs(post.sum() - 1.0) <= 1e-12
@@ -128,7 +131,7 @@ def test_oracle_posterior_is_probability_vector():
 def test_packed_oracle_equals_one_call_per_bag():
     # ragged bags of 2-5 members, with background segments (noise_rate 0.2)
     data = generate_synthetic(small_cfg())
-    X, starts = pack_bags(data.bags.split_bags("test"), data.features)
+    X, starts = pack_bags(data.bags.split("test"), data.features)
     packed = data.oracle.forward_packed(X, starts)
     bounds = np.append(starts, len(X))
     assert len(set(np.diff(bounds))) > 1

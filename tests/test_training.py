@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
+from conftest import bag_list
 from matt import training
 from matt.dataset import (
-    SPLITS,
-    Bag,
     BagSet,
     GenreVocabulary,
     SegmentTable,
@@ -17,14 +14,7 @@ from matt.errors import InvalidConfig, MissingFeature
 from matt.model import BagPrediction, MattModel
 from matt.numeric import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, softmax
 from matt.synthetic import SynthConfig, generate_synthetic
-from matt.training import (
-    TrainConfig,
-    nll_loss,
-    nll_losses,
-    singleton_bagset,
-    train,
-    train_segment_baseline,
-)
+from matt.training import TrainConfig, nll_loss, nll_losses, train
 
 HEADER = "track_id,album_id,artist_id,genre,split"
 
@@ -142,20 +132,10 @@ def test_initial_loss_near_log_g():
     assert log.epochs[0][1] == pytest.approx(np.log(2.0), rel=0.10)
 
 
-def test_segment_baseline_equals_singleton_train():
-    data = two_genre_data()
-    cfg = TrainConfig(epochs=5, seed=3, embedding_dim=4, learning_rate=1e-2)
-    m1, _ = train_segment_baseline(data.table, data.features, cfg)
-    m2, _ = train(singleton_bagset(data.table), data.features, cfg)
-    for name in m1.params.values:
-        assert np.array_equal(m1.params.values[name], m2.params.values[name])
-
-
 def test_missing_feature_raises():
     data = two_genre_data()
     features = dict(data.features)
-    train_bag = data.bags.split_bags("train")[0]
-    features.pop(train_bag.segment_ids[0])
+    features.pop(bag_list(data.bags.split("train"))[0][1][0])
     with pytest.raises(MissingFeature):
         train(data.bags, features, TrainConfig(epochs=1, embedding_dim=4))
 
@@ -163,10 +143,10 @@ def test_missing_feature_raises():
 def test_missing_feature_names_the_track():
     data = two_genre_data()
     features = dict(data.features)
-    missing = data.bags.split_bags("validation")[-1].segment_ids[-1]
+    missing = bag_list(data.bags.split("validation"))[-1][1][-1]
     features.pop(missing)
     with pytest.raises(MissingFeature, match=f"^no features for segment {missing!r}$"):
-        training.pack_bags(data.bags.split_bags("validation"), features)
+        training.pack_bags(data.bags.split("validation"), features)
     with pytest.raises(MissingFeature, match=f"^no features for segment {missing!r}$"):
         train(data.bags, features, TrainConfig(epochs=1, embedding_dim=4))
 
@@ -179,7 +159,7 @@ def test_train_gathers_each_bag_once_and_runs_one_pass_per_batch(monkeypatch, ep
     forward = MattModel.forward_packed
 
     def counting_pack(bags, features):
-        events.append(("pack", [b.key for b in bags]))
+        events.append(("pack", bag_list(bags)))
         return pack(bags, features)
 
     def counting_forward(self, X, starts, keep_cache=False):
@@ -191,8 +171,8 @@ def test_train_gathers_each_bag_once_and_runs_one_pass_per_batch(monkeypatch, ep
     cfg = TrainConfig(epochs=epochs, seed=2, embedding_dim=4, bags_per_batch=8)
     _, log = train(data.bags, data.features, cfg)
 
-    train_keys = [b.key for b in data.bags.split_bags("train")]
-    val_keys = [b.key for b in data.bags.split_bags("validation")]
+    train_keys = bag_list(data.bags.split("train"))
+    val_keys = bag_list(data.bags.split("validation"))
     n_train = len(train_keys)
     assert val_keys and n_train > 8
     assert len(log.epochs) == epochs
@@ -324,25 +304,26 @@ def reference_optimizer_step(cfg, state, store):
 def reference_train(bags, features, cfg):
     """train() with one row gather and one reference step per batch; returns
     (flat parameters, [(epoch, loss, val_accuracy)])."""
-    train_bags = bags.split_bags("train")
-    val_bags = bags.split_bags("validation")
+    train_bags = bags.split("train")
+    val_bags = bags.split("validation")
     train_X, train_starts = training.pack_bags(train_bags, features)
     train_sizes = np.diff(train_starts, append=len(train_X))
-    train_golds = np.array([b.genre_id for b in train_bags])
+    train_golds = train_bags.genre_ids
     val_X, val_starts = training.pack_bags(val_bags, features)
-    val_golds = np.array([b.genre_id for b in val_bags])
+    val_golds = val_bags.genre_ids
+    n_genres = len(bags.table.vocabulary)
     genre_weights = None
     if cfg.class_weighting:
-        counts = np.bincount(train_golds, minlength=len(bags.vocabulary)).astype(np.float64)
+        counts = np.bincount(train_golds, minlength=n_genres).astype(np.float64)
         weights = np.where(counts > 0, counts.sum() / np.maximum(counts, 1.0), 0.0)
         genre_weights = weights * (counts > 0).sum() / weights.sum()
-    model = training.new_model(cfg, train_X.shape[1], len(bags.vocabulary))
+    model = training.new_model(cfg, train_X.shape[1], n_genres)
     state = {"t": 0}
     rng = np.random.default_rng(cfg.seed)
     epochs = []
     best_values, best_accuracy = model.params.flat.copy(), -1.0
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(train_bags))
+        order = rng.permutation(len(train_golds))
         total_loss = 0.0
         for start in range(0, len(order), cfg.bags_per_batch):
             batch = order[start : start + cfg.bags_per_batch]
@@ -357,7 +338,7 @@ def reference_train(bags, features, cfg):
             reference_optimizer_step(cfg, state, model.params)
         winners = reference_forward(model, val_X, val_starts)[0].argmax(axis=1)
         val_accuracy = np.count_nonzero(winners == val_golds) / len(val_golds)
-        epochs.append((epoch, total_loss / len(train_bags), val_accuracy))
+        epochs.append((epoch, total_loss / len(train_golds), val_accuracy))
         if val_accuracy > best_accuracy:
             best_values, best_accuracy = model.params.flat.copy(), val_accuracy
     return best_values, epochs
@@ -365,20 +346,26 @@ def reference_train(bags, features, cfg):
 
 def ragged_data(seed=0, dim=6, n_genres=3):
     """Bags of 2 to 7 members mixed with singletons, in shuffled order, about
-    one in five of them in the validation split."""
+    one in five of them in the validation split: rows and starts over a table
+    whose rows are in a shuffled order of their own."""
     rng = np.random.default_rng(seed)
     sizes = rng.permutation([1] * 14 + rng.integers(2, 8, size=30).tolist())
-    bags, features = [], {}
+    records, genre_ids, features = [], [], {}
     for b, size in enumerate(sizes):
         split = "validation" if b % 5 == 0 else "train"
         genre_id = int(rng.integers(n_genres))
-        ids = tuple(f"s{b}m{k}" for k in range(size))
-        for track_id in ids:
+        key = ("", "") if size == 1 else (f"artist{b}", f"album{b}")
+        for k in range(size):
+            track_id = f"s{b}m{k}"
             features[track_id] = (rng.standard_normal(dim) + genre_id).astype(np.float32)
-        key = ("", "", split) if size == 1 else (f"artist{b}", f"album{b}", split)
-        bags.append(Bag(key=key, segment_ids=ids, genre_id=genre_id))
+            records.append((track_id, key[1], key[0], genre_id, split))
+        genre_ids.append(genre_id)
+    # the table lists the records in a shuffled order; rows maps bag order onto it
+    order = rng.permutation(len(records))
     vocabulary = GenreVocabulary(tuple(f"g{g}" for g in range(n_genres)), (1,) * n_genres)
-    return BagSet(bags=tuple(bags), vocabulary=vocabulary), features
+    table = SegmentTable(*map(tuple, zip(*(records[i] for i in order))), vocabulary)
+    starts = np.cumsum(sizes) - sizes
+    return BagSet(table, np.argsort(order), starts, np.array(genre_ids)), features
 
 
 @pytest.mark.parametrize(
@@ -404,43 +391,3 @@ def test_train_equals_the_per_batch_gather_reference_bitwise(
     expected_flat, expected_epochs = reference_train(bags, features, cfg)
     assert [e[:3] for e in log.epochs] == expected_epochs
     assert model.params.flat.tobytes() == expected_flat.tobytes()
-
-
-# -- singleton bags from one index sort -- #
-
-def reference_singleton_bagset(table):
-    """The segment-level view from one sort of whole (track, ...) rows."""
-    track_ids, *key_columns, genre_ids = zip(*sorted(
-        zip(table.track_ids, table.artist_ids, table.album_ids, table.splits, table.genre_ids)))
-    bags = tuple(map(Bag, zip(*key_columns), zip(track_ids), genre_ids))
-    return BagSet(bags=bags, vocabulary=table.vocabulary)
-
-
-@st.composite
-def segment_tables(draw):
-    """Columnar tables of 1 to 25 rows; ids sort as strings ("t10" < "t2"),
-    and artist or album ids may be empty."""
-    track_ids = draw(st.lists(st.sampled_from([f"t{i}" for i in range(40)]) | st.text(
-        "ab1 ", min_size=1, max_size=3), min_size=1, max_size=25, unique=True))
-    n = len(track_ids)
-    column = lambda values: st.lists(st.sampled_from(values), min_size=n, max_size=n)  # noqa: E731
-    vocabulary = GenreVocabulary(("rock", "jazz", "pop"), (0, 0, 0))
-    return SegmentTable(
-        track_ids=tuple(track_ids),
-        album_ids=tuple(draw(column(["", "p1", "p2"]))),
-        artist_ids=tuple(draw(column(["", "a1", "a2"]))),
-        genre_ids=tuple(draw(column([0, 1, 2]))),
-        splits=tuple(draw(column(list(SPLITS)))),
-        vocabulary=vocabulary,
-    )
-
-
-ONE_ROW = SegmentTable(("t1",), ("",), ("",), (2,), ("test",),
-                       GenreVocabulary(("rock", "jazz", "pop"), (0, 0, 0)))
-
-
-@settings(max_examples=200, deadline=None)
-@example(table=ONE_ROW)
-@given(table=segment_tables())
-def test_singleton_bagset_equals_the_row_sort_reference(table):
-    assert singleton_bagset(table) == reference_singleton_bagset(table)
