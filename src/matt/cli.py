@@ -22,7 +22,8 @@ import numpy as np
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import KEYS, RunConfig, load_run_config, with_keys
-from .dataset import LABEL_POLICIES, build_bags, load_metadata, save_bags_csv, segment_bags
+from .dataset import (LABEL_POLICIES, align_features, build_bags, load_metadata, save_bags_csv,
+                      segment_bags)
 from .dsp import (
     downmix_and_validate,
     extract_feature_sets,
@@ -186,12 +187,11 @@ def cmd_extract_features(args) -> int:
             lines.append(part.read_text(encoding="utf-8").strip())
         except UnicodeDecodeError:
             raise NotUtf8.in_file(part) from None
-    vectors = parse_feature_rows(lines, feature_set_length("1to9"), parts_dir)
-    columns = set_columns(cfg.feature_set)
-    rows = {tid: vec[columns] for tid, vec in vectors.items()}
+    track_ids, vectors = parse_feature_rows(lines, feature_set_length("1to9"), parts_dir)
     out = cfg.feature_csv()
-    write_feature_csv(out, feature_set_columns(cfg.feature_set), rows)
-    print(f"wrote {out} ({len(rows)} tracks) and {len(vectors)} mel caches")
+    write_feature_csv(out, feature_set_columns(cfg.feature_set), track_ids,
+                      vectors[:, set_columns(cfg.feature_set)])
+    print(f"wrote {out} ({len(track_ids)} tracks) and {len(track_ids)} mel caches")
     return 0
 
 
@@ -222,7 +222,8 @@ def cmd_gen_synth(args) -> int:
     cfg.metadata.write_text("\n".join(data.metadata_lines) + "\n", encoding="utf-8")
 
     columns = [f"synth_dim_{i}" for i in range(synth.feature_dim)]
-    write_feature_csv(cfg.feature_dir / "synth.csv", columns, data.features)
+    write_feature_csv(cfg.feature_dir / "synth.csv", columns, data.bags.table.track_ids,
+                      data.features)
     manifest = dict(sorted(vars(synth).items()))
     manifest["bag_size_range"] = list(synth.bag_size_range)
     (cfg.feature_dir / "synth.json").write_text(
@@ -239,21 +240,21 @@ def _load_features(cfg: RunConfig):
     path = cfg.feature_csv()
     if not path.exists():
         raise ValidationError(f"feature cache {path} not found; run extract-features")
-    features = read_feature_csv(path)
-    if not features:
+    track_ids, values = read_feature_csv(path)
+    if not track_ids:
         raise EmptyFeature(f"feature cache {path} has a header but no tracks")
-    return features
+    return track_ids, values
 
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     table = load_metadata(cfg.metadata)
-    features = _load_features(cfg)
+    X = align_features(table.track_ids, *_load_features(cfg))
     if args.segment_level:
         bags, name = segment_bags(table), "baseline.ckpt"
     else:
         bags, name = build_bags(table, label_policy=cfg.label_policy), "matt.ckpt"
-    model, train_log = train(bags, features, cfg.train)
+    model, train_log = train(bags, X, cfg.train)
     cfg.checkpoint_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.checkpoint_dir / name
     save_checkpoint(out, model.params)
@@ -264,12 +265,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _restore_model(cfg: RunConfig, args, table, features):
+def _restore_model(cfg: RunConfig, args, table, input_dim: int):
     path = Path(args.checkpoint) if args.checkpoint else cfg.checkpoint_dir / "matt.ckpt"
     if not path.exists():
         raise ValidationError(f"checkpoint {path} not found; run train")
     raw = load_checkpoint(path)
-    model = new_model(cfg.train, len(next(iter(features.values()))), len(table.vocabulary))
+    model = new_model(cfg.train, input_dim, len(table.vocabulary))
     model.load_params(raw)
     return model
 
@@ -277,14 +278,12 @@ def _restore_model(cfg: RunConfig, args, table, features):
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     table = load_metadata(cfg.metadata)
-    features = _load_features(cfg)
-    model = _restore_model(cfg, args, table, features)
+    X = align_features(table.track_ids, *_load_features(cfg))
+    model = _restore_model(cfg, args, table, X.shape[1])
     # segment mode reads no album or artist metadata, so it builds no album bags
     bags = (segment_bags(table) if cfg.eval_mode == "segment"
             else build_bags(table, label_policy=cfg.label_policy))
-    report = evaluate(
-        model, bags, features, mode=cfg.eval_mode, subsets=cfg.subsets, ks=cfg.ks
-    )
+    report = evaluate(model, bags, X, mode=cfg.eval_mode, subsets=cfg.subsets, ks=cfg.ks)
     cfg.report_dir.mkdir(parents=True, exist_ok=True)
     report.write_text(cfg.report_dir / "report.txt")
     report.write_topk_csv(cfg.report_dir / "topk.csv")
@@ -321,20 +320,14 @@ def format_predictions(track_ids, names, probabilities, weights) -> str:
 def cmd_predict(args) -> int:
     cfg = _load_config(args)
     table = load_metadata(cfg.metadata)
-    features = _load_features(cfg)
-    model = _restore_model(cfg, args, table, features)
+    ids, values = _load_features(cfg)
+    model = _restore_model(cfg, args, table, values.shape[1])
     names = table.vocabulary.names
-    if args.tracks:
-        track_ids = args.tracks.split(",")
-        missing = [t for t in track_ids if t not in features]
-        if missing:
-            raise ValidationError(f"no cached features for {missing}")
-    else:
-        track_ids = sorted(features)
+    track_ids = args.tracks.split(",") if args.tracks else sorted(ids)
     # every track is its own bag: one packed pass scores them all
-    X = np.array([features[t] for t in track_ids], dtype=np.float64)
+    X = align_features(track_ids, ids, values).astype(np.float64)
     probabilities = model.forward_packed(X, np.arange(len(X)))
-    del X  # the rows are not needed while formatting
+    del X, values  # the rows are not needed while formatting
     # a singleton bag's attention weight is exactly 1
     text = format_predictions(track_ids, names, probabilities, np.ones(len(track_ids)))
     if args.out:

@@ -22,6 +22,7 @@ from .errors import (
     DuplicateTrack,
     InconsistentBagLabel,
     InvalidConfig,
+    MissingFeature,
     NotUtf8,
     ValidationError,
 )
@@ -186,6 +187,16 @@ def segment_bags(table: SegmentTable) -> BagSet:
     """Every segment as its own bag with its own genre, in track id order."""
     rows = np.array(sorted(range(len(table)), key=table.track_ids.__getitem__), dtype=np.intp)
     return BagSet(table, rows, np.arange(len(rows)), np.array(table.genre_ids)[rows])
+
+
+def align_features(wanted_ids, track_ids, values: np.ndarray) -> np.ndarray:
+    """The rows of values (row i belongs to track_ids[i]) for wanted_ids, in
+    order. A wanted id with no row raises MissingFeature naming the first."""
+    row_of = dict(zip(track_ids, range(len(track_ids))))
+    try:
+        return values[list(map(row_of.__getitem__, wanted_ids))]
+    except KeyError as exc:
+        raise MissingFeature(f"no features for segment {exc.args[0]!r}") from None
 
 
 def save_bags_csv(path, bags: BagSet):

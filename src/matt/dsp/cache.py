@@ -44,21 +44,23 @@ def format_feature_rows(track_ids: list[str], matrix: np.ndarray) -> str:
     return line * len(track_ids) % tuple(cells)
 
 
-def write_feature_csv(path, columns: list[str], rows: dict[str, np.ndarray]):
-    """Write track_id -> vector rows (sorted by track id) atomically, and the
-    binary sidecar `<path>.bin` beside it.
+def write_feature_csv(path, columns: list[str], track_ids: list[str], values: np.ndarray):
+    """Write row i of values as track_ids[i]'s vector (rows sorted by track
+    id) atomically, and the binary sidecar `<path>.bin` beside it.
 
     For a named feature set, pass feature_set_columns(set_name) as columns.
-    Vectors are stored as float32. Both files are written block by block; the
-    sidecar's CSV digest and checksum are filled in at the end.
+    Values are stored as float32. A repeated id or a values shape other than
+    (len(track_ids), len(columns)) is rejected before any file is written.
+    Both files are written block by block; the sidecar's CSV digest and
+    checksum are filled in at the end.
     """
-    track_ids = sorted(rows)
-    for track_id in track_ids:
-        if np.shape(rows[track_id]) != (len(columns),):
-            raise ShapeError(
-                f"{track_id}: vector length {np.shape(rows[track_id])} "
-                f"!= header width {len(columns)}"
-            )
+    if values.shape != (len(track_ids), len(columns)):
+        raise ShapeError(f"{path}: values {values.shape} != {(len(track_ids), len(columns))}")
+    order = sorted(range(len(track_ids)), key=track_ids.__getitem__)
+    track_ids = list(map(track_ids.__getitem__, order))
+    repeated = [a for a, b in zip(track_ids, track_ids[1:]) if a == b]
+    if repeated:
+        raise DuplicateTrack(f"{path}: duplicate track {repeated[0]!r}")
     _check_names(path, columns, track_ids)
     csv_digest = hashlib.sha256()
     tmp, tmp_sidecar = f"{path}.tmp", f"{path}.bin.tmp"
@@ -67,7 +69,8 @@ def write_feature_csv(path, columns: list[str], rows: dict[str, np.ndarray]):
         _write_sidecar_head(sidecar, track_ids, len(columns))
         for i in range(0, len(track_ids), WRITE_BLOCK):
             block = track_ids[i : i + WRITE_BLOCK]
-            matrix = np.array([rows[t] for t in block], dtype=np.float32)
+            # a fancy-index copy: the NaN rewrite below leaves the caller's values as they are
+            matrix = values[order[i : i + WRITE_BLOCK]].astype(np.float32, copy=False)
             # the text goes straight through: a local would keep it alive
             # while the next block is formatted, the writer's peak
             _write_hashed(csv, csv_digest, format_feature_rows(block, matrix).encode("utf-8"))
@@ -107,8 +110,8 @@ def _write_hashed(fh, digest, data: bytes):
     digest.update(data)
 
 
-def read_feature_csv(path) -> dict[str, np.ndarray]:
-    """Returns track_id -> float32 vector; header is not validated against a set.
+def read_feature_csv(path) -> tuple[list[str], np.ndarray]:
+    """Returns (track_ids, (n, D) float32 rows); the header is not checked against a set.
 
     The sidecar `<path>.bin` is served when it is valid for the CSV's current
     bytes; any other CSV, edited or hand-written, is parsed as text.
@@ -128,10 +131,10 @@ def read_feature_csv(path) -> dict[str, np.ndarray]:
     return parse_feature_rows(lines[1:], lines[0].count(","), path)
 
 
-def _read_sidecar(csv_path) -> dict[str, np.ndarray] | None:
-    """The rows of the CSV's sidecar, or None unless its magic, version,
-    size, stored CSV digest and checksum all match. Only an error reading
-    the CSV itself is raised."""
+def _read_sidecar(csv_path) -> tuple[list[str], np.ndarray] | None:
+    """The ids and rows of the CSV's sidecar, or None unless its magic,
+    version, size, stored CSV digest and checksum all match and it holds
+    `rows` distinct ids. Only an error reading the CSV itself is raised."""
     try:
         fh = open(f"{csv_path}.bin", "rb")
     except OSError:
@@ -157,16 +160,18 @@ def _read_sidecar(csv_path) -> dict[str, np.ndarray] | None:
         if fh.read() != checksum.digest():
             return None
     track_ids = ids.decode("utf-8").split("\n") if n_rows else []
-    return dict(zip(track_ids, matrix.reshape(n_rows, n_columns)))
+    if len(set(track_ids)) != len(track_ids) or len(track_ids) != n_rows:
+        return None  # the text parse names the repeated track
+    return track_ids, matrix.reshape(n_rows, n_columns)
 
 
-def parse_feature_rows(lines: list[str], n_values: int, source) -> dict[str, np.ndarray]:
-    """Parse `track_id,v1,...,vn` lines into track_id -> float32 vector.
+def parse_feature_rows(lines: list[str], n_values: int, source) -> tuple[list[str], np.ndarray]:
+    """Parse `track_id,v1,...,vn` lines into (track_ids, (n, n_values) float32).
 
     The whole body goes through one np.loadtxt call straight to float32 (it
     rounds through a double, as np.float32(float(cell)) does). Every row must
     have exactly n_values cells after its id, and every id must be new: the
-    loader itself would drop extra cells and a dict would keep the last row.
+    loader itself would drop extra cells, and a repeated id would give two rows.
     """
     ids = [ln.partition(",")[0] for ln in lines]
     seen = set()
@@ -180,7 +185,7 @@ def parse_feature_rows(lines: list[str], n_values: int, source) -> dict[str, np.
             raise DuplicateTrack(f"{source}: duplicate track {track_id!r}")
         seen.add(track_id)
     if not ids:
-        return {}  # loadtxt warns on empty input
+        return [], np.empty((0, n_values), dtype=np.float32)  # loadtxt warns on empty input
     try:
         matrix = _load_float32(lines, n_values)
     except ValueError as exc:
@@ -193,7 +198,7 @@ def parse_feature_rows(lines: list[str], n_values: int, source) -> dict[str, np.
                     f"{source}: track {track_id!r}: {cell!r} is not a number"
                 ) from None
         raise CorruptAudio(f"{source}: {exc}") from None
-    return dict(zip(ids, matrix))
+    return ids, matrix
 
 
 def _load_float32(lines: list[str], n_values: int) -> np.ndarray:

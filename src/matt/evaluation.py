@@ -118,28 +118,28 @@ def pr_curve(probabilities, golds):
     return points, float(average_precision)
 
 
-def collect_predictions(model, units: BagSet, features):
+def collect_predictions(model, units: BagSet, X: np.ndarray):
     """Score every bag of units in one packed model call.
 
     Returns ((units, G) probabilities, (units,) gold genre ids).
     """
     if not len(units.starts):
         raise EmptyEval("no test units to evaluate")
-    return model.forward_packed(*pack_bags(units, features)), units.genre_ids
+    return model.forward_packed(*pack_bags(units, X)), units.genre_ids
 
 
 def evaluate(
-    model, bags: BagSet, features, mode: str = "bag", subsets=(100, 200), ks=(2, 3, 5)
+    model, bags: BagSet, X: np.ndarray, mode: str = "bag", subsets=(100, 200), ks=(2, 3, 5)
 ) -> EvalReport:
     """Full report: overall accuracy, PR curve, and Top@K per tail subset.
 
     Bag mode scores the test bags of bags; segment mode scores the test
-    segments of bags.table, each as its own bag.
+    segments of bags.table, each as its own bag. X is aligned to bags.table.
     """
     if mode not in EVAL_MODES:
         raise InvalidConfig(f"unknown evaluation mode {mode!r}")
     units = segment_bags(bags.table) if mode == "segment" else bags
-    probabilities, golds = collect_predictions(model, units.split("test"), features)
+    probabilities, golds = collect_predictions(model, units.split("test"), X)
     overall = accuracy(probabilities, golds)
     points, average_precision = pr_curve(probabilities, golds)
 

@@ -147,7 +147,7 @@ class BayesOracle:
 @dataclass(frozen=True)
 class SyntheticData:
     bags: BagSet
-    features: dict[str, np.ndarray]  # track_id -> float32 vector
+    features: np.ndarray  # (n, D) float32: row i belongs to bags.table row i
     oracle: BayesOracle
     metadata_lines: list[str]  # the table as metadata.csv lines, header first
 
@@ -160,7 +160,7 @@ def generate_synthetic(cfg: SynthConfig) -> SyntheticData:
     counts = split_bag_counts(cfg)
 
     lines = [METADATA_HEADER]
-    features: dict[str, np.ndarray] = {}
+    rows = []  # rows[i] is the vector of metadata row i
     for g in range(cfg.n_genres):
         genre = f"genre{g + 1:02d}"
         n_train, n_val, n_test = counts[g]
@@ -176,14 +176,14 @@ def generate_synthetic(cfg: SynthConfig) -> SyntheticData:
                         vec = rng.standard_normal(cfg.feature_dim)
                     else:
                         vec = centroids[g] + rng.standard_normal(cfg.feature_dim)
-                    features[track] = vec.astype(np.float32)
+                    rows.append(vec.astype(np.float32))
                     lines.append(f"{track},{album},{artist},{genre},{split}")
 
     table = parse_metadata_lines(lines, source=f"synthetic(seed={cfg.seed})")
     bags = build_bags(table, label_policy="strict")
     return SyntheticData(
         bags=bags,
-        features=features,
+        features=np.array(rows, dtype=np.float32),
         oracle=BayesOracle(centroids, cfg.noise_rate, cfg.genre_log_prior()),
         metadata_lines=lines,
     )

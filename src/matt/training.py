@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import BagSet
-from .errors import DivergedError, InvalidConfig, MissingFeature
+from .errors import DivergedError, InvalidConfig
 from .model import EncoderConfig, MattModel
 from .numeric import OptimizerState, optimizer_step
 
@@ -81,19 +81,13 @@ def nll_losses(probabilities: np.ndarray, golds: np.ndarray, genre_weights=None)
     return losses, d_scores
 
 
-def pack_bags(bags: BagSet, features: dict[str, np.ndarray]):
+def pack_bags(bags: BagSet, X: np.ndarray):
     """Members of bags as one packed float64 matrix, bag after bag.
 
-    Returns ((n_rows, D) features, (B,) first row of each bag). All member
-    rows are gathered in one pass; a missing feature row raises
-    MissingFeature naming the first such track.
+    X holds one feature row per row of bags.table (dataset.align_features).
+    Returns ((n_rows, D) features, (B,) first row of each bag).
     """
-    try:
-        rows = [features[track_id]
-                for track_id in map(bags.table.track_ids.__getitem__, bags.rows.tolist())]
-    except KeyError as exc:
-        raise MissingFeature(f"no features for segment {exc.args[0]!r}") from None
-    return np.array(rows, dtype=np.float64), bags.starts
+    return X[bags.rows].astype(np.float64), bags.starts
 
 
 def new_model(cfg: TrainConfig, input_dim: int, n_genres: int) -> MattModel:
@@ -111,24 +105,24 @@ def _bag_accuracy(model: MattModel, packed, golds: np.ndarray) -> float:
     return np.count_nonzero(winners == golds) / len(golds)
 
 
-def train(bags: BagSet, features: dict[str, np.ndarray], cfg: TrainConfig):
+def train(bags: BagSet, X: np.ndarray, cfg: TrainConfig):
     """Train on split=train bags, early-stopping on split=validation accuracy.
 
-    Both splits are packed once, before the first epoch. Each epoch gathers
-    the train rows once in shuffled order; a batch is then a contiguous slice
-    of that gather and one packed forward/backward pass. Returns (model,
-    train_log); the model carries the best-validation parameters (or the
-    final ones when there is no validation split).
+    X is aligned to bags.table. Both splits are packed once, before the first
+    epoch. Each epoch gathers the train rows once in shuffled order; a batch
+    is then a contiguous slice of that gather and one packed forward/backward
+    pass. Returns (model, train_log); the model carries the best-validation
+    parameters (or the final ones when there is no validation split).
     """
     train_bags = bags.split("train")
     val_bags = bags.split("validation")
     n_train = len(train_bags.starts)
     if not n_train:
         raise InvalidConfig("no training bags")
-    train_X, train_starts = pack_bags(train_bags, features)
+    train_X, train_starts = pack_bags(train_bags, X)
     train_sizes = np.diff(train_starts, append=len(train_X))
     train_golds = train_bags.genre_ids
-    val_packed = pack_bags(val_bags, features) if len(val_bags.starts) else None
+    val_packed = pack_bags(val_bags, X) if len(val_bags.starts) else None
     val_golds = val_bags.genre_ids
     n_genres = len(bags.table.vocabulary)
     if cfg.class_weighting:
@@ -203,6 +197,6 @@ def nll_loss(prediction, gold: int):
     return float(losses[0]), d_scores[0]
 
 
-def bag_feature_matrix(bags: BagSet, features: dict[str, np.ndarray]) -> np.ndarray:
+def bag_feature_matrix(bags: BagSet, X: np.ndarray) -> np.ndarray:
     """The (n_rows, D) member rows of bags, bag after bag."""
-    return pack_bags(bags, features)[0]
+    return pack_bags(bags, X)[0]

@@ -7,6 +7,7 @@ binary sidecar is proven equal to the text parse it stands in for, and never
 served for a CSV it was not written with.
 """
 
+import hashlib
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -19,7 +20,14 @@ from hypothesis import strategies as st
 from matt.cli import format_predictions
 from matt.dataset import load_metadata
 from matt.dsp import read_feature_csv, write_feature_csv
-from matt.dsp.cache import WRITE_BLOCK, format_feature_rows, parse_feature_rows
+from matt.dsp.cache import (
+    FEATURE_MAGIC,
+    FEATURE_VERSION,
+    SIDECAR_HEAD,
+    WRITE_BLOCK,
+    format_feature_rows,
+    parse_feature_rows,
+)
 from matt.errors import CorruptAudio, DuplicateTrack, NotUtf8, ShapeError
 from matt.evaluation import EvalReport
 
@@ -29,7 +37,8 @@ def format_value(x: float) -> str:
     return "%.9g" % x
 
 
-def reference_write_feature_csv(path, columns, rows):
+def reference_write_feature_csv(path, columns, track_ids, values):
+    rows = dict(zip(track_ids, values))
     lines = ["track_id," + ",".join(columns)]
     for track_id in sorted(rows):
         vector = np.asarray(rows[track_id], dtype=np.float32)
@@ -38,25 +47,27 @@ def reference_write_feature_csv(path, columns, rows):
         fh.write("\n".join(lines) + "\n")
 
 
-def reference_read_feature_csv(path) -> dict[str, np.ndarray]:
+def reference_read_feature_csv(path) -> tuple[list[str], np.ndarray]:
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     n_cols = lines[0].count(",")
-    rows = {}
+    ids, rows = [], []
     for ln in lines[1:]:
         parts = ln.split(",")
         assert len(parts) == n_cols + 1
+        ids.append(parts[0])
         with np.errstate(over="ignore"):  # beyond float32 range is inf, as in the loader
-            rows[parts[0]] = np.array([float(p) for p in parts[1:]], dtype=np.float32)
-    return rows
+            rows.append(np.array([float(p) for p in parts[1:]], dtype=np.float32))
+    return ids, np.array(rows, dtype=np.float32).reshape(len(ids), n_cols)
 
 
 def assert_same_table(table, reference):
-    """Same ids in the same order, each vector float32 and bitwise equal."""
-    assert list(table) == list(reference)
-    for track_id, vector in reference.items():
-        assert table[track_id].dtype == np.float32
-        assert table[track_id].tobytes() == vector.tobytes()
+    """Same ids in the same order and a float32 matrix of the same shape,
+    bitwise equal."""
+    (ids, values), (reference_ids, reference_values) = table, reference
+    assert ids == reference_ids
+    assert values.dtype == np.float32 and values.shape == reference_values.shape
+    assert values.tobytes() == reference_values.tobytes()
 
 
 def read_served_and_parsed(path):
@@ -143,11 +154,7 @@ def test_feature_csv_equals_the_per_cell_reference_bitwise(
     path = tmp_path_factory.mktemp("cache") / "set.csv"
     path.write_bytes(newline.join([header, *rows, ""]).encode("utf-8"))
 
-    fast, reference = read_feature_csv(path), reference_read_feature_csv(path)
-    assert list(fast) == list(reference)
-    for track_id, vector in reference.items():
-        assert fast[track_id].dtype == np.float32
-        assert fast[track_id].tobytes() == vector.tobytes()
+    assert_same_table(read_feature_csv(path), reference_read_feature_csv(path))
 
 
 # float32 values whose %.9g text is a rounding edge: the last digit rounds
@@ -174,14 +181,12 @@ NINE_DIGIT_EDGES = [
 def test_feature_csv_write_equals_the_per_cell_reference(tmp_path_factory, values, n_columns):
     n_rows = -(-len(values) // n_columns)
     cells = (values * n_columns)[: n_rows * n_columns]
-    rows = {
-        f"t{i:02d}{'ab'[i % 2]}": np.array(cells[i * n_columns : (i + 1) * n_columns])
-        for i in range(n_rows)
-    }
+    ids = [f"t{i:02d}{'ab'[i % 2]}" for i in range(n_rows)]
+    values = np.array(cells).reshape(n_rows, n_columns)
     columns = [f"f_mean_{i}" for i in range(n_columns)]
     out = tmp_path_factory.mktemp("write")
-    write_feature_csv(out / "fast.csv", columns, rows)
-    reference_write_feature_csv(out / "reference.csv", columns, rows)
+    write_feature_csv(out / "fast.csv", columns, ids, values)
+    reference_write_feature_csv(out / "reference.csv", columns, ids, values)
     assert (out / "fast.csv").read_bytes() == (out / "reference.csv").read_bytes()
 
 
@@ -190,10 +195,14 @@ def test_feature_csv_write_blocks_equal_the_per_cell_reference(tmp_path, n_rows)
     # every float32 bit pattern is equally likely, subnormals and -0.0 included
     bits = np.random.default_rng(n_rows).integers(0, 2**32, size=(n_rows, 5), dtype=np.uint32)
     bits[:1, :2] = [0x80000000, 0x00000001]  # -0.0 and the smallest subnormal
-    rows = {f"trk{i:05d}": v for i, v in enumerate(bits.view(np.float32))}
+    # rows given in reverse id order, so the writer's sort moves every row
+    ids = [f"trk{i:05d}" for i in range(n_rows)][::-1]
+    values = bits.view(np.float32)
     columns = [f"f_mean_{i}" for i in range(5)]
-    write_feature_csv(tmp_path / "fast.csv", columns, rows)
-    reference_write_feature_csv(tmp_path / "reference.csv", columns, rows)
+    write_feature_csv(tmp_path / "fast.csv", columns, ids, values)
+    # the writer stores NaN as the text parses it, in its own copy of each block
+    assert values.view(np.uint32).tobytes() == bits.tobytes()
+    reference_write_feature_csv(tmp_path / "reference.csv", columns, ids, values)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     # the sidecar is written in the same blocks; its read equals the text parse
     assert_same_table(*read_served_and_parsed(tmp_path / "fast.csv"))
@@ -211,7 +220,8 @@ def test_header_only_feature_csv_is_empty_without_a_warning(tmp_path):
     path.write_text("track_id,f_mean_0,f_mean_1\n", encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert read_feature_csv(path) == {}
+        ids, values = read_feature_csv(path)
+    assert ids == [] and values.shape == (0, 2) and values.dtype == np.float32
 
 
 BAD_ROWS = [
@@ -266,19 +276,19 @@ track_ids = st.text(
 def test_sidecar_read_equals_the_text_parse_bitwise(tmp_path_factory, data, n_rows, n_values):
     ids = data.draw(st.lists(track_ids, min_size=n_rows, max_size=n_rows, unique=True))
     cells = st.lists(sidecar_cells, min_size=n_values, max_size=n_values)
-    rows = {t: np.array(data.draw(cells), dtype=np.float32) for t in ids}
+    values = np.array([data.draw(cells) for _ in ids], dtype=np.float32).reshape(n_rows, n_values)
     path = tmp_path_factory.mktemp("sidecar") / "set.csv"
-    write_feature_csv(path, [f"f_mean_{i}" for i in range(n_values)], rows)
+    write_feature_csv(path, [f"f_mean_{i}" for i in range(n_values)], ids, values)
     served, parsed = read_served_and_parsed(path)
     assert_same_table(served, parsed)
-    assert list(served) == sorted(rows)
-    for track_id, vector in rows.items():
-        assert np.array_equal(served[track_id], vector, equal_nan=True)
+    order = sorted(range(n_rows), key=ids.__getitem__)
+    assert served[0] == [ids[i] for i in order]
+    assert np.array_equal(served[1], values[order], equal_nan=True)
 
 
 def small_cache(path, offset=0.0):
-    rows = {"a": [1.5 + offset, -0.0], "b": [np.nan, 3e-45], "c": [-np.inf, 2.0]}
-    write_feature_csv(path, ["x_0", "x_1"], {t: np.float32(v) for t, v in rows.items()})
+    values = np.float32([[1.5 + offset, -0.0], [np.nan, 3e-45], [-np.inf, 2.0]])
+    write_feature_csv(path, ["x_0", "x_1"], ["a", "b", "c"], values)
     return path
 
 
@@ -319,7 +329,7 @@ def test_truncated_or_flipped_sidecar_is_never_served(tmp_path):
 @pytest.mark.parametrize("row, error, message", BAD_ROWS)
 def test_bad_csv_beside_a_stale_sidecar_raises_the_text_error(tmp_path, row, error, message):
     path = tmp_path / "set.csv"
-    write_feature_csv(path, ["x_0", "x_1"], {"a": np.float32([1, 2]), "c": np.float32([3, 4])})
+    write_feature_csv(path, ["x_0", "x_1"], ["a", "c"], np.float32([[1, 2], [3, 4]]))
     path.write_text(f"track_id,x_0,x_1\na,1,2\n{row}\nc,3,4\n", encoding="utf-8")
     with pytest.raises(error) as info:
         read_feature_csv(path)
@@ -341,8 +351,54 @@ def test_feature_csv_write_rejects_what_the_text_cannot_hold(tmp_path, columns, 
     # the text parse would split such a name or reject such a file; the
     # sidecar, written from the same rows, would then not equal it
     with pytest.raises(ShapeError, match="set.csv"):
-        write_feature_csv(tmp_path / "set.csv", columns, {track_id: np.ones(len(columns))})
+        write_feature_csv(tmp_path / "set.csv", columns, [track_id], np.ones((1, len(columns))))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "ids, shape, error, message",
+    [
+        (["b", "a", "c", "a"], (4, 2), DuplicateTrack, "duplicate track 'a'"),
+        (["b", "a"], (3, 2), ShapeError, r"values \(3, 2\) != \(2, 2\)"),
+        (["b", "a"], (2, 3), ShapeError, r"values \(2, 3\) != \(2, 2\)"),
+        (["b", "a"], (2,), ShapeError, r"values \(2,\) != \(2, 2\)"),
+    ],
+    ids=["repeated-id", "extra-row", "extra-column", "vector"],
+)
+def test_feature_csv_write_rejects_a_repeated_id_or_a_misshaped_matrix(
+    tmp_path, ids, shape, error, message
+):
+    # a list of ids, unlike the keys of a dict, can repeat one; the text
+    # parse would reject the file, and the sidecar would hold both rows
+    with pytest.raises(error, match=f"^{tmp_path / 'set.csv'}: {message}$"):
+        write_feature_csv(tmp_path / "set.csv", ["x_0", "x_1"], ids, np.ones(shape))
+    assert list(tmp_path.iterdir()) == []
+
+
+def write_sidecar(csv_path, id_block: bytes, n_rows: int, values: np.ndarray):
+    """A sidecar whose digest and checksum are valid for the CSV as it is,
+    holding any id block and row count the writer would never write."""
+    head = SIDECAR_HEAD.pack(FEATURE_MAGIC, FEATURE_VERSION,
+                             hashlib.sha256(Path(csv_path).read_bytes()).digest(),
+                             n_rows, values.shape[1], len(id_block))
+    body = head + id_block + np.ascontiguousarray(values, dtype="<f4").tobytes()
+    Path(f"{csv_path}.bin").write_bytes(body + hashlib.sha256(body).digest())
+
+
+@pytest.mark.parametrize("id_block", [b"t1\nt1", b"t1"], ids=["repeated-id", "one-id-two-rows"])
+def test_sidecar_with_a_bad_id_block_is_not_served(tmp_path, id_block):
+    values = np.float32([[1, 2], [3, 4]])
+    # the crafted sidecar is served when its id block is sound
+    path = tmp_path / "set.csv"
+    path.write_text("track_id,x_0,x_1\nt1,1,2\nt2,3,4\n", encoding="utf-8")
+    write_sidecar(path, b"t1\nt2", 2, values)
+    served, parsed = read_served_and_parsed(path)
+    assert_same_table(served, parsed)
+    # with a repeated id, or one id for two rows, the text parse decides
+    path.write_text("track_id,x_0,x_1\nt1,1,2\nt1,3,4\n", encoding="utf-8")
+    write_sidecar(path, id_block, 2, values)
+    with pytest.raises(DuplicateTrack, match=f"^{path}: duplicate track 't1'$"):
+        read_feature_csv(path)
 
 
 PR_POINTS = [

@@ -78,9 +78,9 @@ def run(*argv):
 def test_extract_features_end_to_end(corpus):
     root, cfg = corpus
     assert run("extract-features", "--config", cfg, "--workers", 2) == 0
-    table = read_feature_csv(root / "features" / "3+6.csv")
-    assert sorted(table) == ["trk00", "trk01", "trk02", "trk03"]
-    assert all(v.shape == (189,) for v in table.values())
+    track_ids, values = read_feature_csv(root / "features" / "3+6.csv")
+    assert track_ids == ["trk00", "trk01", "trk02", "trk03"]
+    assert values.shape == (4, 189) and values.dtype == np.float32
     mel = read_mel_cache(root / "features" / "mel" / "trk00.mel")
     assert mel.shape == (96, 1360)
 
@@ -631,10 +631,11 @@ def test_header_only_feature_cache_fails_validation(corpus, capsys, command):
         (("train", "--segment-level"), "validation"),
         (("evaluate", "--mode", "bag"), "test"),
         (("evaluate", "--mode", "segment"), "test"),
+        (("predict", "--out", "predictions.csv", "--tracks"), "test"),
     ],
-    ids=["train", "train-segment-level", "evaluate-bag", "evaluate-segment"],
+    ids=["train", "train-segment-level", "evaluate-bag", "evaluate-segment", "predict"],
 )
-def test_missing_feature_row_fails_validation(tmp_path, capsys, command, split):
+def test_missing_feature_row_fails_validation(tmp_path, capsys, monkeypatch, command, split):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         CONFIG_TEMPLATE.format(feature_set="synth", epochs=2)
@@ -642,9 +643,11 @@ def test_missing_feature_row_fails_validation(tmp_path, capsys, command, split):
         + "bag_size_min = 1\nbag_size_max = 4\nnoise_rate = 0.1\n",
         encoding="utf-8",
     )
+    monkeypatch.chdir(tmp_path)  # predict's --out is relative
     assert run("gen-synth", "--config", cfg) == 0
-    if command[0] == "evaluate":
+    if command[0] != "train":
         assert run("train", "--config", cfg) == 0
+    trained = sorted((tmp_path / "ckpt").glob("*")) if command[0] != "train" else []
     rows = (tmp_path / "metadata.csv").read_text(encoding="utf-8").splitlines()[1:]
     track = [r.split(",")[0] for r in rows if r.endswith("," + split)][-1]
     csv = tmp_path / "features" / "synth.csv"
@@ -654,8 +657,11 @@ def test_missing_feature_row_fails_validation(tmp_path, capsys, command, split):
     csv.write_text("\n".join(kept) + "\n", encoding="utf-8")
     capsys.readouterr()
 
-    assert run(*command, "--config", cfg) == 1
+    argv = [*command, track] if command[0] == "predict" else command
+    assert run(*argv, "--config", cfg) == 1
     err = capsys.readouterr().err
-    assert track in err and "internal error" not in err
-    if command[0] == "train":  # rejected while packing, before any epoch
-        assert not (tmp_path / "ckpt").exists()
+    assert err == f"matt: no features for segment {track!r}\n"
+    # rejected before any work: no checkpoint, report or prediction written
+    assert sorted((tmp_path / "ckpt").glob("*")) == trained
+    assert not (tmp_path / "reports").exists()
+    assert not (tmp_path / "predictions.csv").exists()

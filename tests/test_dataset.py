@@ -10,6 +10,7 @@ from matt.dataset import (
     SPLITS,
     GenreVocabulary,
     SegmentTable,
+    align_features,
     build_bags,
     load_metadata,
     parse_metadata_lines,
@@ -22,8 +23,10 @@ from matt.errors import (
     DuplicateTrack,
     InconsistentBagLabel,
     InvalidConfig,
+    MissingFeature,
     ValidationError,
 )
+from matt.training import pack_bags
 
 HEADER = "track_id,album_id,artist_id,genre,split"
 
@@ -433,3 +436,45 @@ def test_split_equals_the_reference_bags_of_that_split(table):
             assert part.starts[:1].tolist() in ([], [0])
             assert bag_list(part) == [bag for bag in reference if bag[0][2] == split]
             assert bag_list(part.split(split)) == bag_list(part)
+
+
+# -- features aligned to the table once, gathered by row index -- #
+
+def reference_pack(bags, features):
+    """The gather the aligned matrix replaced: one lookup per member in a
+    track_id -> float32 vector dict."""
+    rows = [features[t] for t in map(bags.table.track_ids.__getitem__, bags.rows.tolist())]
+    return np.array(rows, dtype=np.float64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=segment_tables(), data=st.data())
+def test_aligned_gather_equals_the_dict_gather_bitwise(table, data):
+    """A feature file lists the table's tracks in a shuffled order, with rows
+    of tracks the table does not have; any float32 bit pattern is a value."""
+    width = 3
+    extra = data.draw(st.lists(st.text("xyz", max_size=3).map("x".__add__), max_size=5,
+                               unique=True))
+    ids = data.draw(st.permutations([*table.track_ids, *extra]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    values = np.random.default_rng(seed).integers(
+        0, 2**32, size=(len(ids), width), dtype=np.uint32).view(np.float32)
+    features = dict(zip(ids, values))
+    X = align_features(table.track_ids, ids, values)
+    assert X.dtype == np.float32 and X.shape == (len(table), width)
+    for view in (segment_bags(table), build_bags(table, "majority")):
+        for split in SPLITS:
+            part = view.split(split)
+            # a signalling NaN sets the invalid flag as it widens, in both gathers
+            with np.errstate(invalid="ignore"):
+                (packed, starts), reference = pack_bags(part, X), reference_pack(part, features)
+            assert packed.dtype == np.float64 and packed.shape == (len(part.rows), width)
+            assert packed.tobytes() == reference.tobytes()
+            assert starts is part.starts
+    # rows left out of the file: the first missing table track, in file order
+    dropped = data.draw(st.sets(st.sampled_from(table.track_ids), min_size=1))
+    kept = [i for i, t in enumerate(ids) if t not in dropped]
+    first = next(t for t in table.track_ids if t in dropped)
+    with pytest.raises(MissingFeature) as info:
+        align_features(table.track_ids, [ids[i] for i in kept], values[kept])
+    assert str(info.value) == f"no features for segment {first!r}"

@@ -174,12 +174,12 @@ def test_bag_mode_on_singletons_equals_segment_mode():
     table = parse_metadata_lines(rows)
     bags = build_bags(table)  # all singletons (missing metadata)
     rng = np.random.default_rng(5)
-    features = {f"t{i}": rng.standard_normal(5).astype(np.float32) for i in range(8)}
+    X = rng.standard_normal((8, 5)).astype(np.float32)  # row i is t{i}'s
     model = MattModel(
         EncoderConfig(input_dim=5, hidden_dims=(), output_dim=3), n_genres=2, seed=2
     )
-    bag_report = evaluate(model, bags, features, mode="bag", ks=(1, 2))
-    seg_report = evaluate(model, bags, features, mode="segment", ks=(1, 2))
+    bag_report = evaluate(model, bags, X, mode="bag", ks=(1, 2))
+    seg_report = evaluate(model, bags, X, mode="segment", ks=(1, 2))
     assert bag_report.overall_accuracy == seg_report.overall_accuracy
     assert bag_report.top_k == seg_report.top_k
     assert np.array_equal(bag_report.pr_points, seg_report.pr_points)
@@ -201,9 +201,9 @@ def test_segment_mode_scores_each_segment_against_its_own_genre():
         [HEADER, "t1,alb,art,rock,test", "t2,alb,art,rock,test", "t3,alb,art,jazz,test"])
     bags = build_bags(table, label_policy="majority")
     # each segment's features are the one-hot vector of its own genre
-    features = {t: np.eye(2, dtype=np.float32)[g] for t, g in zip(table.track_ids, (0, 0, 1))}
-    bag_report = evaluate(MeanOfMembers(), bags, features, mode="bag", ks=(1,))
-    seg_report = evaluate(MeanOfMembers(), bags, features, mode="segment", ks=(1,))
+    X = np.eye(2, dtype=np.float32)[list(table.genre_ids)]
+    bag_report = evaluate(MeanOfMembers(), bags, X, mode="bag", ks=(1,))
+    seg_report = evaluate(MeanOfMembers(), bags, X, mode="segment", ks=(1,))
     assert (bag_report.n_units, bag_report.overall_accuracy) == (1, 1.0)
     assert (seg_report.n_units, seg_report.overall_accuracy) == (3, 1.0)
     assert seg_report.average_precision == 1.0
@@ -214,14 +214,14 @@ def shuffled_id_bags(seed=4):
     in another order than the test bags' members do."""
     rng = np.random.default_rng(seed)
     names = rng.permutation(64).tolist()
-    rows, features = ["track_id,album_id,artist_id,genre,split"], {}
+    rows, vectors = ["track_id,album_id,artist_id,genre,split"], []
     for album in range(16):
         split = "train" if album < 4 else "test"
         for _ in range(rng.integers(1, 5)):
             track = f"t{names.pop():02d}"
             rows.append(f"{track},alb{album},art{album},g{album % 3},{split}")
-            features[track] = rng.standard_normal(5).astype(np.float32)
-    return build_bags(parse_metadata_lines(rows), label_policy="strict"), features
+            vectors.append(rng.standard_normal(5).astype(np.float32))
+    return build_bags(parse_metadata_lines(rows), label_policy="strict"), np.array(vectors)
 
 
 @pytest.mark.parametrize("hidden_dims", [(), (6,)])
@@ -229,17 +229,17 @@ def test_segment_report_equals_the_bag_member_order_report(hidden_dims):
     """Segment mode scores the test segments in track id order. Scored in
     the order of the test bags' members instead, each against its bag's label
     (the same as its own genre on strict data), every report figure is equal."""
-    bags, features = shuffled_id_bags()
+    bags, X = shuffled_id_bags()
     model = MattModel(
         EncoderConfig(input_dim=5, hidden_dims=hidden_dims, output_dim=4), n_genres=3, seed=3
     )
-    report = evaluate(model, bags, features, mode="segment", ks=(1, 2))
+    report = evaluate(model, bags, X, mode="segment", ks=(1, 2))
     test = bags.split("test")
-    X, starts = pack_bags(test, features)
+    members, starts = pack_bags(test, X)
     member_ids = [bags.table.track_ids[i] for i in test.rows.tolist()]
     assert member_ids != sorted(member_ids)
-    probabilities = model.forward_packed(X, np.arange(len(X)))
-    golds = np.repeat(test.genre_ids, np.diff(starts, append=len(X)))
+    probabilities = model.forward_packed(members, np.arange(len(members)))
+    golds = np.repeat(test.genre_ids, np.diff(starts, append=len(members)))
     assert report.n_units == len(golds)
     assert report.overall_accuracy == accuracy(probabilities, golds)
     points, average_precision = pr_curve(probabilities, golds)

@@ -44,9 +44,9 @@ def test_same_seed_is_bit_identical():
     a = generate_synthetic(small_cfg(seed=9))
     b = generate_synthetic(small_cfg(seed=9))
     assert bag_list(a.bags) == bag_list(b.bags)
-    assert sorted(a.features) == sorted(b.features)
-    for track_id in a.features:
-        assert np.array_equal(a.features[track_id], b.features[track_id])
+    # one float32 row per table row
+    assert a.features.shape == (len(a.bags.table), 8) and a.features.dtype == np.float32
+    assert a.features.tobytes() == b.features.tobytes()
     assert np.array_equal(a.oracle.centroids, b.oracle.centroids)
 
 

@@ -7,6 +7,7 @@ from matt.dataset import (
     BagSet,
     GenreVocabulary,
     SegmentTable,
+    align_features,
     build_bags,
     parse_metadata_lines,
 )
@@ -126,29 +127,34 @@ def test_initial_loss_near_log_g():
     # near-zero logits at init: shrink the features so the first epoch's mean
     # loss sits at the balanced-chance level
     data = two_genre_data()
-    tiny = {k: 0.01 * v for k, v in data.features.items()}
+    tiny = 0.01 * data.features
     cfg = TrainConfig(epochs=1, seed=2, embedding_dim=4, learning_rate=1e-5)
     _, log = train(data.bags, tiny, cfg)
     assert log.epochs[0][1] == pytest.approx(np.log(2.0), rel=0.10)
 
 
+def without(track_ids, values, dropped):
+    """A feature file's (ids, values) with the rows of dropped left out."""
+    kept = [i for i, t in enumerate(track_ids) if t not in dropped]
+    return [track_ids[i] for i in kept], values[kept]
+
+
 def test_missing_feature_raises():
     data = two_genre_data()
-    features = dict(data.features)
-    features.pop(bag_list(data.bags.split("train"))[0][1][0])
+    ids = data.bags.table.track_ids
+    dropped = {bag_list(data.bags.split("train"))[0][1][0]}
     with pytest.raises(MissingFeature):
-        train(data.bags, features, TrainConfig(epochs=1, embedding_dim=4))
+        align_features(ids, *without(ids, data.features, dropped))
 
 
 def test_missing_feature_names_the_track():
     data = two_genre_data()
-    features = dict(data.features)
+    ids = data.bags.table.track_ids
     missing = bag_list(data.bags.split("validation"))[-1][1][-1]
-    features.pop(missing)
+    later = ids[-1]  # a test row: the generator writes them after validation rows
+    assert ids.index(missing) < ids.index(later)
     with pytest.raises(MissingFeature, match=f"^no features for segment {missing!r}$"):
-        training.pack_bags(data.bags.split("validation"), features)
-    with pytest.raises(MissingFeature, match=f"^no features for segment {missing!r}$"):
-        train(data.bags, features, TrainConfig(epochs=1, embedding_dim=4))
+        align_features(ids, *without(ids, data.features, {later, missing}))
 
 
 @pytest.mark.parametrize("epochs", [1, 4])
@@ -158,9 +164,9 @@ def test_train_gathers_each_bag_once_and_runs_one_pass_per_batch(monkeypatch, ep
     pack = training.pack_bags
     forward = MattModel.forward_packed
 
-    def counting_pack(bags, features):
+    def counting_pack(bags, X):
         events.append(("pack", bag_list(bags)))
-        return pack(bags, features)
+        return pack(bags, X)
 
     def counting_forward(self, X, starts, keep_cache=False):
         events.append(("pass", len(starts)))
@@ -188,7 +194,7 @@ def test_no_training_bags_rejected():
     table = parse_metadata_lines([HEADER, "t1,a,p,rock,test", "t2,b,q,jazz,test"])
     bags = build_bags(table)
     with pytest.raises(InvalidConfig):
-        train(bags, {}, TrainConfig(epochs=1))
+        train(bags, np.zeros((2, 3), dtype=np.float32), TrainConfig(epochs=1))
 
 
 def test_early_stopping_stops(caplog):
@@ -301,15 +307,15 @@ def reference_optimizer_step(cfg, state, store):
     store.flat_grad[...] = 0.0
 
 
-def reference_train(bags, features, cfg):
+def reference_train(bags, X, cfg):
     """train() with one row gather and one reference step per batch; returns
     (flat parameters, [(epoch, loss, val_accuracy)])."""
     train_bags = bags.split("train")
     val_bags = bags.split("validation")
-    train_X, train_starts = training.pack_bags(train_bags, features)
+    train_X, train_starts = training.pack_bags(train_bags, X)
     train_sizes = np.diff(train_starts, append=len(train_X))
     train_golds = train_bags.genre_ids
-    val_X, val_starts = training.pack_bags(val_bags, features)
+    val_X, val_starts = training.pack_bags(val_bags, X)
     val_golds = val_bags.genre_ids
     n_genres = len(bags.table.vocabulary)
     genre_weights = None
@@ -350,14 +356,14 @@ def ragged_data(seed=0, dim=6, n_genres=3):
     whose rows are in a shuffled order of their own."""
     rng = np.random.default_rng(seed)
     sizes = rng.permutation([1] * 14 + rng.integers(2, 8, size=30).tolist())
-    records, genre_ids, features = [], [], {}
+    records, genre_ids, vectors = [], [], []
     for b, size in enumerate(sizes):
         split = "validation" if b % 5 == 0 else "train"
         genre_id = int(rng.integers(n_genres))
         key = ("", "") if size == 1 else (f"artist{b}", f"album{b}")
         for k in range(size):
             track_id = f"s{b}m{k}"
-            features[track_id] = (rng.standard_normal(dim) + genre_id).astype(np.float32)
+            vectors.append((rng.standard_normal(dim) + genre_id).astype(np.float32))
             records.append((track_id, key[1], key[0], genre_id, split))
         genre_ids.append(genre_id)
     # the table lists the records in a shuffled order; rows maps bag order onto it
@@ -365,7 +371,8 @@ def ragged_data(seed=0, dim=6, n_genres=3):
     vocabulary = GenreVocabulary(tuple(f"g{g}" for g in range(n_genres)), (1,) * n_genres)
     table = SegmentTable(*map(tuple, zip(*(records[i] for i in order))), vocabulary)
     starts = np.cumsum(sizes) - sizes
-    return BagSet(table, np.argsort(order), starts, np.array(genre_ids)), features
+    X = np.array(vectors)[order]  # one feature row per table row
+    return BagSet(table, np.argsort(order), starts, np.array(genre_ids)), X
 
 
 @pytest.mark.parametrize(
@@ -381,13 +388,13 @@ def ragged_data(seed=0, dim=6, n_genres=3):
 def test_train_equals_the_per_batch_gather_reference_bitwise(
     aggregator, optimizer, hidden_dims, class_weighting
 ):
-    bags, features = ragged_data()
+    bags, X = ragged_data()
     cfg = TrainConfig(
         epochs=3, bags_per_batch=8, optimizer=optimizer, learning_rate=3e-2, seed=11,
         aggregator=aggregator, hidden_dims=hidden_dims, embedding_dim=4,
         class_weighting=class_weighting,
     )
-    model, log = train(bags, features, cfg)
-    expected_flat, expected_epochs = reference_train(bags, features, cfg)
+    model, log = train(bags, X, cfg)
+    expected_flat, expected_epochs = reference_train(bags, X, cfg)
     assert [e[:3] for e in log.epochs] == expected_epochs
     assert model.params.flat.tobytes() == expected_flat.tobytes()

@@ -81,21 +81,21 @@ def read_back(path, sidecar: str):
 @pytest.mark.parametrize("sidecar", ["present", "removed"])
 def test_feature_csv_round_trips_float32(tmp_path, sidecar):
     rng = np.random.default_rng(2)
-    rows = {f"trk{i}": rng.standard_normal(5).astype(np.float32) * 1e3 for i in range(4)}
+    ids = [f"trk{i}" for i in range(4)]
+    values = rng.standard_normal((4, 5)).astype(np.float32) * 1e3
     path = tmp_path / "set.csv"
     columns = [f"phony_mean_{i}" for i in range(5)]
-    write_feature_csv(path, columns, rows)
-    back = read_back(path, sidecar)
-    assert sorted(back) == sorted(rows)
-    for track_id, vec in rows.items():
-        assert np.array_equal(back[track_id], vec)
+    write_feature_csv(path, columns, ids, values)
+    back_ids, back = read_back(path, sidecar)
+    assert back_ids == ids
+    assert back.dtype == np.float32 and np.array_equal(back, values)
 
 
 def test_feature_csv_write_is_deterministic(tmp_path):
-    rows = {"b": np.array([1.5], dtype=np.float32), "a": np.array([2.5], dtype=np.float32)}
+    values = np.array([[1.5], [2.5]], dtype=np.float32)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_feature_csv(p1, ["x_mean_0"], rows)
-    write_feature_csv(p2, ["x_mean_0"], dict(reversed(list(rows.items()))))
+    write_feature_csv(p1, ["x_mean_0"], ["b", "a"], values)
+    write_feature_csv(p2, ["x_mean_0"], ["a", "b"], values[::-1])
     assert p1.read_bytes() == p2.read_bytes()
     assert Path(f"{p1}.bin").read_bytes() == Path(f"{p2}.bin").read_bytes()
     # rows come out sorted by track id
@@ -107,10 +107,10 @@ def test_feature_csv_write_is_deterministic(tmp_path):
 def test_nine_significant_digits_round_trip_float32(tmp_path, sidecar):
     rng = np.random.default_rng(3)
     values = rng.uniform(-1e6, 1e6, size=200).astype(np.float32)
-    rows = {f"t{i:03d}": [v] for i, v in enumerate(values)}
-    write_feature_csv(tmp_path / "f.csv", ["x_mean_0"], rows)
-    back = read_back(tmp_path / "f.csv", sidecar)
-    assert np.array_equal([back[f"t{i:03d}"][0] for i in range(200)], values)
+    ids = [f"t{i:03d}" for i in range(200)]
+    write_feature_csv(tmp_path / "f.csv", ["x_mean_0"], ids, values[:, np.newaxis])
+    back_ids, back = read_back(tmp_path / "f.csv", sidecar)
+    assert back_ids == ids and np.array_equal(back[:, 0], values)
 
 
 def test_mel_cache_round_trip(tmp_path):
