@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, groupby, repeat
 from operator import itemgetter
 
@@ -31,6 +31,7 @@ log = logging.getLogger(__name__)
 
 METADATA_HEADER = "track_id,album_id,artist_id,genre,split"
 SPLITS = ("train", "validation", "test")
+SPLIT_CODES = {name: code for code, name in enumerate(SPLITS)}
 LABEL_POLICIES = ("strict", "majority")
 
 
@@ -51,7 +52,10 @@ class GenreVocabulary:
 
 @dataclass(frozen=True)
 class SegmentTable:
-    """Metadata stored by column in file order: row i is entry i of each column."""
+    """Metadata stored by column in file order: row i is entry i of each column.
+
+    split_codes[i] is splits[i]'s index in SPLITS, so a split is one comparison.
+    """
 
     track_ids: tuple[str, ...]
     album_ids: tuple[str, ...]
@@ -59,6 +63,11 @@ class SegmentTable:
     genre_ids: tuple[int, ...]
     splits: tuple[str, ...]
     vocabulary: GenreVocabulary
+    split_codes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        codes = map(SPLIT_CODES.__getitem__, self.splits)
+        object.__setattr__(self, "split_codes", np.fromiter(codes, np.int8, len(self.splits)))
 
     def __len__(self) -> int:
         return len(self.track_ids)
@@ -77,9 +86,8 @@ class BagSet:
 
     def split(self, name: str) -> BagSet:
         """The bags of one split, in order, packed afresh."""
-        first_rows = self.rows[self.starts].tolist()
-        in_split = map(name.__eq__, map(self.table.splits.__getitem__, first_rows))
-        keep = np.flatnonzero(list(in_split))
+        code = SPLIT_CODES[name]
+        keep = np.flatnonzero(self.table.split_codes[self.rows[self.starts]] == code)
         sizes = np.diff(self.starts, append=len(self.rows))[keep]
         starts = np.cumsum(sizes) - sizes
         rows = self.rows[(self.starts[keep] - starts).repeat(sizes) + np.arange(sizes.sum())]

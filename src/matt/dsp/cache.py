@@ -134,7 +134,7 @@ def read_feature_csv(path) -> tuple[list[str], np.ndarray]:
 def _read_sidecar(csv_path) -> tuple[list[str], np.ndarray] | None:
     """The ids and rows of the CSV's sidecar, or None unless its magic,
     version, size, stored CSV digest and checksum all match and it holds
-    `rows` distinct ids. Only an error reading the CSV itself is raised."""
+    `rows` distinct UTF-8 ids. Only an error reading the CSV itself is raised."""
     try:
         fh = open(f"{csv_path}.bin", "rb")
     except OSError:
@@ -159,7 +159,10 @@ def _read_sidecar(csv_path) -> tuple[list[str], np.ndarray] | None:
         checksum.update(matrix)
         if fh.read() != checksum.digest():
             return None
-    track_ids = ids.decode("utf-8").split("\n") if n_rows else []
+    try:
+        track_ids = ids.decode("utf-8").split("\n") if n_rows else []
+    except UnicodeDecodeError:
+        return None  # the CSV's own text decides
     if len(set(track_ids)) != len(track_ids) or len(track_ids) != n_rows:
         return None  # the text parse names the repeated track
     return track_ids, matrix.reshape(n_rows, n_columns)

@@ -11,7 +11,8 @@ the tuning reference:
           smoothed with a 41-frame moving average, then L2-normalized per frame.
 
 Each fold is one product of a 12 x (n_fft/2 + 1) matrix with the
-spectrogram's power rows. The fold matrices depend only on (n_fft,
+spectrogram's power rows; cqt and cens share one product per spectrogram
+(MagnitudeSpectrogram.cqt_chroma). The fold matrices depend only on (n_fft,
 sample_rate); they are built once per pair and returned read-only.
 """
 
@@ -98,13 +99,13 @@ def _cens(raw_cqt_chroma: np.ndarray) -> np.ndarray:
 
 def chroma_features(spec: MagnitudeSpectrogram, variant: str) -> FrameFeatureMatrix:
     """12-row chroma of the given variant ("stft", "cqt", or "cens")."""
-    key = (spec.config.n_fft, spec.sample_rate_hz)
     if variant == "stft":
+        key = (spec.config.n_fft, spec.sample_rate_hz)
         values = _max_normalize(stft_fold_matrix(*key) @ spec.power)
     elif variant == "cqt":
-        values = _max_normalize(cqt_fold_matrix(*key) @ spec.power)
+        values = _max_normalize(spec.cqt_chroma)
     elif variant == "cens":
-        values = _cens(cqt_fold_matrix(*key) @ spec.power)
+        values = _cens(spec.cqt_chroma)
     else:
         raise InvalidConfig(f"unknown chroma variant {variant!r}")
     return FrameFeatureMatrix(values=values, family=f"chroma_{variant}")

@@ -9,6 +9,9 @@ import numpy as np
 from ..errors import AudioTooShort, CorruptAudio, EmptyAudio, InvalidConfig
 
 CLIP_TOLERANCE = 1e-3
+# frames per block in every per-frame pass: at n_fft 2048 one block's frames,
+# windowed copy, complex spectrum and magnitudes take ~1.8 MB
+FRAME_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -78,17 +81,28 @@ def frame_signal(samples: np.ndarray, n_fft: int, hop: int, center: bool) -> np.
     )
 
 
+def frame_blocks(n_frames: int):
+    """Slices of at most FRAME_BLOCK consecutive frames covering range(n_frames)."""
+    return (slice(i, min(i + FRAME_BLOCK, n_frames)) for i in range(0, n_frames, FRAME_BLOCK))
+
+
 def time_domain_descriptors(frames: np.ndarray):
-    """Per-frame RMS and zero-crossing rate of an (n_frames, n) frame matrix.
+    """Per-frame RMS and zero-crossing rate of an (n_frames, n) float64 frame matrix.
 
     Extraction passes the STFT's unwindowed frames (MagnitudeSpectrogram.frames),
     so a track is framed once. Returns two (1, n_frames) matrices. ZCR counts
     sign changes between consecutive samples as a fraction of the n - 1
     adjacent pairs, so a perfectly alternating signal scores exactly 1.0.
-    Zero samples count as non-negative.
+    Zero samples count as non-negative. Frames are read a block at a time.
     """
-    rms = np.sqrt(np.mean(frames * frames, axis=1))[np.newaxis, :]
-    nonneg = frames >= 0.0
-    crossings = np.sum(nonneg[:, 1:] != nonneg[:, :-1], axis=1)
-    zcr = (crossings / (frames.shape[1] - 1))[np.newaxis, :]
+    n_frames, n = frames.shape
+    mean_square = np.empty(n_frames)
+    crossings = np.empty(n_frames, dtype=np.intp)
+    for rows in frame_blocks(n_frames):
+        block = frames[rows]
+        mean_square[rows] = np.mean(block * block, axis=1)
+        nonneg = block >= 0.0
+        crossings[rows] = np.sum(nonneg[:, 1:] != nonneg[:, :-1], axis=1)
+    rms = np.sqrt(mean_square)[np.newaxis, :]
+    zcr = (crossings / (n - 1))[np.newaxis, :]
     return rms, zcr

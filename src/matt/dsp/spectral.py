@@ -8,6 +8,7 @@ import numpy as np
 
 from ..errors import InvalidBand
 from .frames import FrameFeatureMatrix
+from .signal import frame_blocks
 from .stft import MagnitudeSpectrogram
 
 CONTRAST_F_MIN = 200.0
@@ -26,20 +27,25 @@ def _centroid_bandwidth(S: np.ndarray, freqs: np.ndarray):
     centroid[silent] = 0.0
     # deviation form: the expanded sum(f^2 S) - c^2 sum(S) cancels badly on
     # narrowband frames
-    deviation = np.subtract.outer(centroid, freqs)
-    np.square(deviation, out=deviation)
-    bandwidth = np.sqrt(np.einsum("tf,tf->t", deviation, per_frame) / safe_total)
+    spread = np.empty_like(centroid)
+    for rows in frame_blocks(centroid.size):
+        deviation = np.subtract.outer(centroid[rows], freqs)
+        np.square(deviation, out=deviation)
+        spread[rows] = np.einsum("tf,tf->t", deviation, per_frame[rows])
+    bandwidth = np.sqrt(spread / safe_total)
     bandwidth[silent] = 0.0
     return centroid, bandwidth
 
 
 def _rolloff(S: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(S, axis=0)
-    total = cum[-1]
-    silent = total <= 0.0
-    threshold = ROLLOFF_FRACTION * total
-    reached = cum >= threshold[np.newaxis, :]
-    idx = reached.argmax(axis=0)
+    per_frame = S.T
+    idx = np.empty(per_frame.shape[0], dtype=np.intp)
+    silent = np.empty(per_frame.shape[0], dtype=bool)
+    for rows in frame_blocks(per_frame.shape[0]):
+        cum = np.cumsum(per_frame[rows], axis=1)
+        total = cum[:, -1]
+        silent[rows] = total <= 0.0
+        idx[rows] = (cum >= (ROLLOFF_FRACTION * total)[:, np.newaxis]).argmax(axis=1)
     out = freqs[idx]
     out[silent] = 0.0
     return out
@@ -84,15 +90,18 @@ def contrast_bands(n_fft: int, sample_rate: int) -> tuple[tuple[int, int, int], 
 
 def _contrast(S: np.ndarray, bands) -> np.ndarray:
     """Per-band dB gap between the top and bottom magnitude quantiles."""
-    out = np.zeros((len(bands), S.shape[1]))
-    for k, (start, stop, take) in enumerate(bands):
-        ordered = np.sort(S[start:stop], axis=0)
-        valley = ordered[:take].mean(axis=0)
-        peak = ordered[-take:].mean(axis=0)
-        out[k] = 10.0 * (
-            np.log10(np.maximum(peak, _AMIN)) - np.log10(np.maximum(valley, _AMIN))
-        )
-    return out
+    per_frame = S.T
+    valley = np.empty((len(bands), per_frame.shape[0]))
+    peak = np.empty_like(valley)
+    for rows in frame_blocks(per_frame.shape[0]):
+        for k, (start, stop, take) in enumerate(bands):
+            ordered = np.sort(per_frame[rows, start:stop], axis=1)
+            np.add.reduce(ordered[:, :take], axis=1, out=valley[k, rows])
+            np.add.reduce(ordered[:, -take:], axis=1, out=peak[k, rows])
+    takes = np.array([take for _, _, take in bands], dtype=float)[:, np.newaxis]
+    valley /= takes  # the means, divided as np.mean divides
+    peak /= takes
+    return 10.0 * (np.log10(np.maximum(peak, _AMIN)) - np.log10(np.maximum(valley, _AMIN)))
 
 
 def spectral_descriptors(spec: MagnitudeSpectrogram):

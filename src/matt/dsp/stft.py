@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import InvalidConfig
-from .signal import AudioSignal, frame_signal
+from .signal import FRAME_BLOCK, AudioSignal, frame_blocks, frame_signal
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,16 @@ class MagnitudeSpectrogram:
     def bin_frequencies_hz(self) -> np.ndarray:
         return np.fft.rfftfreq(self.config.n_fft, 1.0 / self.sample_rate_hz)
 
+    @cached_property
+    def cqt_chroma(self) -> np.ndarray:
+        """The raw pseudo-CQT chroma (12, n_frames), read-only: computed on
+        first use, so chroma's cqt and cens variants share one product."""
+        from .chroma import cqt_fold_matrix  # chroma imports this module
+
+        fold = cqt_fold_matrix(self.config.n_fft, self.sample_rate_hz) @ self.power
+        fold.flags.writeable = False
+        return fold
+
 
 def hann_window(n: int) -> np.ndarray:
     """Periodic Hann window (the DFT-even variant used for spectral analysis)."""
@@ -49,14 +60,26 @@ def hann_window(n: int) -> np.ndarray:
 def stft(signal: AudioSignal, cfg: StftConfig) -> MagnitudeSpectrogram:
     """Magnitude and power spectrogram of Hann-windowed frames, float64 throughout.
 
-    The signal is framed once and the magnitudes squared once, here; the
-    windowed copy and the complex spectrum are freed before this returns.
+    The signal is framed once. Each block of FRAME_BLOCK frames is windowed
+    into one block buffer, transformed, and written as magnitudes and power
+    into its rows, so no windowed copy or complex spectrum of the whole track
+    is made.
     """
     frames = frame_signal(signal.samples, cfg.n_fft, cfg.hop, cfg.center_pad)
-    mags = np.abs(np.fft.rfft(frames * hann_window(cfg.n_fft), axis=1)).T
+    window = hann_window(cfg.n_fft)
+    n_frames, n_bins = frames.shape[0], cfg.n_fft // 2 + 1
+    # frame-major, so each block's rows are contiguous; returned transposed
+    mags = np.empty((n_frames, n_bins))
+    power = np.empty((n_frames, n_bins))
+    windowed = np.empty((min(FRAME_BLOCK, n_frames), cfg.n_fft))
+    for rows in frame_blocks(n_frames):
+        n = rows.stop - rows.start
+        np.multiply(frames[rows], window, out=windowed[:n])
+        np.abs(np.fft.rfft(windowed[:n], axis=1), out=mags[rows])
+        np.multiply(mags[rows], mags[rows], out=power[rows])
     return MagnitudeSpectrogram(
-        bins=mags,
-        power=mags * mags,
+        bins=mags.T,
+        power=power.T,
         frames=frames,
         config=cfg,
         sample_rate_hz=signal.sample_rate_hz,

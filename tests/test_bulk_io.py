@@ -401,6 +401,13 @@ def test_sidecar_with_a_bad_id_block_is_not_served(tmp_path, id_block):
         read_feature_csv(path)
 
 
+def test_sidecar_with_a_non_utf8_id_block_falls_back_to_the_text(tmp_path):
+    path = tmp_path / "set.csv"
+    path.write_text("track_id,x_0\nt1,1\n", encoding="utf-8")
+    write_sidecar(path, b"t\xe9", 1, np.float32([[2]]))
+    assert_same_table(read_parsed(path), (["t1"], np.float32([[1]])))
+
+
 PR_POINTS = [
     (1.0, 1.0, 0.0625),
     (0.5, 0.5, 0.0625),  # a tie group ends here

@@ -422,6 +422,7 @@ def test_segment_bags_equals_the_row_sort_reference(table):
 @example(table=ONE_ROW)
 @given(table=segment_tables())
 def test_split_equals_the_reference_bags_of_that_split(table):
+    assert table.split_codes.tolist() == [SPLITS.index(s) for s in table.splits]
     records = list(zip(table.track_ids, table.album_ids, table.artist_ids, table.genre_ids,
                        table.splits))
     cases = [(segment_bags(table), reference_segment_bags(table))]

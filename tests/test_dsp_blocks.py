@@ -1,0 +1,197 @@
+"""Blocked extraction equals the whole-track forms it replaced, and stays lean.
+
+stft, time_domain_descriptors and the spectral descriptors run over blocks
+of FRAME_BLOCK frames. The references below are the whole-track forms: the
+signal reflect-padded with np.pad in its own dtype and widened once, one
+windowed copy and one complex spectrum of every frame, RMS over the squares
+of every frame, and the bandwidth, rolloff and contrast over the whole
+spectrogram. Every array must be bitwise equal to its reference, with the
+same memory layout, since later products depend on the layout.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from matt.dsp import (
+    AudioSignal,
+    FeatureConfig,
+    StftConfig,
+    extract_feature_sets,
+    frame_signal,
+    hann_window,
+    spectral_descriptors,
+    stft,
+    time_domain_descriptors,
+)
+from matt.dsp.signal import FRAME_BLOCK
+from matt.dsp.spectral import _AMIN, ROLLOFF_FRACTION, contrast_bands
+
+RATE = 22050
+N_FFT = 512
+
+# -- the whole-track references -- #
+
+
+def whole_track_frames(samples, n_fft, hop, center=True):
+    x = np.asarray(samples)
+    if center:
+        x = np.pad(x, n_fft // 2, mode="reflect")
+    x = x.astype(np.float64, copy=False)
+    n_frames = 1 + (x.size - n_fft) // hop
+    return np.lib.stride_tricks.as_strided(
+        x, shape=(n_frames, n_fft), strides=(hop * x.strides[0], x.strides[0]), writeable=False
+    )
+
+
+def whole_track_stft(samples, n_fft, hop):
+    frames = whole_track_frames(samples, n_fft, hop)
+    mags = np.abs(np.fft.rfft(frames * hann_window(n_fft), axis=1)).T
+    return frames, mags, mags * mags
+
+
+def whole_track_rms_zcr(frames):
+    rms = np.sqrt(np.mean(frames * frames, axis=1))
+    nonneg = frames >= 0.0
+    zcr = np.sum(nonneg[:, 1:] != nonneg[:, :-1], axis=1) / (frames.shape[1] - 1)
+    return rms, zcr
+
+
+def whole_track_spectral(S, freqs, bands):
+    per_frame = S.T
+    total = per_frame.sum(axis=1)
+    silent = total <= 0.0
+    safe_total = np.where(silent, 1.0, total)
+    centroid = (per_frame @ freqs) / safe_total
+    centroid[silent] = 0.0
+    deviation = np.subtract.outer(centroid, freqs)
+    np.square(deviation, out=deviation)
+    bandwidth = np.sqrt(np.einsum("tf,tf->t", deviation, per_frame) / safe_total)
+    bandwidth[silent] = 0.0
+
+    cum = np.cumsum(S, axis=0)
+    reached = cum >= ROLLOFF_FRACTION * cum[-1][np.newaxis, :]
+    rolloff = freqs[reached.argmax(axis=0)]
+    rolloff[cum[-1] <= 0.0] = 0.0
+
+    contrast = np.zeros((len(bands), S.shape[1]))
+    for k, (start, stop, take) in enumerate(bands):
+        ordered = np.sort(S[start:stop], axis=0)
+        valley = ordered[:take].mean(axis=0)
+        peak = ordered[-take:].mean(axis=0)
+        contrast[k] = 10.0 * (
+            np.log10(np.maximum(peak, _AMIN)) - np.log10(np.maximum(valley, _AMIN))
+        )
+    return centroid, bandwidth, contrast, rolloff
+
+
+# -- the cases -- #
+
+def longest_clip(n_frames, hop):
+    """Centered framing gives 1 + n // hop frames of an n-sample clip."""
+    return n_frames * hop - 1
+
+
+# every frame count at every hop, where a clip longer than the reflect pad has it
+FRAME_COUNTS = (1, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1, 3 * FRAME_BLOCK + 5)
+HOPS = (N_FFT // 4, 200, N_FFT)
+FRAMINGS = [(n_frames, hop) for n_frames in FRAME_COUNTS for hop in HOPS
+            if longest_clip(n_frames, hop) > N_FFT // 2]
+
+
+def samples_for(n_frames, hop, kind, dtype):
+    """A clip that gives exactly n_frames centered frames at this hop."""
+    n = max((n_frames - 1) * hop + hop // 2, N_FFT // 2 + 1)
+    rng = np.random.default_rng(n_frames * 1000 + hop)
+    x = 0.4 * rng.standard_normal(n)
+    if kind == "partly-silent":
+        # silence across whole frames, including the first and a block edge
+        x[: 2 * N_FFT] = 0.0
+        edge = FRAME_BLOCK * hop
+        x[edge - N_FFT : edge + N_FFT] = 0.0
+    elif kind == "silent":
+        x[:] = 0.0
+    x = np.clip(x, -1.0, 1.0)
+    if dtype == np.int16:
+        return np.round(x * 32767).astype(np.int16)
+    return x.astype(dtype)
+
+
+def layout(array):
+    """Strides of the axes longer than 1; any stride serves a length-1 axis."""
+    return [s for n, s in zip(array.shape, array.strides) if n > 1]
+
+
+def assert_same(actual, reference, what):
+    assert actual.dtype == reference.dtype, what
+    assert actual.shape == reference.shape, what
+    assert layout(actual) == layout(reference), what
+    assert actual.tobytes() == reference.tobytes(), what
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int16], ids=["float32", "int16"])
+@pytest.mark.parametrize("kind", ["noise", "partly-silent", "silent"])
+@pytest.mark.parametrize("n_frames, hop", FRAMINGS)
+def test_blocked_extraction_equals_the_whole_track_forms(n_frames, hop, kind, dtype):
+    samples = samples_for(n_frames, hop, kind, dtype)
+    spec = stft(AudioSignal(samples=samples, sample_rate_hz=RATE), StftConfig(N_FFT, hop))
+    frames, mags, power = whole_track_stft(samples, N_FFT, hop)
+    assert spec.frames.shape[0] == n_frames
+    assert_same(np.asarray(spec.frames), np.asarray(frames), "frames")
+    assert_same(spec.bins, mags, "bins")
+    assert_same(spec.power, power, "power")
+
+    rms, zcr = time_domain_descriptors(spec.frames)
+    ref_rms, ref_zcr = whole_track_rms_zcr(frames)
+    assert_same(rms[0], ref_rms, "rms")
+    assert_same(zcr[0], ref_zcr, "zcr")
+
+    reference = whole_track_spectral(
+        mags, spec.bin_frequencies_hz(), contrast_bands(N_FFT, RATE)
+    )
+    for matrix, ref in zip(spectral_descriptors(spec), reference):
+        assert_same(matrix.values, ref.reshape(matrix.values.shape), matrix.family)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int16], ids=["float32", "int16"])
+@pytest.mark.parametrize("center", [True, False], ids=["centered", "uncentered"])
+def test_frames_are_the_widened_signal_with_or_without_the_pad(center, dtype):
+    samples = samples_for(FRAME_BLOCK + 1, 200, "noise", dtype)
+    frames = frame_signal(samples, N_FFT, 200, center)
+    assert_same(np.asarray(frames), np.asarray(whole_track_frames(samples, N_FFT, 200, center)),
+                "frames")
+
+
+def test_production_geometry_equals_the_whole_track_forms():
+    samples = samples_for(2 * FRAME_BLOCK + 7, 1024, "partly-silent", np.float32)
+    cfg = FeatureConfig()
+    spec = stft(AudioSignal(samples=samples, sample_rate_hz=cfg.sample_rate), cfg.stft)
+    frames, mags, power = whole_track_stft(samples, cfg.stft.n_fft, cfg.stft.hop)
+    assert_same(spec.bins, mags, "bins")
+    assert_same(spec.power, power, "power")
+    reference = whole_track_spectral(
+        mags, spec.bin_frequencies_hz(), contrast_bands(cfg.stft.n_fft, cfg.sample_rate)
+    )
+    for matrix, ref in zip(spectral_descriptors(spec), reference):
+        assert_same(matrix.values, ref.reshape(matrix.values.shape), matrix.family)
+
+
+def test_extraction_peak_stays_near_what_the_spectrogram_keeps():
+    """A 36 s clip's extraction allocates little beyond the padded float64
+    signal, bins and power that the spectrogram keeps. The whole-track forms
+    peaked at ~1.7x that sum; allocation sizes do not vary between runs."""
+    cfg = FeatureConfig()
+    n = 36 * cfg.sample_rate
+    samples = (0.3 * np.random.default_rng(7).standard_normal(n)).astype(np.float32)
+    clip = AudioSignal(samples=samples, sample_rate_hz=cfg.sample_rate)
+    padded = n + 2 * (cfg.stft.n_fft // 2)
+    n_frames = 1 + (padded - cfg.stft.n_fft) // cfg.stft.hop
+    kept = 8 * padded + 2 * 8 * n_frames * (cfg.stft.n_fft // 2 + 1)
+    tracemalloc.start()
+    try:
+        extract_feature_sets(clip, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * kept, f"peak {peak / 1e6:.1f} MB, kept {kept / 1e6:.1f} MB"

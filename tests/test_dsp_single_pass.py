@@ -1,12 +1,15 @@
 """Single-pass extraction equals the per-stage forms it replaced.
 
 Extraction frames each track once, squares the magnitudes once, and folds
-chroma with cached matrices. The reference implementations below are the
-forms those replaced: a per-bin np.add.at scatter for STFT chroma, the 84-row
-pseudo-CQT filterbank summed by a Python loop, a sort for the median, and
-RMS/ZCR over a separately framed copy of the signal. Each rewrite must agree
-with its reference at every supported geometry.
+chroma with cached matrices, the pseudo-CQT fold once for cqt and cens. The
+reference implementations below are the forms those replaced: a per-bin
+np.add.at scatter for STFT chroma, the 84-row pseudo-CQT filterbank summed by
+a Python loop, a sort for the median, and RMS/ZCR over a separately framed
+copy of the signal. Each rewrite must agree with its reference at every
+supported geometry.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -122,6 +125,19 @@ def test_chroma_folds_match_scatter_and_loop_references(rate, n_fft, data):
         np.testing.assert_allclose(
             chroma_features(spec, variant).values, ref, rtol=1e-12, atol=0.0, err_msg=variant
         )
+
+
+def test_cqt_and_cens_chroma_share_one_fold_per_track():
+    rng = np.random.default_rng(3)
+    clip = AudioSignal(samples=(0.3 * rng.standard_normal(22050)).astype(np.float32),
+                       sample_rate_hz=22050)
+    cfg = FeatureConfig(sample_rate=22050)
+    with mock.patch("matt.dsp.chroma.cqt_fold_matrix", wraps=cqt_fold_matrix) as fold:
+        frames, _ = extract_frame_features(clip, cfg)
+    assert fold.call_count == 1
+    raw = cqt_fold_matrix(cfg.stft.n_fft, 22050) @ stft(clip, cfg.stft).power
+    assert frames["chroma_cqt"].values.tobytes() == _max_normalize(raw).tobytes()
+    assert frames["chroma_cens"].values.tobytes() == _cens(raw).tobytes()
 
 
 @pytest.mark.parametrize("rate, n_fft", GEOMETRIES)
