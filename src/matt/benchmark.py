@@ -56,15 +56,16 @@ def run_seed(
 ) -> SeedResult:
     data = generate_synthetic(replace(synth_cfg, seed=seed))
     seeded = replace(train_cfg, seed=seed)
+    segments = segment_bags(data.bags.table)
     matt_model, _ = train(data.bags, data.features, seeded)
-    base_model, _ = train(segment_bags(data.bags.table), data.features, seeded)
+    base_model, _ = train(segments, data.features, seeded)
     result = SeedResult(
         seed=seed,
         matt_model=matt_model,
         base_model=base_model,
         matt_bag=evaluate(matt_model, data.bags, data.features, mode="bag"),
-        matt_segment=evaluate(matt_model, data.bags, data.features, mode="segment"),
-        base_segment=evaluate(base_model, data.bags, data.features, mode="segment"),
+        matt_segment=evaluate(matt_model, segments, data.features, mode="segment"),
+        base_segment=evaluate(base_model, segments, data.features, mode="segment"),
         oracle_bag=evaluate(data.oracle, data.bags, data.features, mode="bag"),
     )
     if out_dir is not None:

@@ -134,6 +134,7 @@ def _extract_one(task) -> str:
             f"{wav_path}: {rate} Hz, configured {feat_cfg.sample_rate} Hz"
         )
     signal = downmix_and_validate(channels, rate)
+    del channels  # frees a stereo track's decoded samples before extraction
     result = extract_feature_sets(signal, feat_cfg)
     vector = result.vector.astype(np.float32)
     tmp = f"{part_path}.tmp"

@@ -18,7 +18,7 @@ from .errors import InvalidConfig
 from .dsp import FEATURE_SETS
 from .dsp.stft import StftConfig
 from .dsp.summarize import FeatureConfig
-from .evaluation import EVAL_MODES
+from .evaluation import EVAL_MODES, TAIL_SUBSETS, TOP_KS
 from .model import AGGREGATORS
 from .synthetic import SynthConfig
 from .training import TrainConfig
@@ -78,8 +78,8 @@ class RunConfig:
     hop: int = 1024
     label_policy: str = "majority"
     eval_mode: str = "bag"
-    subsets: tuple[int, ...] = (100, 200)
-    ks: tuple[int, ...] = (2, 3, 5)
+    subsets: tuple[int, ...] = TAIL_SUBSETS
+    ks: tuple[int, ...] = TOP_KS
     train: TrainConfig = field(default_factory=TrainConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
 

@@ -77,21 +77,35 @@ class SegmentTable:
 class BagSet:
     """Bags packed as the model takes them: bag b is the table rows
     rows[starts[b]:starts[b + 1]] (to the end for the last bag), labelled
-    genre_ids[b]; its key (artist_id, album_id, split) is in any of its rows."""
+    genre_ids[b]; its key (artist_id, album_id, split) is in any of its rows.
+
+    Making one with a label outside the table's genres raises InvalidConfig,
+    so the code that trains and scores bags takes their labels as valid."""
 
     table: SegmentTable
     rows: np.ndarray  # (n,) table row indices, bag after bag
     starts: np.ndarray  # (B,) each bag's first entry in rows
     genre_ids: np.ndarray  # (B,) bag labels
 
+    def __post_init__(self):
+        n_genres = len(self.table.vocabulary)
+        if len(self.genre_ids):
+            low, high = int(self.genre_ids.min()), int(self.genre_ids.max())
+            if low < 0 or high >= n_genres:
+                bad = low if low < 0 else high
+                raise InvalidConfig(f"gold genre {bad} out of range for {n_genres} genres")
+
+    def take(self, index) -> BagSet:
+        """The bags at index, in that order, packed afresh."""
+        sizes = np.diff(self.starts, append=len(self.rows))[index]
+        starts = np.cumsum(sizes) - sizes
+        rows = self.rows[(self.starts[index] - starts).repeat(sizes) + np.arange(sizes.sum())]
+        return BagSet(self.table, rows, starts, self.genre_ids[index])
+
     def split(self, name: str) -> BagSet:
         """The bags of one split, in order, packed afresh."""
         code = SPLIT_CODES[name]
-        keep = np.flatnonzero(self.table.split_codes[self.rows[self.starts]] == code)
-        sizes = np.diff(self.starts, append=len(self.rows))[keep]
-        starts = np.cumsum(sizes) - sizes
-        rows = self.rows[(self.starts[keep] - starts).repeat(sizes) + np.arange(sizes.sum())]
-        return BagSet(self.table, rows, starts, self.genre_ids[keep])
+        return self.take(np.flatnonzero(self.table.split_codes[self.rows[self.starts]] == code))
 
 
 def parse_metadata_lines(lines, source: str = "<memory>"):

@@ -29,13 +29,14 @@ def read_wav(path):
         data = fh.read()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise CorruptAudio(f"{path}: not a RIFF/WAVE file")
+    view = memoryview(data)  # chunk bodies are views of the file's bytes, not copies
     offset = 12
     fmt = None
     payload = None
     while offset + 8 <= len(data):
         chunk_id = data[offset : offset + 4]
         (chunk_size,) = struct.unpack_from("<I", data, offset + 4)
-        body = data[offset + 8 : offset + 8 + chunk_size]
+        body = view[offset + 8 : offset + 8 + chunk_size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise CorruptAudio(f"{path}: truncated fmt chunk")

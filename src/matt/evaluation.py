@@ -1,11 +1,11 @@
 """Evaluation: accuracy, micro-averaged Top@K on long-tail subsets, and
 micro-averaged one-vs-rest precision-recall curves.
 
-Bag mode scores one prediction per test bag against the bag's label; segment
-mode scores every test segment as its own bag against the segment's own genre
-(no album/artist metadata consumed). Either way the whole split is one packed
-model call. Tail subsets keep the units whose genre has fewer than the
-threshold training segments.
+evaluate scores the test bags of the view it is given: album bags in bag mode,
+each against the bag's label; the segment_bags view in segment mode, every
+test segment as its own bag against its own genre (no album/artist metadata
+consumed). Either way the whole split is one packed model call. Tail subsets
+keep the units whose genre has fewer than the threshold training segments.
 """
 
 from __future__ import annotations
@@ -14,13 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import BagSet, segment_bags
+from .dataset import BagSet
 from .errors import EmptyEval, InvalidConfig, InvalidK
 # bag_feature_matrix stays bound here: perfbench/test_perfbench.py requires the
 # benchmark's tracer to find it in this module
 from .training import bag_feature_matrix, pack_bags  # noqa: F401
 
 EVAL_MODES = ("bag", "segment")
+TAIL_SUBSETS = (100, 200)  # default tail thresholds, in training segments
+TOP_KS = (2, 3, 5)  # default Ks of Top@K
 
 
 @dataclass(frozen=True)
@@ -129,16 +131,16 @@ def collect_predictions(model, units: BagSet, X: np.ndarray):
 
 
 def evaluate(
-    model, bags: BagSet, X: np.ndarray, mode: str = "bag", subsets=(100, 200), ks=(2, 3, 5)
+    model, units: BagSet, X: np.ndarray, mode: str = "bag", subsets=TAIL_SUBSETS, ks=TOP_KS
 ) -> EvalReport:
     """Full report: overall accuracy, PR curve, and Top@K per tail subset.
 
-    Bag mode scores the test bags of bags; segment mode scores the test
-    segments of bags.table, each as its own bag. X is aligned to bags.table.
+    Scores the test bags of units, the view the caller chose: album bags for
+    bag mode, segment_bags(table) for segment mode. mode only labels the
+    report. X is aligned to units.table.
     """
     if mode not in EVAL_MODES:
         raise InvalidConfig(f"unknown evaluation mode {mode!r}")
-    units = segment_bags(bags.table) if mode == "segment" else bags
     probabilities, golds = collect_predictions(model, units.split("test"), X)
     overall = accuracy(probabilities, golds)
     points, average_precision = pr_curve(probabilities, golds)
@@ -146,7 +148,7 @@ def evaluate(
     top_k = {}
     subset_sizes = {}
     for subset in subsets:
-        tail = bags.table.vocabulary.tail_mask(subset)[golds]
+        tail = units.table.vocabulary.tail_mask(subset)[golds]
         subset_sizes[subset] = int(np.count_nonzero(tail))
         if not subset_sizes[subset]:
             continue

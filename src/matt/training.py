@@ -63,13 +63,9 @@ class TrainLog:
 def nll_losses(probabilities: np.ndarray, golds: np.ndarray, genre_weights=None):
     """Per-row -log p[gold] and dLoss/dScores for (B, G) probabilities.
 
-    With genre_weights, row b is scaled by genre_weights[golds[b]]. A gold id
-    outside [0, G) raises InvalidConfig.
+    With genre_weights, row b is scaled by genre_weights[golds[b]]. Golds are
+    ids in [0, G), which BagSet checks where the labels enter.
     """
-    ids = golds.tolist()  # min and max of a short list are cheaper in Python
-    if ids and not 0 <= min(ids) <= max(ids) < probabilities.shape[1]:
-        bad = min(ids) if min(ids) < 0 else max(ids)
-        raise InvalidConfig(f"gold genre {bad} out of range for {probabilities.shape[1]} genres")
     rows = np.arange(len(golds))
     losses = -np.log(np.maximum(probabilities[rows, golds], PROB_FLOOR))
     d_scores = probabilities.copy()
@@ -108,30 +104,28 @@ def _bag_accuracy(model: MattModel, packed, golds: np.ndarray) -> float:
 def train(bags: BagSet, X: np.ndarray, cfg: TrainConfig):
     """Train on split=train bags, early-stopping on split=validation accuracy.
 
-    X is aligned to bags.table. Both splits are packed once, before the first
-    epoch. Each epoch gathers the train rows once in shuffled order; a batch
-    is then a contiguous slice of that gather and one packed forward/backward
-    pass. Returns (model, train_log); the model carries the best-validation
-    parameters (or the final ones when there is no validation split).
+    X is aligned to bags.table. The validation split is packed once, before
+    the first epoch. Each epoch packs the train bags once, in shuffled order
+    (train_bags.take); a batch is then a contiguous slice of that pack and one
+    packed forward/backward pass. Returns (model, train_log); the model
+    carries the best-validation parameters (or the final ones when there is no
+    validation split).
     """
     train_bags = bags.split("train")
     val_bags = bags.split("validation")
     n_train = len(train_bags.starts)
     if not n_train:
         raise InvalidConfig("no training bags")
-    train_X, train_starts = pack_bags(train_bags, X)
-    train_sizes = np.diff(train_starts, append=len(train_X))
-    train_golds = train_bags.genre_ids
     val_packed = pack_bags(val_bags, X) if len(val_bags.starts) else None
     val_golds = val_bags.genre_ids
     n_genres = len(bags.table.vocabulary)
     if cfg.class_weighting:
-        counts = np.bincount(train_golds, minlength=n_genres).astype(np.float64)
+        counts = np.bincount(train_bags.genre_ids, minlength=n_genres).astype(np.float64)
         weights = np.where(counts > 0, counts.sum() / np.maximum(counts, 1.0), 0.0)
         genre_weights = weights * (counts > 0).sum() / weights.sum()
     else:
         genre_weights = None
-    model = new_model(cfg, train_X.shape[1], n_genres)
+    model = new_model(cfg, X.shape[1], n_genres)
     optimizer = OptimizerState(algorithm=cfg.optimizer, learning_rate=cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     train_log = TrainLog()
@@ -140,25 +134,18 @@ def train(bags: BagSet, X: np.ndarray, cfg: TrainConfig):
     best_accuracy = -1.0
     stale_epochs = 0
 
-    epoch_X = np.empty_like(train_X)
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
-        order = rng.permutation(n_train)
-        # gather the epoch's rows once, bag after bag in shuffled order, so
-        # each batch is a contiguous slice of epoch_X
-        sizes = train_sizes[order]
-        ends = np.cumsum(sizes)
-        bag_starts = ends - sizes
-        rows = (train_starts[order] - bag_starts).repeat(sizes) + np.arange(len(train_X))
-        # rows are in range; the default mode="raise" would gather through a copy
-        np.take(train_X, rows, axis=0, out=epoch_X, mode="clip")
-        golds = train_golds[order]
+        epoch_bags = train_bags.take(rng.permutation(n_train))
+        epoch_X, starts = pack_bags(epoch_bags, X)
+        ends = np.append(starts[1:], len(epoch_X))
+        golds = epoch_bags.genre_ids
         total_loss = 0.0
-        for start in range(0, len(order), cfg.bags_per_batch):
-            stop = min(start + cfg.bags_per_batch, len(order))
-            first = bag_starts[start]
+        for start in range(0, n_train, cfg.bags_per_batch):
+            stop = min(start + cfg.bags_per_batch, n_train)
+            first = starts[start]
             probabilities, cache = model.forward_packed(
-                epoch_X[first : ends[stop - 1]], bag_starts[start:stop] - first, keep_cache=True
+                epoch_X[first : ends[stop - 1]], starts[start:stop] - first, keep_cache=True
             )
             losses, d_scores = nll_losses(probabilities, golds[start:stop], genre_weights)
             total_loss += float(losses.sum())

@@ -1,11 +1,13 @@
 import json
 import multiprocessing
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import matt.dataset
 from matt.cli import _load_config, build_parser, main
 from matt.config import RunConfig, load_run_config
 from matt.dsp import read_feature_csv, read_mel_cache, write_wav
@@ -305,6 +307,31 @@ def test_gen_synth_train_evaluate_pipeline(tmp_path):
     assert run("train", "--config", cfg) == 0
     assert run("evaluate", "--config", cfg) == 0
     assert run("evaluate", "--config", cfg, "--mode", "segment") == 0
+
+
+def test_evaluate_segment_mode_builds_the_segment_view_once(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        CONFIG_TEMPLATE.format(feature_set="synth", epochs=2)
+        + "\n[synth]\nn_genres = 3\nhead_count = 6\nfeature_dim = 5\n"
+        + "bag_size_min = 1\nbag_size_max = 3\nnoise_rate = 0.1\n",
+        encoding="utf-8",
+    )
+    assert run("gen-synth", "--config", cfg) == 0
+    assert run("train", "--config", cfg) == 0
+    original = matt.dataset.segment_bags
+    calls = []
+
+    def counting(table):
+        calls.append(table)
+        return original(table)
+
+    # every matt module that bound segment_bags at import calls the counter
+    for name, module in list(sys.modules.items()):
+        if name.startswith("matt") and getattr(module, "segment_bags", None) is original:
+            monkeypatch.setattr(module, "segment_bags", counting)
+    assert run("evaluate", "--config", cfg, "--mode", "segment") == 0
+    assert len(calls) == 1
 
 
 def test_evaluate_on_a_truncated_checkpoint_fails_validation(tmp_path, capsys):

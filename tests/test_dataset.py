@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import bag_list
 from matt.dataset import (
     SPLITS,
+    BagSet,
     GenreVocabulary,
     SegmentTable,
     align_features,
@@ -437,6 +438,45 @@ def test_split_equals_the_reference_bags_of_that_split(table):
             assert part.starts[:1].tolist() in ([], [0])
             assert bag_list(part) == [bag for bag in reference if bag[0][2] == split]
             assert bag_list(part.split(split)) == bag_list(part)
+
+
+def reference_cases(table):
+    """(view, reference bag list) for segment_bags and for build_bags under
+    each label policy that does not raise on table."""
+    records = list(zip(table.track_ids, table.album_ids, table.artist_ids, table.genre_ids,
+                       table.splits))
+    cases = [(segment_bags(table), reference_segment_bags(table))]
+    for policy in ("majority", "strict"):
+        expected = outcome(reference_build_bags, records, policy)
+        if not isinstance(expected[0], type):  # strict meeting a mixed bag raises
+            cases.append((build_bags(table, policy), expected[0]))
+    return cases
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=segment_tables(), data=st.data())
+def test_take_equals_the_reference_bags_at_that_index(table, data):
+    for bags, reference in reference_cases(table):
+        n = len(reference)
+        assert len(bags.starts) == n
+        for index in (
+            data.draw(st.permutations(range(n))),
+            data.draw(st.lists(st.integers(0, n - 1), unique=True)),
+            [],
+        ):
+            part = bags.take(np.array(index, dtype=np.intp))
+            assert part.table is table
+            assert part.starts[:1].tolist() in ([], [0])
+            assert len(part.rows) == sum(len(reference[i][1]) for i in index)
+            assert bag_list(part) == [reference[i] for i in index]
+
+
+@pytest.mark.parametrize("golds, bad", [([0, -1], -1), ([1, 2], 2), ([2, -3, 1], -3)])
+def test_bag_set_rejects_a_gold_id_outside_the_genres(golds, bad):
+    table = table_of("t0,,,rock,train", "t1,,,jazz,train", "t2,,,rock,test")
+    singletons = np.arange(len(golds))
+    with pytest.raises(InvalidConfig, match=rf"^gold genre {bad} out of range for 2 genres$"):
+        BagSet(table, singletons, singletons, np.array(golds))
 
 
 # -- features aligned to the table once, gathered by row index -- #

@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from matt.cli import _extract_one
 from matt.dsp import (
     AudioSignal,
     FeatureConfig,
@@ -24,6 +25,7 @@ from matt.dsp import (
     spectral_descriptors,
     stft,
     time_domain_descriptors,
+    write_wav,
 )
 from matt.dsp.signal import FRAME_BLOCK
 from matt.dsp.spectral import _AMIN, ROLLOFF_FRACTION, contrast_bands
@@ -177,6 +179,13 @@ def test_production_geometry_equals_the_whole_track_forms():
         assert_same(matrix.values, ref.reshape(matrix.values.shape), matrix.family)
 
 
+def spectrogram_bytes(n, cfg):
+    """The padded float64 signal, bins and power a spectrogram of n samples keeps."""
+    padded = n + 2 * (cfg.stft.n_fft // 2)
+    n_frames = 1 + (padded - cfg.stft.n_fft) // cfg.stft.hop
+    return 8 * padded + 2 * 8 * n_frames * (cfg.stft.n_fft // 2 + 1)
+
+
 def test_extraction_peak_stays_near_what_the_spectrogram_keeps():
     """A 36 s clip's extraction allocates little beyond the padded float64
     signal, bins and power that the spectrogram keeps. The whole-track forms
@@ -185,9 +194,7 @@ def test_extraction_peak_stays_near_what_the_spectrogram_keeps():
     n = 36 * cfg.sample_rate
     samples = (0.3 * np.random.default_rng(7).standard_normal(n)).astype(np.float32)
     clip = AudioSignal(samples=samples, sample_rate_hz=cfg.sample_rate)
-    padded = n + 2 * (cfg.stft.n_fft // 2)
-    n_frames = 1 + (padded - cfg.stft.n_fft) // cfg.stft.hop
-    kept = 8 * padded + 2 * 8 * n_frames * (cfg.stft.n_fft // 2 + 1)
+    kept = spectrogram_bytes(n, cfg)
     tracemalloc.start()
     try:
         extract_feature_sets(clip, cfg)
@@ -195,3 +202,24 @@ def test_extraction_peak_stays_near_what_the_spectrogram_keeps():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * kept, f"peak {peak / 1e6:.1f} MB, kept {kept / 1e6:.1f} MB"
+
+
+def test_a_stereo_track_extracts_without_its_decoded_channels(tmp_path):
+    """Extracting a 36 s int16 stereo WAV peaks at the extraction bound plus
+    the mono float32 signal: the decoded channels (a second float32 copy of
+    the track) are freed after the downmix."""
+    cfg = FeatureConfig()
+    n = 36 * cfg.sample_rate
+    stereo = 0.3 * np.random.default_rng(8).standard_normal((2, n))
+    wav = tmp_path / "t.wav"
+    write_wav(wav, stereo, cfg.sample_rate, float32=False)
+    del stereo
+    task = ("t", str(wav), str(tmp_path / "t.part"), str(tmp_path / "t.mel"), cfg)
+    tracemalloc.start()
+    try:
+        _extract_one(task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 1.25 * spectrogram_bytes(n, cfg) + 4 * n
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matt.dataset import build_bags, parse_metadata_lines
+from matt.dataset import build_bags, parse_metadata_lines, segment_bags
 from matt.errors import EmptyEval, InvalidK
 from matt.evaluation import accuracy, evaluate, pr_curve, top_k_accuracy
 from matt.model import EncoderConfig, MattModel
@@ -179,7 +179,7 @@ def test_bag_mode_on_singletons_equals_segment_mode():
         EncoderConfig(input_dim=5, hidden_dims=(), output_dim=3), n_genres=2, seed=2
     )
     bag_report = evaluate(model, bags, X, mode="bag", ks=(1, 2))
-    seg_report = evaluate(model, bags, X, mode="segment", ks=(1, 2))
+    seg_report = evaluate(model, segment_bags(table), X, mode="segment", ks=(1, 2))
     assert bag_report.overall_accuracy == seg_report.overall_accuracy
     assert bag_report.top_k == seg_report.top_k
     assert np.array_equal(bag_report.pr_points, seg_report.pr_points)
@@ -203,7 +203,7 @@ def test_segment_mode_scores_each_segment_against_its_own_genre():
     # each segment's features are the one-hot vector of its own genre
     X = np.eye(2, dtype=np.float32)[list(table.genre_ids)]
     bag_report = evaluate(MeanOfMembers(), bags, X, mode="bag", ks=(1,))
-    seg_report = evaluate(MeanOfMembers(), bags, X, mode="segment", ks=(1,))
+    seg_report = evaluate(MeanOfMembers(), segment_bags(table), X, mode="segment", ks=(1,))
     assert (bag_report.n_units, bag_report.overall_accuracy) == (1, 1.0)
     assert (seg_report.n_units, seg_report.overall_accuracy) == (3, 1.0)
     assert seg_report.average_precision == 1.0
@@ -233,7 +233,7 @@ def test_segment_report_equals_the_bag_member_order_report(hidden_dims):
     model = MattModel(
         EncoderConfig(input_dim=5, hidden_dims=hidden_dims, output_dim=4), n_genres=3, seed=3
     )
-    report = evaluate(model, bags, X, mode="segment", ks=(1, 2))
+    report = evaluate(model, segment_bags(bags.table), X, mode="segment", ks=(1, 2))
     test = bags.split("test")
     members, starts = pack_bags(test, X)
     member_ids = [bags.table.track_ids[i] for i in test.rows.tolist()]

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,22 @@ def test_float32_wav_round_trips_exactly(tmp_path):
     channels, rate = read_wav(path)
     assert rate == 44100
     assert np.array_equal(channels, stereo)
+
+
+def test_reading_a_wav_holds_the_file_and_its_samples_only(tmp_path):
+    # the data chunk is decoded from a view of the file's bytes, not a copy
+    n = 36 * 44100
+    path = tmp_path / "t.wav"
+    write_wav(path, 0.3 * np.random.default_rng(2).standard_normal((2, n)), 44100,
+              float32=False)
+    tracemalloc.start()
+    try:
+        channels, _ = read_wav(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = path.stat().st_size + channels.nbytes + 2**20
+    assert peak <= bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
 
 def test_int16_wav_round_trips_within_quantization(tmp_path):
