@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -38,6 +39,7 @@ from .dsp.cache import format_feature_rows, parse_feature_rows
 from .dsp.summarize import set_columns
 from .errors import (
     EmptyFeature,
+    NonFiniteFeature,
     NotUtf8,
     RuntimeFailure,
     SampleRateMismatch,
@@ -244,6 +246,13 @@ def _load_features(cfg: RunConfig):
     track_ids, values = read_feature_csv(path)
     if not track_ids:
         raise EmptyFeature(f"feature cache {path} has a header but no tracks")
+    # a float64 sum of float32 values cannot overflow, so it is finite exactly
+    # when every value is; only a non-finite sum needs the row scan
+    if not math.isfinite(values.sum(dtype=np.float64)):
+        row = int(np.argmin(np.isfinite(values).all(axis=1)))
+        raise NonFiniteFeature(
+            f"{path}: track {track_ids[row]!r} has a non-finite feature value"
+        )
     return track_ids, values
 
 
@@ -251,11 +260,15 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     table = load_metadata(cfg.metadata)
     X = align_features(table.track_ids, *_load_features(cfg))
+    train_cfg = cfg.train
     if args.segment_level:
+        # a one-member bag's attention weight is exactly 1 under either
+        # aggregator; mean gets it without the attention passes
         bags, name = segment_bags(table), "baseline.ckpt"
+        train_cfg = replace(train_cfg, aggregator="mean")
     else:
         bags, name = build_bags(table, label_policy=cfg.label_policy), "matt.ckpt"
-    model, train_log = train(bags, X, cfg.train)
+    model, train_log = train(bags, X, train_cfg)
     cfg.checkpoint_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.checkpoint_dir / name
     save_checkpoint(out, model.params)

@@ -22,6 +22,7 @@ from .spectral import contrast_bands, spectral_descriptors
 from .stft import StftConfig, stft
 
 STATISTICS = ("mean", "std", "skew", "kurtosis", "median", "min", "max")
+NORMAL_MIN = np.finfo(np.float64).tiny  # smallest positive normal float64
 
 FAMILY_ORDER = tuple(FAMILY_BASE_DIMS)
 
@@ -45,7 +46,8 @@ def summarize(frames: FrameFeatureMatrix) -> np.ndarray:
     """Reduce (d_base, n_frames) to the 7-statistic summary vector.
 
     std is the population standard deviation; skew is m3/m2^1.5 and kurtosis
-    the excess m4/m2^2 - 3, both 0 by convention for zero-variance rows; the
+    the excess m4/m2^2 - 3, each 0 by convention for a row of zero variance
+    or whose denominator is below the smallest normal float; the
     median takes the lower-middle element for even frame counts.
     """
     x = frames.values
@@ -59,9 +61,14 @@ def summarize(frames: FrameFeatureMatrix) -> np.ndarray:
     m3 = (c2 * centered).mean(axis=1)
     m4 = (c2 * c2).mean(axis=1)
     std = np.sqrt(m2)
-    safe_m2 = np.where(m2 > 0.0, m2, 1.0)
-    skew = np.where(m2 > 0.0, m3 / safe_m2**1.5, 0.0)
-    kurtosis = np.where(m2 > 0.0, m4 / safe_m2**2 - 3.0, 0.0)
+    # m2 ** 1.5 and m2 ** 2 underflow long before m2 does: a denominator
+    # that is not a positive normal float takes the zero-variance convention
+    d3 = m2**1.5
+    d4 = m2**2
+    ok3 = d3 >= NORMAL_MIN
+    ok4 = d4 >= NORMAL_MIN
+    skew = np.where(ok3, m3 / np.where(ok3, d3, 1.0), 0.0)
+    kurtosis = np.where(ok4, m4 / np.where(ok4, d4, 1.0) - 3.0, 0.0)
     median = np.partition(x, middle, axis=1)[:, middle]
     return np.concatenate([mean, std, skew, kurtosis, median, x.min(axis=1), x.max(axis=1)])
 

@@ -101,6 +101,10 @@ class MissingFeature(ValidationError):
     """The feature cache lacks a track that the metadata lists."""
 
 
+class NonFiniteFeature(ValidationError):
+    """The feature cache holds a NaN or infinite value."""
+
+
 # evaluation
 class EmptyEval(ValidationError):
     pass

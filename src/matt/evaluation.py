@@ -75,18 +75,29 @@ def accuracy(probabilities, golds) -> float:
     return np.count_nonzero(winners == np.asarray(golds)) / len(golds)
 
 
+def gold_ranks(probabilities: np.ndarray, golds: np.ndarray) -> np.ndarray:
+    """Each row's gold position in its genres sorted most probable first,
+    lowest id first on ties (0 = top): the count of genres more probable
+    than the gold plus the tied ones with a lower id."""
+    gold_p = np.take_along_axis(probabilities, golds[:, np.newaxis], axis=1)
+    above = np.count_nonzero(probabilities > gold_p, axis=1)
+    tied_before = np.arange(probabilities.shape[1]) < golds[:, np.newaxis]
+    return above + np.count_nonzero((probabilities == gold_p) & tied_before, axis=1)
+
+
 def top_k_accuracy(probabilities, golds, k: int) -> float:
     """Fraction of rows whose gold genre is among the K most probable
     (lowest id first on ties)."""
     if not len(golds):
         raise EmptyEval("nothing to evaluate")
     P = np.asarray(probabilities, dtype=np.float64)
-    n_genres = P.shape[1]
+    _check_k(k, P.shape[1])
+    return np.count_nonzero(gold_ranks(P, np.asarray(golds)) < k) / len(golds)
+
+
+def _check_k(k: int, n_genres: int):
     if not 1 <= k <= n_genres:
         raise InvalidK(f"K={k} outside [1, {n_genres}]")
-    top = np.argsort(-P, axis=1, kind="stable")[:, :k]
-    hits = (top == np.asarray(golds)[:, np.newaxis]).any(axis=1)
-    return np.count_nonzero(hits) / len(golds)
 
 
 def pr_curve(probabilities, golds):
@@ -145,15 +156,18 @@ def evaluate(
     overall = accuracy(probabilities, golds)
     points, average_precision = pr_curve(probabilities, golds)
 
+    for k in ks:
+        _check_k(k, probabilities.shape[1])
+    ranks = gold_ranks(probabilities, golds)  # Top@K of every subset counts ranks below K
     top_k = {}
     subset_sizes = {}
     for subset in subsets:
-        tail = units.table.vocabulary.tail_mask(subset)[golds]
-        subset_sizes[subset] = int(np.count_nonzero(tail))
-        if not subset_sizes[subset]:
+        tail_ranks = ranks[units.table.vocabulary.tail_mask(subset)[golds]]
+        subset_sizes[subset] = len(tail_ranks)
+        if not len(tail_ranks):
             continue
         for k in ks:
-            top_k[(subset, k)] = top_k_accuracy(probabilities[tail], golds[tail], k)
+            top_k[(subset, k)] = np.count_nonzero(tail_ranks < k) / len(tail_ranks)
     return EvalReport(
         mode=mode,
         overall_accuracy=overall,

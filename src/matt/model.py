@@ -83,11 +83,15 @@ class MattModel:
         self.n_genres = n_genres
         self.aggregator = aggregator
         self.n_layers = len(encoder.layer_dims)
+        # (weight, bias) parameter names per encoder layer, named once here
+        self.layer_names = tuple((f"enc_w{i}", f"enc_b{i}") for i in range(self.n_layers))
         self.params = ParamStore()
         d = encoder.output_dim
-        for i, (rows, cols) in enumerate(encoder.layer_dims):
-            self.params.add(f"enc_w{i}", xavier_uniform(rows, cols, seed * 1000 + 2 * i))
-            self.params.add(f"enc_b{i}", np.zeros(rows))
+        for i, ((rows, cols), (w_name, b_name)) in enumerate(
+            zip(encoder.layer_dims, self.layer_names)
+        ):
+            self.params.add(w_name, xavier_uniform(rows, cols, seed * 1000 + 2 * i))
+            self.params.add(b_name, np.zeros(rows))
         self.params.add("att_w", xavier_uniform(1, 2 * d, seed * 1000 + 101))
         self.params.add("att_b", np.zeros(1))
         self.params.add("att_q", xavier_uniform(d, 1, seed * 1000 + 103))
@@ -101,13 +105,12 @@ class MattModel:
             raise ShapeError(
                 f"features shape {features.shape} != (m, {self.encoder.input_dim})"
             )
+        values = self.params.values
         h = features
         activations = [h]
         last = self.n_layers - 1
-        for i in range(self.n_layers):
-            w = self.params.values[f"enc_w{i}"]
-            b = self.params.values[f"enc_b{i}"]
-            z = h @ w.T + b
+        for i, (w_name, b_name) in enumerate(self.layer_names):
+            z = h @ values[w_name].T + values[b_name]
             h = z if i == last else np.tanh(z)
             activations.append(h)
         return activations, h
@@ -137,14 +140,14 @@ class MattModel:
         """Score B packed bags; returns (B, G) probabilities (+cache).
 
         starts must rise strictly from 0 and stay below n_rows, so no bag is
-        empty. The cache holds what backward_packed needs, among it the
-        (n_rows,) attention weights and the (B, d) bag representations.
+        empty; otherwise EmptyBag is raised. The cache holds what
+        backward_packed needs, among it the (n_rows,) attention weights and
+        the (B, d) bag representations.
         """
         features = np.asarray(features, dtype=np.float64)
         starts = np.asarray(starts, dtype=np.intp)
         ok = features.ndim == 2 and starts.ndim == 1 and starts.size and starts[0] == 0
         if ok:
-            # bag sizes are computed once here; attention and backward reuse them
             sizes = np.empty_like(starts)
             np.subtract(starts[1:], starts[:-1], out=sizes[:-1])
             sizes[-1] = len(features) - starts[-1]
@@ -152,6 +155,14 @@ class MattModel:
             raise EmptyBag(
                 f"{features.shape} features with bag starts {starts[:8]} hold an empty bag"
             )
+        return self.forward_sized(features, starts, sizes, keep_cache)
+
+    def forward_sized(self, features: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
+                      keep_cache: bool = False):
+        """forward_packed on bags already checked: float64 features, intp
+        starts from 0 and each bag's row count sizes[b] >= 1, summing to
+        n_rows. Nothing is checked here; train checks a whole epoch at once.
+        """
         activations, embeddings = self.encode(features)
         squashed, weights = self.attention_weights(embeddings, starts, sizes)
         representations = np.add.reduceat(weights[:, np.newaxis] * embeddings, starts)
@@ -202,12 +213,13 @@ class MattModel:
         # encoder backward, last affine layer first
         d_h = d_embeddings
         for i in range(self.n_layers - 1, -1, -1):
+            w_name, b_name = self.layer_names[i]
             if i != self.n_layers - 1:
                 d_h *= 1.0 - activations[i + 1] ** 2
-            grads[f"enc_w{i}"] += d_h.T @ activations[i]
-            grads[f"enc_b{i}"] += d_h.sum(axis=0)
+            grads[w_name] += d_h.T @ activations[i]
+            grads[b_name] += d_h.sum(axis=0)
             if i:
-                d_h = d_h @ values[f"enc_w{i}"]
+                d_h = d_h @ values[w_name]
 
     # -- per-bag wrappers: nothing in matt calls them; they exist only because
     # perfbench/layers.PROBES wraps each of them by name -- #

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import BagSet
-from .errors import DivergedError, InvalidConfig
+from .errors import DivergedError, EmptyBag, InvalidConfig
 from .model import EncoderConfig, MattModel
 from .numeric import OptimizerState, optimizer_step
 
@@ -66,15 +66,24 @@ def nll_losses(probabilities: np.ndarray, golds: np.ndarray, genre_weights=None)
     With genre_weights, row b is scaled by genre_weights[golds[b]]. Golds are
     ids in [0, G), which BagSet checks where the labels enter.
     """
-    rows = np.arange(len(golds))
-    losses = -np.log(np.maximum(probabilities[rows, golds], PROB_FLOOR))
-    d_scores = probabilities.copy()
-    d_scores[rows, golds] -= 1.0
-    if genre_weights is not None:
-        scale = genre_weights[golds]
+    picks = np.arange(len(golds)) * probabilities.shape[1] + golds
+    scale = None if genre_weights is None else genre_weights[golds]
+    return nll_in_place(probabilities.copy(), picks, scale)
+
+
+def nll_in_place(probabilities: np.ndarray, picks: np.ndarray, scale=None):
+    """nll_losses with each row's gold as a flat index into the contiguous
+    (B, G) probabilities, picks[b] = b * G + gold, and each row's weight in
+    scale (or None). dLoss/dScores is written over probabilities and returned.
+    """
+    flat = probabilities.reshape(-1)
+    picked = flat[picks]
+    losses = -np.log(np.maximum(picked, PROB_FLOOR))
+    flat[picks] = picked - 1.0
+    if scale is not None:
         losses = losses * scale
-        d_scores *= scale[:, np.newaxis]
-    return losses, d_scores
+        probabilities *= scale[:, np.newaxis]
+    return losses, probabilities
 
 
 def pack_bags(bags: BagSet, X: np.ndarray):
@@ -101,15 +110,44 @@ def _bag_accuracy(model: MattModel, packed, golds: np.ndarray) -> float:
     return np.count_nonzero(winners == golds) / len(golds)
 
 
+def step_plan(starts: np.ndarray, n_rows: int, golds: np.ndarray, bags_per_batch: int,
+              n_genres: int, genre_weights=None):
+    """One epoch's batches of packed bags, worked out in one vectorized pass.
+
+    starts, golds: each bag's first row and label in the epoch's pack of
+    n_rows rows. Batch k holds bags [k * bags_per_batch, (k + 1) * bags_per_batch).
+    Returns one (first row, end row, local starts, sizes, picks, scale) tuple
+    per batch: picks are the flat gold indices nll_in_place reads, and scale
+    the rows' genre weights (None without genre_weights). Raises EmptyBag if
+    any bag is empty, so the batches run forward_sized unchecked.
+    """
+    n_bags = len(starts)
+    sizes = np.diff(starts, append=n_rows)
+    if n_bags and sizes.min() <= 0:
+        raise EmptyBag(f"epoch bag {int(np.argmin(sizes))} has no rows")
+    first_bags = np.arange(0, n_bags, bags_per_batch)
+    local_starts = starts - starts[first_bags].repeat(np.diff(first_bags, append=n_bags))
+    picks = np.arange(n_bags) % bags_per_batch * n_genres + golds
+    scales = None if genre_weights is None else genre_weights[golds]
+    # slices, not np.split: one slice is a fraction of a microsecond
+    bounds = [*first_bags.tolist(), n_bags]
+    rows = [*starts[first_bags].tolist(), n_rows]
+    return [
+        (rows[k], rows[k + 1], local_starts[a:b], sizes[a:b], picks[a:b],
+         None if scales is None else scales[a:b])
+        for k, (a, b) in enumerate(zip(bounds, bounds[1:]))
+    ]
+
+
 def train(bags: BagSet, X: np.ndarray, cfg: TrainConfig):
     """Train on split=train bags, early-stopping on split=validation accuracy.
 
     X is aligned to bags.table. The validation split is packed once, before
     the first epoch. Each epoch packs the train bags once, in shuffled order
-    (train_bags.take); a batch is then a contiguous slice of that pack and one
-    packed forward/backward pass. Returns (model, train_log); the model
-    carries the best-validation parameters (or the final ones when there is no
-    validation split).
+    (train_bags.take) and works out its step_plan; a batch is then a
+    contiguous slice of that pack and one packed forward/backward pass.
+    Returns (model, train_log); the model carries the best-validation
+    parameters (or the final ones when there is no validation split).
     """
     train_bags = bags.split("train")
     val_bags = bags.split("validation")
@@ -138,19 +176,17 @@ def train(bags: BagSet, X: np.ndarray, cfg: TrainConfig):
         started = time.perf_counter()
         epoch_bags = train_bags.take(rng.permutation(n_train))
         epoch_X, starts = pack_bags(epoch_bags, X)
-        ends = np.append(starts[1:], len(epoch_X))
-        golds = epoch_bags.genre_ids
+        plan = step_plan(starts, len(epoch_X), epoch_bags.genre_ids, cfg.bags_per_batch,
+                         n_genres, genre_weights)
         total_loss = 0.0
-        for start in range(0, n_train, cfg.bags_per_batch):
-            stop = min(start + cfg.bags_per_batch, n_train)
-            first = starts[start]
-            probabilities, cache = model.forward_packed(
-                epoch_X[first : ends[stop - 1]], starts[start:stop] - first, keep_cache=True
+        for first, end, batch_starts, sizes, picks, scale in plan:
+            probabilities, cache = model.forward_sized(
+                epoch_X[first:end], batch_starts, sizes, keep_cache=True
             )
-            losses, d_scores = nll_losses(probabilities, golds[start:stop], genre_weights)
+            losses, d_scores = nll_in_place(probabilities, picks, scale)
             total_loss += float(losses.sum())
             model.backward_packed(cache, d_scores)
-            model.params.scale_grads(1.0 / (stop - start))
+            model.params.scale_grads(1.0 / len(sizes))
             optimizer_step(optimizer, model.params)
         mean_loss = total_loss / n_train
         if not np.isfinite(mean_loss):

@@ -10,8 +10,10 @@ import pytest
 import matt.dataset
 from matt.cli import _load_config, build_parser, main
 from matt.config import RunConfig, load_run_config
-from matt.dsp import read_feature_csv, read_mel_cache, write_wav
+from matt.dsp import read_feature_csv, read_mel_cache, write_feature_csv, write_wav
+from matt.dsp.cache import _read_sidecar
 from matt.errors import InvalidConfig
+from matt.model import AGGREGATORS
 from matt.synthetic import SynthConfig
 from matt.training import TrainConfig
 
@@ -232,6 +234,29 @@ def test_train_segment_level_baseline(corpus):
     assert run("extract-features", "--config", cfg, "--workers", 1) == 0
     assert run("train", "--config", cfg, "--segment-level") == 0
     assert (root / "ckpt" / "baseline.ckpt").exists()
+
+
+def test_train_segment_level_ignores_the_aggregator(tmp_path):
+    """Every segment is its own bag, weighted exactly 1 by either aggregator:
+    --segment-level writes the same checkpoint and train log with each."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        CONFIG_TEMPLATE.format(feature_set="synth", epochs=4)
+        + "\n[synth]\nn_genres = 3\nhead_count = 8\nfeature_dim = 5\n"
+        + "bag_size_min = 1\nbag_size_max = 4\nnoise_rate = 0.1\n",
+        encoding="utf-8",
+    )
+    assert run("gen-synth", "--config", cfg) == 0
+    written = {}
+    for aggregator in AGGREGATORS:
+        assert run("train", "--config", cfg, "--segment-level", "--aggregator", aggregator) == 0
+        log = (tmp_path / "ckpt" / "baseline_trainlog.csv").read_text(encoding="utf-8")
+        written[aggregator] = (
+            (tmp_path / "ckpt" / "baseline.ckpt").read_bytes(),
+            [line.rsplit(",", 1)[0] for line in log.splitlines()],  # without seconds
+        )
+    assert len(written["matt"][1]) == 5
+    assert written["matt"] == written["mean"]
 
 
 def test_evaluate_segment_mode_flag(corpus):
@@ -688,6 +713,56 @@ def test_missing_feature_row_fails_validation(tmp_path, capsys, monkeypatch, com
     assert run(*argv, "--config", cfg) == 1
     err = capsys.readouterr().err
     assert err == f"matt: no features for segment {track!r}\n"
+    # rejected before any work: no checkpoint, report or prediction written
+    assert sorted((tmp_path / "ckpt").glob("*")) == trained
+    assert not (tmp_path / "reports").exists()
+    assert not (tmp_path / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize("source", ["text", "sidecar"])
+@pytest.mark.parametrize(
+    "command, split",
+    [
+        (("train",), "train"),
+        (("evaluate", "--mode", "bag"), "test"),
+        (("predict", "--out", "predictions.csv"), "test"),
+    ],
+    ids=["train", "evaluate", "predict"],
+)
+def test_a_non_finite_feature_value_fails_validation(tmp_path, capsys, monkeypatch, command,
+                                                     split, source):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        CONFIG_TEMPLATE.format(feature_set="synth", epochs=2)
+        + "\n[synth]\nn_genres = 3\nhead_count = 8\nfeature_dim = 5\n"
+        + "bag_size_min = 1\nbag_size_max = 4\nnoise_rate = 0.1\n",
+        encoding="utf-8",
+    )
+    monkeypatch.chdir(tmp_path)  # predict's --out is relative
+    assert run("gen-synth", "--config", cfg) == 0
+    if command[0] != "train":
+        assert run("train", "--config", cfg) == 0
+    trained = sorted((tmp_path / "ckpt").glob("*")) if command[0] != "train" else []
+    rows = (tmp_path / "metadata.csv").read_text(encoding="utf-8").splitlines()[1:]
+    track = [r.split(",")[0] for r in rows if r.endswith("," + split)][-1]
+    csv = tmp_path / "features" / "synth.csv"
+    if source == "text":
+        # an edited CSV no longer matches its sidecar, so it is parsed as text
+        lines = csv.read_text(encoding="utf-8").splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(track + ","))
+        lines[at] = ",".join([track, "nan", *lines[at].split(",")[2:]])
+        csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert _read_sidecar(csv) is None
+    else:
+        ids, values = read_feature_csv(csv)
+        values[ids.index(track), 2] = np.inf
+        write_feature_csv(csv, [f"synth_dim_{i}" for i in range(5)], ids, values)
+        assert _read_sidecar(csv) is not None
+    capsys.readouterr()
+
+    assert run(*command, "--config", cfg) == 1
+    err = capsys.readouterr().err
+    assert err == f"matt: {csv}: track {track!r} has a non-finite feature value\n"
     # rejected before any work: no checkpoint, report or prediction written
     assert sorted((tmp_path / "ckpt").glob("*")) == trained
     assert not (tmp_path / "reports").exists()

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matt.dataset import build_bags, parse_metadata_lines, segment_bags
 from matt.errors import EmptyEval, InvalidK
-from matt.evaluation import accuracy, evaluate, pr_curve, top_k_accuracy
+from matt.evaluation import accuracy, evaluate, gold_ranks, pr_curve, top_k_accuracy
 from matt.model import EncoderConfig, MattModel
 from matt.synthetic import SynthConfig, generate_synthetic
 from matt.training import pack_bags
@@ -309,3 +311,30 @@ def test_matrix_metrics_equal_the_per_unit_loops_exactly(seed):
     assert top_k_accuracy(preds, golds, 3) == top3
     curve, curve_ap = pr_curve(preds, golds)
     assert np.array_equal(curve, points) and curve_ap == ap
+
+
+def reference_top_k(probabilities, golds, k):
+    """Top@K through a stable argsort of -P, the way evaluate used to rank."""
+    top = np.argsort(-probabilities, axis=1, kind="stable")[:, :k]
+    return np.count_nonzero((top == golds[:, np.newaxis]).any(axis=1)) / len(golds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_genres=st.integers(2, 8),
+    levels=st.integers(1, 4),
+    n_units=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gold_rank_top_k_equals_the_stable_argsort_reference(n_genres, levels, n_units, seed):
+    """Probabilities drawn from a few levels tie often, also with the gold;
+    ties rank the lower genre id first in both."""
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, levels, size=(n_units, n_genres)).astype(np.float64)
+    probabilities = np.exp(scores) / np.exp(scores).sum(axis=1, keepdims=True)
+    golds = rng.integers(0, n_genres, size=n_units)
+    ranks = gold_ranks(probabilities, golds)
+    positions = np.argsort(-probabilities, axis=1, kind="stable")
+    assert np.array_equal(ranks, np.flatnonzero(positions == golds[:, np.newaxis]) % n_genres)
+    for k in range(1, n_genres + 1):
+        assert top_k_accuracy(probabilities, golds, k) == reference_top_k(probabilities, golds, k)

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from matt.dsp import FAMILY_BASE_DIMS, FrameFeatureMatrix, summarize
+from matt.dsp import (FAMILY_BASE_DIMS, AudioSignal, FeatureConfig, FrameFeatureMatrix,
+                      extract_feature_sets, summarize)
 from matt.errors import EmptyFeature, ShapeError
 
 
@@ -13,6 +16,34 @@ def test_constant_row_degenerates_cleanly():
     frames = frames_for("rms", [[3.0, 3.0, 3.0, 3.0]])
     out = summarize(frames)
     assert np.array_equal(out, [3.0, 0.0, 0.0, 0.0, 3.0, 3.0, 3.0])
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [0.0, 1e-160, 0.0, 1e-160],  # m2 is subnormal: both of its powers underflow
+        [0.0, 2e-100, 0.0, 2e-100],  # m2 ** 1.5 is normal, m2 ** 2 underflows
+    ],
+)
+def test_a_variance_whose_powers_underflow_takes_the_zero_variance_convention(row):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, std, skew, kurtosis, *_ = summarize(frames_for("zcr", [row]))
+    assert std > 0.0
+    assert (skew, kurtosis) == (0.0, 0.0)  # a symmetric two-level row has no skew either
+
+
+@pytest.mark.parametrize("kind", ["constant", "noise"])
+@pytest.mark.parametrize("amplitude", [1e-30, 1e-20, 1e-12, 1e-6, 1e-3])
+def test_near_silent_clips_extract_finite_features_without_warnings(kind, amplitude):
+    rng = np.random.default_rng(0)
+    n = 22050
+    samples = (np.full(n, amplitude) if kind == "constant"
+               else amplitude * rng.standard_normal(n)).astype(np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vector = extract_feature_sets(AudioSignal(samples, 22050), FeatureConfig(22050)).vector
+    assert np.isfinite(vector).all()
 
 
 def test_hand_computed_four_frame_row():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bag_list
 from matt import training
@@ -10,8 +12,9 @@ from matt.dataset import (
     align_features,
     build_bags,
     parse_metadata_lines,
+    segment_bags,
 )
-from matt.errors import InvalidConfig, MissingFeature
+from matt.errors import EmptyBag, InvalidConfig, MissingFeature
 from matt.model import BagPrediction, MattModel
 from matt.numeric import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, softmax
 from matt.synthetic import SynthConfig, generate_synthetic
@@ -150,18 +153,18 @@ def test_train_gathers_each_bag_once_and_runs_one_pass_per_batch(monkeypatch, ep
     data = two_genre_data()
     events = []  # ("pack", bag keys) per pack_bags call, ("pass", bags) per forward
     pack = training.pack_bags
-    forward = MattModel.forward_packed
+    forward = MattModel.forward_sized  # every pass, checked (forward_packed) or planned
 
     def counting_pack(bags, X):
         events.append(("pack", bag_list(bags)))
         return pack(bags, X)
 
-    def counting_forward(self, X, starts, keep_cache=False):
+    def counting_forward(self, X, starts, sizes, keep_cache=False):
         events.append(("pass", len(starts)))
-        return forward(self, X, starts, keep_cache)
+        return forward(self, X, starts, sizes, keep_cache)
 
     monkeypatch.setattr(training, "pack_bags", counting_pack)
-    monkeypatch.setattr(MattModel, "forward_packed", counting_forward)
+    monkeypatch.setattr(MattModel, "forward_sized", counting_forward)
     cfg = TrainConfig(epochs=epochs, seed=2, embedding_dim=4, bags_per_batch=8)
     _, log = train(data.bags, data.features, cfg)
 
@@ -188,6 +191,16 @@ def test_no_training_bags_rejected():
     bags = build_bags(table)
     with pytest.raises(InvalidConfig):
         train(bags, np.zeros((2, 3), dtype=np.float32), TrainConfig(epochs=1))
+
+
+def test_an_empty_training_bag_is_rejected_once_per_epoch():
+    """step_plan checks an epoch's bag sizes before its batches run the
+    unchecked engine; an empty bag would otherwise pool another bag's row."""
+    table = parse_metadata_lines(
+        [HEADER, "t1,a,p,rock,train", "t2,b,q,jazz,train", "t3,b,q,jazz,train"])
+    bags = BagSet(table, np.arange(3), np.array([0, 1, 1]), np.array([0, 1, 1]))
+    with pytest.raises(EmptyBag, match="has no rows"):
+        train(bags, np.zeros((3, 2), dtype=np.float32), TrainConfig(epochs=1, embedding_dim=2))
 
 
 def test_early_stopping_stops(caplog):
@@ -391,3 +404,42 @@ def test_train_equals_the_per_batch_gather_reference_bitwise(
     expected_flat, expected_epochs = reference_train(bags, X, cfg)
     assert [e[:3] for e in log.epochs] == expected_epochs
     assert model.params.flat.tobytes() == expected_flat.tobytes()
+
+
+# -- the segment baseline: on one-member bags the aggregator makes no difference -- #
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_segments=st.integers(1, 40),
+    n_genres=st.integers(2, 4),
+    optimizer=st.sampled_from(["adam", "sgd"]),
+    hidden_dims=st.sampled_from([(), (3,)]),
+    class_weighting=st.booleans(),
+    bags_per_batch=st.integers(1, 9),
+)
+def test_singleton_bags_train_bitwise_equal_under_matt_and_mean(
+    seed, n_segments, n_genres, optimizer, hidden_dims, class_weighting, bags_per_batch
+):
+    """A one-member bag's attention weight is exactly 1 and its attention
+    gradients exactly 0, so the baseline may train with mean pooling."""
+    rng = np.random.default_rng(seed)
+    splits = ["train", *rng.choice(["train", "validation"], size=n_segments - 1).tolist()]
+    genre_ids = rng.integers(0, n_genres, size=n_segments)
+    counts = np.bincount(genre_ids[np.array(splits) == "train"], minlength=n_genres)
+    table = SegmentTable(
+        tuple(f"s{i:02d}" for i in range(n_segments)), ("",) * n_segments, ("",) * n_segments,
+        tuple(genre_ids.tolist()), tuple(splits),
+        GenreVocabulary(tuple(f"g{g}" for g in range(n_genres)), tuple(counts.tolist())),
+    )
+    X = rng.standard_normal((n_segments, 4)).astype(np.float32)
+    trained = {}
+    for aggregator in ("matt", "mean"):
+        cfg = TrainConfig(
+            epochs=3, bags_per_batch=bags_per_batch, optimizer=optimizer, learning_rate=0.05,
+            seed=seed % 1000, aggregator=aggregator, hidden_dims=hidden_dims, embedding_dim=3,
+            class_weighting=class_weighting,
+        )
+        model, log = train(segment_bags(table), X, cfg)
+        trained[aggregator] = (model.params.flat.tobytes(), [e[:3] for e in log.epochs])
+    assert trained["matt"] == trained["mean"]
