@@ -58,9 +58,7 @@ def run_seed(
     seeded = replace(train_cfg, seed=seed)
     segments = segment_bags(data.bags.table)
     matt_model, _ = train(data.bags, data.features, seeded)
-    # a one-member bag's attention weight is exactly 1 under either aggregator;
-    # mean gets it without the attention passes
-    base_model, _ = train(segments, data.features, replace(seeded, aggregator="mean"))
+    base_model, _ = train(segments, data.features, seeded)
     result = SeedResult(
         seed=seed,
         matt_model=matt_model,

@@ -260,15 +260,11 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     table = load_metadata(cfg.metadata)
     X = align_features(table.track_ids, *_load_features(cfg))
-    train_cfg = cfg.train
     if args.segment_level:
-        # a one-member bag's attention weight is exactly 1 under either
-        # aggregator; mean gets it without the attention passes
         bags, name = segment_bags(table), "baseline.ckpt"
-        train_cfg = replace(train_cfg, aggregator="mean")
     else:
         bags, name = build_bags(table, label_policy=cfg.label_policy), "matt.ckpt"
-    model, train_log = train(bags, X, train_cfg)
+    model, train_log = train(bags, X, cfg.train)
     cfg.checkpoint_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.checkpoint_dir / name
     save_checkpoint(out, model.params)

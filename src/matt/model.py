@@ -162,10 +162,17 @@ class MattModel:
         """forward_packed on bags already checked: float64 features, intp
         starts from 0 and each bag's row count sizes[b] >= 1, summing to
         n_rows. Nothing is checked here; train checks a whole epoch at once.
+
+        A batch with one bag per row holds only one-member bags, whose
+        weight is exactly 1 under either aggregator: it skips attention and
+        pooling, and its representations are its embeddings.
         """
         activations, embeddings = self.encode(features)
-        squashed, weights = self.attention_weights(embeddings, starts, sizes)
-        representations = np.add.reduceat(weights[:, np.newaxis] * embeddings, starts)
+        if len(starts) == len(embeddings):
+            squashed, weights, representations = None, np.ones(len(starts)), embeddings
+        else:
+            squashed, weights = self.attention_weights(embeddings, starts, sizes)
+            representations = np.add.reduceat(weights[:, np.newaxis] * embeddings, starts)
         probabilities = self.genre_scores(representations)
         if not keep_cache:
             return probabilities
@@ -182,7 +189,12 @@ class MattModel:
     # -- backward -- #
 
     def backward_packed(self, cache: dict, d_scores: np.ndarray):
-        """Accumulate parameter gradients given (B, G) dLoss/dScores, one row per bag."""
+        """Accumulate parameter gradients given (B, G) dLoss/dScores, one row per bag.
+
+        Over one-member bags (one bag per row) pooling is the identity and
+        the attention gradients are exactly 0, so only the encoder and out_m
+        receive gradients.
+        """
         values = self.params.values
         grads = self.params.grads
         starts = cache["starts"]
@@ -191,10 +203,15 @@ class MattModel:
         activations = cache["activations"]
         embeddings = activations[-1]
         grads["out_m"] += d_scores.T @ cache["representations"]
-        # each member row receives its bag's dLoss/dRepresentation
-        d_repr = (d_scores @ values["out_m"]).repeat(sizes, axis=0)
-        d_embeddings = weights[:, np.newaxis] * d_repr
-        if self.aggregator == "matt":
+        d_repr = d_scores @ values["out_m"]
+        singletons = len(starts) == len(embeddings)
+        if singletons:
+            d_embeddings = d_repr
+        else:
+            # each member row receives its bag's dLoss/dRepresentation
+            d_repr = d_repr.repeat(sizes, axis=0)
+            d_embeddings = weights[:, np.newaxis] * d_repr
+        if self.aggregator == "matt" and not singletons:
             d_weights = np.einsum("ij,ij->i", embeddings, d_repr)
             # softmax backward within each bag
             bag_dot = np.add.reduceat(weights * d_weights, starts)

@@ -44,6 +44,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.bags_per_batch < 1:
             raise InvalidConfig("epochs must be >= 0 and bags_per_batch >= 1")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

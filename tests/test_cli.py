@@ -259,6 +259,48 @@ def test_train_segment_level_ignores_the_aggregator(tmp_path):
     assert written["matt"] == written["mean"]
 
 
+def test_scoring_singletons_ignores_the_aggregator(tmp_path, monkeypatch):
+    """Segment-mode evaluate and predict score one-member bags, weighted
+    exactly 1 by either aggregator: one matt.ckpt writes the same reports
+    and predictions with each."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        CONFIG_TEMPLATE.format(feature_set="synth", epochs=4)
+        + "\n[synth]\nn_genres = 3\nhead_count = 8\nfeature_dim = 5\n"
+        + "bag_size_min = 2\nbag_size_max = 4\nnoise_rate = 0.1\n",
+        encoding="utf-8",
+    )
+    monkeypatch.chdir(tmp_path)  # predict's --out is relative
+    assert run("gen-synth", "--config", cfg) == 0
+    assert run("train", "--config", cfg, "--aggregator", "matt") == 0
+    written = {}
+    for aggregator in AGGREGATORS:
+        assert run("evaluate", "--config", cfg, "--mode", "segment",
+                   "--aggregator", aggregator) == 0
+        out = f"predictions_{aggregator}.csv"
+        assert run("predict", "--config", cfg, "--out", out, "--aggregator", aggregator) == 0
+        written[aggregator] = [
+            (tmp_path / "reports" / name).read_bytes()
+            for name in ("report.txt", "topk.csv", "pr.csv")
+        ] + [(tmp_path / out).read_bytes()]
+    assert b"mode: segment" in written["matt"][0]
+    assert written["matt"] == written["mean"]
+
+
+@pytest.mark.parametrize("command", ["gen-synth", "train", "grad-check"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_negative_seed_fails_validation(tmp_path, capsys, command, source):
+    cfg = tmp_path / "run.cfg"
+    text = CONFIG_TEMPLATE.format(feature_set="synth", epochs=2)
+    if source == "config":
+        text = text.replace("seed = 7\n", "seed = -1\n")
+    cfg.write_text(text, encoding="utf-8")
+    flags = ("--seed", "-1") if source == "flag" else ()
+    assert run(command, "--config", cfg, *flags) == 1
+    assert capsys.readouterr().err == "matt: seed must be >= 0, got -1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
 def test_evaluate_segment_mode_flag(corpus):
     root, cfg = corpus
     assert run("extract-features", "--config", cfg, "--workers", 1) == 0

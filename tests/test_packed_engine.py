@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matt.model import EncoderConfig, MattModel
-from matt.training import nll_losses
+from matt.training import nll_in_place, nll_losses
 
 RTOL = 1e-12
 
@@ -188,3 +188,115 @@ def test_singleton_batch_weights_are_exactly_one(batch):
     model, X, _, _, _ = batch
     _, cache = model.forward_packed(X, np.arange(len(X)), keep_cache=True)
     assert np.all(cache["weights"] == 1.0)
+
+
+def pooled_reference(model, X, starts, golds, scale):
+    """The pooled pass every batch ran before batches of one-member bags
+    skipped it: attention_weights, a weighted np.add.reduceat and, in
+    backward, each bag's gradient repeated over its rows.
+
+    Returns (probabilities, losses, d_scores, weights, grads) of one batch.
+    """
+    sizes = np.diff(starts, append=len(X))
+    activations, embeddings = model.encode(X)
+    squashed, weights = model.attention_weights(embeddings, starts, sizes)
+    representations = np.add.reduceat(weights[:, np.newaxis] * embeddings, starts)
+    probabilities = model.genre_scores(representations)
+    picks = np.arange(len(golds)) * model.n_genres + golds
+    losses, d_scores = nll_in_place(probabilities.copy(), picks, scale)
+
+    values = model.params.values
+    grads = {k: np.zeros_like(v) for k, v in values.items()}
+    grads["out_m"] += d_scores.T @ representations
+    d_repr = (d_scores @ values["out_m"]).repeat(sizes, axis=0)
+    d_h = weights[:, np.newaxis] * d_repr
+    if model.aggregator == "matt":
+        d_weights = np.einsum("ij,ij->i", embeddings, d_repr)
+        bag_dot = np.add.reduceat(weights * d_weights, starts)
+        d_logits = weights * (d_weights - bag_dot.repeat(sizes))
+        grads["att_b"] += d_logits.sum()
+        d_pre = d_logits * (1.0 - squashed**2)
+        d = model.encoder.output_dim
+        w = values["att_w"][0]
+        grads["att_w"][0, :d] += embeddings.T @ d_pre
+        grads["att_w"][0, d:] += d_pre.sum() * values["att_q"][:, 0]
+        grads["att_q"][:, 0] += d_pre.sum() * w[d:]
+        d_h += d_pre[:, np.newaxis] * w[:d]
+    for i in range(model.n_layers - 1, -1, -1):
+        if i != model.n_layers - 1:
+            d_h *= 1.0 - activations[i + 1] ** 2
+        grads[f"enc_w{i}"] += d_h.T @ activations[i]
+        grads[f"enc_b{i}"] += d_h.sum(axis=0)
+        d_h = d_h @ values[f"enc_w{i}"]
+    return probabilities, losses, d_scores, weights, grads
+
+
+@st.composite
+def singleton_batches(draw, pair=False):
+    """A model, a packed batch of one-member bags (with pair, one bag of two
+    rows among them), its golds and its rows' genre weights or None."""
+    n_bags = draw(st.integers(1, 9))
+    hidden = tuple(draw(st.lists(st.integers(1, 6), max_size=2)))
+    input_dim = draw(st.integers(1, 5))
+    n_genres = draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    model = MattModel(
+        EncoderConfig(input_dim=input_dim, hidden_dims=hidden,
+                      output_dim=draw(st.integers(1, 4))),
+        n_genres=n_genres,
+        aggregator=draw(st.sampled_from(["matt", "mean"])),
+        seed=seed % 97,
+    )
+    # a trained model's attention parameters, not the zero att_b of init
+    model.params.flat[...] = rng.standard_normal(model.params.flat.size)
+    starts = np.arange(n_bags)
+    if pair:
+        starts[draw(st.integers(0, n_bags - 1)) + 1:] += 1
+    X = rng.standard_normal((n_bags + pair, input_dim)) * rng.uniform(0.1, 5.0)
+    golds = rng.integers(0, n_genres, size=n_bags)
+    scale = rng.uniform(0.2, 3.0, size=n_genres)[golds] if draw(st.booleans()) else None
+    return model, X, starts, golds, scale
+
+
+def run_engine(model, X, starts, golds, scale):
+    """One training step's pass through the engine, as train runs it."""
+    sizes = np.diff(starts, append=len(X))
+    model.params.zero_grads()
+    probabilities, cache = model.forward_sized(X, starts, sizes, keep_cache=True)
+    picks = np.arange(len(golds)) * model.n_genres + golds
+    scored = probabilities.copy()
+    losses, d_scores = nll_in_place(probabilities, picks, scale)
+    model.backward_packed(cache, d_scores)
+    return scored, losses, d_scores, cache["weights"], model.params.grads
+
+
+def assert_same_bytes(actual, expected, what):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape, what
+    assert actual.tobytes() == expected.tobytes(), what
+
+
+@settings(max_examples=100, deadline=None)
+@given(singleton_batches())
+def test_one_member_bags_skip_pooling_bitwise_equal(batch):
+    model, X, starts, golds, scale = batch
+    expected = pooled_reference(model, X, starts, golds, scale)
+    actual = run_engine(model, X, starts, golds, scale)
+    for name, a, e in zip(("probabilities", "losses", "d_scores"), actual, expected):
+        assert_same_bytes(a, e, name)
+    assert_same_bytes(actual[3], np.ones(len(X)), "weights")
+    for name, g in expected[4].items():
+        assert_same_bytes(actual[4][name], g, name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(singleton_batches(pair=True))
+def test_a_two_row_bag_among_singletons_is_pooled(batch):
+    model, X, starts, golds, scale = batch
+    weights = run_engine(model, X, starts, golds, scale)[3]
+    pair = int(np.flatnonzero(np.diff(starts, append=len(X)) == 2)[0])
+    pair_weights = weights[starts[pair]:starts[pair] + 2]
+    assert not np.all(pair_weights == 1.0)
+    assert abs(pair_weights.sum() - 1.0) <= 1e-15
+    expected = pooled_reference(model, X, starts, golds, scale)
+    np.testing.assert_array_equal(weights, expected[3])
