@@ -26,20 +26,32 @@ class StftConfig:
 class MagnitudeSpectrogram:
     """One track's STFT, shared by every feature family.
 
-    bins (|X|, read by the spectral descriptors) and power (|X|^2, read by
-    chroma and log-mel) have (n_fft/2 + 1) frequency rows by n_frames
-    columns; frames is the (n_frames, n_fft) matrix of unwindowed frames
-    they were computed from (read by RMS and zero-crossing rate).
+    bins (|X|, float64, read by the spectral descriptors) has (n_fft/2 + 1)
+    frequency rows by n_frames columns; frames is the (n_frames, n_fft)
+    matrix of unwindowed frames they were computed from, a view of the
+    padded signal in its own dtype (read by RMS and zero-crossing rate).
+    power (|X|^2, read by chroma and log-mel) is computed from bins on first
+    use, or made from bins in place by square_bins.
     """
 
     bins: np.ndarray
-    power: np.ndarray
     frames: np.ndarray
     config: StftConfig
     sample_rate_hz: int
 
     def bin_frequencies_hz(self) -> np.ndarray:
         return np.fft.rfftfreq(self.config.n_fft, 1.0 / self.sample_rate_hz)
+
+    @cached_property
+    def power(self) -> np.ndarray:
+        return self.bins * self.bins
+
+    def square_bins(self) -> None:
+        """Square bins in place to serve as power, so a track keeps one
+        bins-sized matrix. For a caller done with the magnitudes: bins is
+        None afterwards, so a late reader fails instead of reading power."""
+        self.__dict__["power"] = np.multiply(self.bins, self.bins, out=self.bins)
+        object.__setattr__(self, "bins", None)
 
     @cached_property
     def cqt_chroma(self) -> np.ndarray:
@@ -58,28 +70,26 @@ def hann_window(n: int) -> np.ndarray:
 
 
 def stft(signal: AudioSignal, cfg: StftConfig) -> MagnitudeSpectrogram:
-    """Magnitude and power spectrogram of Hann-windowed frames, float64 throughout.
+    """Magnitude spectrogram of Hann-windowed frames, float64 from the window on.
 
-    The signal is framed once. Each block of FRAME_BLOCK frames is windowed
-    into one block buffer, transformed, and written as magnitudes and power
-    into its rows, so no windowed copy or complex spectrum of the whole track
-    is made.
+    The signal is framed once, in its own dtype. Each block of FRAME_BLOCK
+    frames is widened and windowed into one float64 block buffer (widening
+    float32 is exact), transformed, and written as magnitudes into its rows,
+    so no float64 copy of the signal, windowed copy or complex spectrum of
+    the whole track is made.
     """
     frames = frame_signal(signal.samples, cfg.n_fft, cfg.hop, cfg.center_pad)
     window = hann_window(cfg.n_fft)
     n_frames, n_bins = frames.shape[0], cfg.n_fft // 2 + 1
     # frame-major, so each block's rows are contiguous; returned transposed
     mags = np.empty((n_frames, n_bins))
-    power = np.empty((n_frames, n_bins))
     windowed = np.empty((min(FRAME_BLOCK, n_frames), cfg.n_fft))
     for rows in frame_blocks(n_frames):
         n = rows.stop - rows.start
         np.multiply(frames[rows], window, out=windowed[:n])
         np.abs(np.fft.rfft(windowed[:n], axis=1), out=mags[rows])
-        np.multiply(mags[rows], mags[rows], out=power[rows])
     return MagnitudeSpectrogram(
         bins=mags.T,
-        power=power.T,
         frames=frames,
         config=cfg,
         sample_rate_hz=signal.sample_rate_hz,

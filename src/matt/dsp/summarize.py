@@ -127,11 +127,18 @@ class ExtractionResult:
 def extract_frame_features(signal: AudioSignal, cfg: FeatureConfig):
     """Per-frame matrices for all 11 families, plus the fitted mel spectrogram.
 
-    Every family reads the one STFT: its frame matrix, magnitudes or power.
+    Every family reads the one STFT. The magnitude readers run first: the
+    spectral descriptors, and RMS/ZCR from its frame matrix. The magnitudes
+    are then squared in place into the power that chroma, tonnetz and
+    log-mel/MFCC read, so the track keeps one spectrogram-sized matrix.
     """
     spec = stft(signal, cfg.stft)
-    frames: list[FrameFeatureMatrix] = []
+    frames: list[FrameFeatureMatrix] = list(spectral_descriptors(spec))
+    rms, zcr = time_domain_descriptors(spec.frames)
+    frames.append(FrameFeatureMatrix(values=rms, family="rms"))
+    frames.append(FrameFeatureMatrix(values=zcr, family="zcr"))
 
+    spec.square_bins()
     chroma_by_variant = {v: chroma_features(spec, v) for v in ("stft", "cqt", "cens")}
     frames.extend(chroma_by_variant.values())
     frames.append(tonnetz(chroma_by_variant["cqt"]))
@@ -141,12 +148,6 @@ def extract_frame_features(signal: AudioSignal, cfg: FeatureConfig):
     native_db = log_mel_frames(spec)
     mel = _fit_frames(native_db, MEL_FRAMES, DB_FLOOR)
     frames.append(FrameFeatureMatrix(values=mfcc(native_db), family="mfcc"))
-
-    frames.extend(spectral_descriptors(spec))
-
-    rms, zcr = time_domain_descriptors(spec.frames)
-    frames.append(FrameFeatureMatrix(values=rms, family="rms"))
-    frames.append(FrameFeatureMatrix(values=zcr, family="zcr"))
     return {f.family: f for f in frames}, mel
 
 

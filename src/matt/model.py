@@ -79,6 +79,8 @@ class MattModel:
             raise InvalidConfig(f"unknown aggregator {aggregator!r}")
         if n_genres < 2:
             raise InvalidConfig(f"need at least 2 genres, got {n_genres}")
+        if seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {seed}")
         self.encoder = encoder
         self.n_genres = n_genres
         self.aggregator = aggregator

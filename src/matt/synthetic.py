@@ -38,6 +38,8 @@ class SynthConfig:
             raise InvalidConfig(f"bad bag_size_range {self.bag_size_range}")
         if not 0.0 <= self.noise_rate < 1.0:
             raise InvalidConfig(f"noise_rate must be in [0, 1), got {self.noise_rate}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
     def genre_log_prior(self) -> np.ndarray:
         """Log of the generative genre law, proportional to (g+1)^-zipf_exponent."""

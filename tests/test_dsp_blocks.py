@@ -1,14 +1,17 @@
 """Blocked extraction equals the whole-track forms it replaced, and stays lean.
 
 stft, time_domain_descriptors and the spectral descriptors run over blocks
-of FRAME_BLOCK frames. The references below are the whole-track forms: the
-signal reflect-padded with np.pad in its own dtype and widened once, one
-windowed copy and one complex spectrum of every frame, RMS over the squares
-of every frame, and the bandwidth, rolloff and contrast over the whole
-spectrogram. Every array must be bitwise equal to its reference, with the
-same memory layout, since later products depend on the layout.
+of FRAME_BLOCK frames, and a two-channel downmix over blocks of SAMPLE_BLOCK
+samples. The references below are the whole-track forms: the frames are the
+signal reflect-padded with np.pad in its own dtype, and the rest read those
+frames widened to float64 once: one windowed copy and one complex spectrum
+of every frame, RMS over the squares of every frame, and the bandwidth,
+rolloff and contrast over the whole spectrogram. Every array must be
+bitwise equal to its reference, with the same memory layout, since later
+products depend on the layout.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,6 +22,7 @@ from matt.dsp import (
     AudioSignal,
     FeatureConfig,
     StftConfig,
+    downmix_and_validate,
     extract_feature_sets,
     frame_signal,
     hann_window,
@@ -27,8 +31,9 @@ from matt.dsp import (
     time_domain_descriptors,
     write_wav,
 )
-from matt.dsp.signal import FRAME_BLOCK
+from matt.dsp.signal import FRAME_BLOCK, SAMPLE_BLOCK
 from matt.dsp.spectral import _AMIN, ROLLOFF_FRACTION, contrast_bands
+from matt.errors import CorruptAudio
 
 RATE = 22050
 N_FFT = 512
@@ -40,7 +45,6 @@ def whole_track_frames(samples, n_fft, hop, center=True):
     x = np.asarray(samples)
     if center:
         x = np.pad(x, n_fft // 2, mode="reflect")
-    x = x.astype(np.float64, copy=False)
     n_frames = 1 + (x.size - n_fft) // hop
     return np.lib.stride_tricks.as_strided(
         x, shape=(n_frames, n_fft), strides=(hop * x.strides[0], x.strides[0]), writeable=False
@@ -48,12 +52,14 @@ def whole_track_frames(samples, n_fft, hop, center=True):
 
 
 def whole_track_stft(samples, n_fft, hop):
+    """The frames in the signal's dtype, and the float64 magnitudes and power."""
     frames = whole_track_frames(samples, n_fft, hop)
-    mags = np.abs(np.fft.rfft(frames * hann_window(n_fft), axis=1)).T
+    mags = np.abs(np.fft.rfft(frames.astype(np.float64) * hann_window(n_fft), axis=1)).T
     return frames, mags, mags * mags
 
 
 def whole_track_rms_zcr(frames):
+    frames = frames.astype(np.float64)
     rms = np.sqrt(np.mean(frames * frames, axis=1))
     nonneg = frames >= 0.0
     zcr = np.sum(nonneg[:, 1:] != nonneg[:, :-1], axis=1) / (frames.shape[1] - 1)
@@ -158,7 +164,7 @@ def test_blocked_extraction_equals_the_whole_track_forms(n_frames, hop, kind, dt
 
 @pytest.mark.parametrize("dtype", [np.float32, np.int16], ids=["float32", "int16"])
 @pytest.mark.parametrize("center", [True, False], ids=["centered", "uncentered"])
-def test_frames_are_the_widened_signal_with_or_without_the_pad(center, dtype):
+def test_frames_are_the_signal_in_its_own_dtype_padded_or_not(center, dtype):
     samples = samples_for(FRAME_BLOCK + 1, 200, "noise", dtype)
     frames = frame_signal(samples, N_FFT, 200, center)
     assert_same(np.asarray(frames), np.asarray(whole_track_frames(samples, N_FFT, 200, center)),
@@ -179,17 +185,71 @@ def test_production_geometry_equals_the_whole_track_forms():
         assert_same(matrix.values, ref.reshape(matrix.values.shape), matrix.family)
 
 
+# -- the block-wise downmix -- #
+
+DOWNMIX_LENGTHS = (SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 3 * SAMPLE_BLOCK + 5)
+
+
+def stereo_for(n, kind, decoded_from):
+    """Two float32 channels of n samples, as read_wav decodes a float32 or
+    a 16-bit PCM file."""
+    x = np.clip(0.4 * np.random.default_rng(n).standard_normal((2, n)), -1.0, 1.0)
+    if kind == "silent":
+        x[:] = 0.0
+    if decoded_from == np.int16:
+        channels = np.round(x * 32767).astype(np.int16).astype(np.float32)
+        channels /= 32768.0
+    else:
+        channels = x.astype(np.float32)
+    if kind == "tiny":
+        channels *= np.float32(1e-30)
+    return channels
+
+
+def whole_track_mean(channels):
+    return (channels[0] + channels[1].astype(np.float64)) / 2
+
+
+@pytest.mark.parametrize("decoded_from", [np.float32, np.int16], ids=["float32", "int16"])
+@pytest.mark.parametrize("kind", ["noise", "silent", "tiny"])
+@pytest.mark.parametrize("n", DOWNMIX_LENGTHS)
+def test_blocked_downmix_equals_the_whole_track_mean(n, kind, decoded_from):
+    channels = stereo_for(n, kind, decoded_from)
+    samples = downmix_and_validate(channels, RATE).samples
+    assert_same(samples, whole_track_mean(channels).astype(np.float32), "samples")
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+def test_an_over_range_sample_in_the_last_partial_block_is_a_clip(sign):
+    channels = stereo_for(3 * SAMPLE_BLOCK + 5, "noise", np.float32)
+    channels[:, -1] = sign * 1.01
+    peak = float(np.max(np.abs(whole_track_mean(channels))))
+    message = f"sample magnitude {peak:.6g} exceeds 1 + 0.001"
+    with pytest.raises(CorruptAudio, match=f"^{re.escape(message)}$"):
+        downmix_and_validate(channels, RATE)
+
+
+def test_a_non_finite_sample_in_the_last_block_wins_over_an_earlier_clip():
+    channels = stereo_for(3 * SAMPLE_BLOCK + 5, "noise", np.float32)
+    channels[0, 10] = 1.5
+    channels[1, -3] = np.nan
+    with pytest.raises(CorruptAudio, match="^non-finite sample value$"):
+        downmix_and_validate(channels, RATE)
+
+
 def spectrogram_bytes(n, cfg):
-    """The padded float64 signal, bins and power a spectrogram of n samples keeps."""
+    """The padded float32 signal and the one float64 bins matrix (squared in
+    place into the power) a spectrogram of n samples keeps."""
     padded = n + 2 * (cfg.stft.n_fft // 2)
     n_frames = 1 + (padded - cfg.stft.n_fft) // cfg.stft.hop
-    return 8 * padded + 2 * 8 * n_frames * (cfg.stft.n_fft // 2 + 1)
+    return 4 * padded + 8 * n_frames * (cfg.stft.n_fft // 2 + 1)
 
 
 def test_extraction_peak_stays_near_what_the_spectrogram_keeps():
-    """A 36 s clip's extraction allocates little beyond the padded float64
-    signal, bins and power that the spectrogram keeps. The whole-track forms
-    peaked at ~1.7x that sum; allocation sizes do not vary between runs."""
+    """A 36 s clip's extraction allocates little beyond the padded float32
+    signal and bins matrix that the spectrogram keeps (19.1 MB). Keeping a
+    float64 padded signal and separate power peaked at ~2.2x that sum, the
+    whole-track forms higher still; allocation sizes do not vary between runs."""
     cfg = FeatureConfig()
     n = 36 * cfg.sample_rate
     samples = (0.3 * np.random.default_rng(7).standard_normal(n)).astype(np.float32)
@@ -201,13 +261,14 @@ def test_extraction_peak_stays_near_what_the_spectrogram_keeps():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * kept, f"peak {peak / 1e6:.1f} MB, kept {kept / 1e6:.1f} MB"
+    assert peak < 1.35 * kept, f"peak {peak / 1e6:.1f} MB, kept {kept / 1e6:.1f} MB"
 
 
 def test_a_stereo_track_extracts_without_its_decoded_channels(tmp_path):
     """Extracting a 36 s int16 stereo WAV peaks at the extraction bound plus
-    the mono float32 signal: the decoded channels (a second float32 copy of
-    the track) are freed after the downmix."""
+    the mono float32 signal: the downmix makes no whole-track float64
+    temporary, and the decoded channels (a second float32 copy of the
+    track) are freed after it."""
     cfg = FeatureConfig()
     n = 36 * cfg.sample_rate
     stereo = 0.3 * np.random.default_rng(8).standard_normal((2, n))
@@ -221,5 +282,5 @@ def test_a_stereo_track_extracts_without_its_decoded_channels(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = 1.25 * spectrogram_bytes(n, cfg) + 4 * n
+    bound = 1.35 * spectrogram_bytes(n, cfg) + 4 * n
     assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"

@@ -157,6 +157,11 @@ def test_unknown_aggregator_rejected():
         make_model(aggregator="max")
 
 
+def test_negative_seed_rejected_with_its_name():
+    with pytest.raises(InvalidConfig, match="seed"):
+        make_model(seed=-1)
+
+
 def test_mean_aggregator_uses_uniform_weights():
     rng = np.random.default_rng(7)
     model = make_model(aggregator="mean")

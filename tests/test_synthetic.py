@@ -80,6 +80,11 @@ def test_bad_noise_rate_rejected():
         small_cfg(noise_rate=-0.1)
 
 
+def test_negative_seed_rejected_with_its_name():
+    with pytest.raises(InvalidConfig, match="seed"):
+        small_cfg(seed=-1)
+
+
 def test_bag_sizes_respect_range():
     data = generate_synthetic(small_cfg())
     lo, hi = 2, 5
