@@ -48,7 +48,10 @@ def save_checkpoint(path, store: ParamStore):
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read parameters back as a name -> (rows, cols) float64 dict."""
+    """Read parameters back as a name -> (rows, cols) float64 dict.
+
+    A parameter holding a NaN or infinite value is a BadCheckpoint: scores
+    computed from it would rank and print as if they were numbers."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -76,6 +79,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                 raise BadCheckpoint(f"{path}: truncated data for {name!r}")
             offset += n_bytes
             params[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+            if not np.isfinite(params[name]).all():
+                raise BadCheckpoint(f"{path}: parameter {name!r} holds a non-finite value")
     except struct.error:
         raise BadCheckpoint(f"{path}: truncated at byte {offset} of {len(data)}") from None
     except UnicodeDecodeError:

@@ -10,9 +10,9 @@ the tuning reference:
 * cens  - the raw (unnormalized) cqt fold, L1-normalized, amplitude-quantized,
           smoothed with a 41-frame moving average, then L2-normalized per frame.
 
-Each fold is one product of a 12 x (n_fft/2 + 1) matrix with the
-spectrogram's power rows; cqt and cens share one product per spectrogram
-(MagnitudeSpectrogram.cqt_chroma). The fold matrices depend only on (n_fft,
+Each raw fold is one product of a 12 x (n_fft/2 + 1) matrix with the power
+rows; cqt and cens normalize one shared product per track (see
+extract_frame_features). The fold matrices depend only on (n_fft,
 sample_rate); they are built once per pair and returned read-only.
 """
 
@@ -25,7 +25,6 @@ import numpy as np
 from ..errors import InvalidConfig
 from .frames import FrameFeatureMatrix
 from .mel import triangular_filters
-from .stft import MagnitudeSpectrogram
 
 # C1; chosen so pseudo-CQT bin k has pitch class k mod 12 with C = 0
 CQT_F_MIN = 32.70319566257483
@@ -82,8 +81,8 @@ def _l1_normalize(chroma: np.ndarray) -> np.ndarray:
     return chroma / np.maximum(np.abs(chroma).sum(axis=0, keepdims=True), NORM_GUARD)
 
 
-def _cens(raw_cqt_chroma: np.ndarray) -> np.ndarray:
-    l1 = _l1_normalize(raw_cqt_chroma)
+def _cens(cqt_fold: np.ndarray) -> np.ndarray:
+    l1 = _l1_normalize(cqt_fold)
     quant = np.zeros_like(l1)
     for step in CENS_QUANT_STEPS:
         quant += 0.25 * (l1 > step)
@@ -97,15 +96,13 @@ def _cens(raw_cqt_chroma: np.ndarray) -> np.ndarray:
     return smoothed / np.maximum(norms, NORM_GUARD)
 
 
-def chroma_features(spec: MagnitudeSpectrogram, variant: str) -> FrameFeatureMatrix:
-    """12-row chroma of the given variant ("stft", "cqt", or "cens")."""
-    if variant == "stft":
-        key = (spec.config.n_fft, spec.sample_rate_hz)
-        values = _max_normalize(stft_fold_matrix(*key) @ spec.power)
-    elif variant == "cqt":
-        values = _max_normalize(spec.cqt_chroma)
+def chroma_features(fold: np.ndarray, variant: str) -> FrameFeatureMatrix:
+    """12-row chroma of the given variant ("stft", "cqt", or "cens"),
+    normalized from its raw fold, which it leaves as it is."""
+    if variant in ("stft", "cqt"):
+        values = _max_normalize(fold)
     elif variant == "cens":
-        values = _cens(spec.cqt_chroma)
+        values = _cens(fold)
     else:
         raise InvalidConfig(f"unknown chroma variant {variant!r}")
     return FrameFeatureMatrix(values=values, family=f"chroma_{variant}")

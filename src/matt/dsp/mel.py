@@ -101,10 +101,10 @@ def _fit_frames(values: np.ndarray, target: int, fill: float) -> np.ndarray:
     return out
 
 
-def log_mel_frames(spec):
-    """dB mel matrix of the spectrogram's power at its native frame count."""
-    weights, _ = mel_filterbank(spec.sample_rate_hz, spec.config.n_fft)
-    return power_to_db(weights @ spec.power)
+def log_mel_frames(power: np.ndarray, rate: int, n_fft: int) -> np.ndarray:
+    """dB mel matrix of a power spectrogram at its native frame count."""
+    weights, _ = mel_filterbank(rate, n_fft)
+    return power_to_db(weights @ power)
 
 
 def dct_matrix(n_out: int, n_in: int) -> np.ndarray:

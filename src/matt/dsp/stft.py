@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,12 +25,11 @@ class StftConfig:
 class MagnitudeSpectrogram:
     """One track's STFT, shared by every feature family.
 
-    bins (|X|, float64, read by the spectral descriptors) has (n_fft/2 + 1)
-    frequency rows by n_frames columns; frames is the (n_frames, n_fft)
-    matrix of unwindowed frames they were computed from, a view of the
-    padded signal in its own dtype (read by RMS and zero-crossing rate).
-    power (|X|^2, read by chroma and log-mel) is computed from bins on first
-    use, or made from bins in place by square_bins.
+    bins (|X|, float64) has (n_fft/2 + 1) frequency rows by n_frames
+    columns; frames is the (n_frames, n_fft) matrix of unwindowed frames
+    they were computed from, a view of the padded signal in its own dtype.
+    extract_frame_features squares bins in place into the power once its
+    magnitude readers are done.
     """
 
     bins: np.ndarray
@@ -41,27 +39,6 @@ class MagnitudeSpectrogram:
 
     def bin_frequencies_hz(self) -> np.ndarray:
         return np.fft.rfftfreq(self.config.n_fft, 1.0 / self.sample_rate_hz)
-
-    @cached_property
-    def power(self) -> np.ndarray:
-        return self.bins * self.bins
-
-    def square_bins(self) -> None:
-        """Square bins in place to serve as power, so a track keeps one
-        bins-sized matrix. For a caller done with the magnitudes: bins is
-        None afterwards, so a late reader fails instead of reading power."""
-        self.__dict__["power"] = np.multiply(self.bins, self.bins, out=self.bins)
-        object.__setattr__(self, "bins", None)
-
-    @cached_property
-    def cqt_chroma(self) -> np.ndarray:
-        """The raw pseudo-CQT chroma (12, n_frames), read-only: computed on
-        first use, so chroma's cqt and cens variants share one product."""
-        from .chroma import cqt_fold_matrix  # chroma imports this module
-
-        fold = cqt_fold_matrix(self.config.n_fft, self.sample_rate_hz) @ self.power
-        fold.flags.writeable = False
-        return fold
 
 
 def hann_window(n: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import EmptyFeature, InvalidConfig
-from .chroma import chroma_features, tonnetz
+from .chroma import chroma_features, cqt_fold_matrix, stft_fold_matrix, tonnetz
 from .frames import FAMILY_BASE_DIMS, FrameFeatureMatrix
 from .mel import DB_FLOOR, MEL_FRAMES, _fit_frames, log_mel_frames, mfcc
 from .signal import AudioSignal, time_domain_descriptors
@@ -127,10 +127,11 @@ class ExtractionResult:
 def extract_frame_features(signal: AudioSignal, cfg: FeatureConfig):
     """Per-frame matrices for all 11 families, plus the fitted mel spectrogram.
 
-    Every family reads the one STFT. The magnitude readers run first: the
-    spectral descriptors, and RMS/ZCR from its frame matrix. The magnitudes
-    are then squared in place into the power that chroma, tonnetz and
-    log-mel/MFCC read, so the track keeps one spectrogram-sized matrix.
+    Every family reads the one STFT, in the order set here. The magnitude
+    readers run first: the spectral descriptors, then RMS/ZCR from the frame
+    matrix. The magnitudes are then squared in place into the power, and the
+    spectrogram is dropped to free the padded frames, so the track keeps one
+    spectrogram-sized matrix. Chroma, tonnetz and log-mel/MFCC read the power.
     """
     spec = stft(signal, cfg.stft)
     frames: list[FrameFeatureMatrix] = list(spectral_descriptors(spec))
@@ -138,14 +139,18 @@ def extract_frame_features(signal: AudioSignal, cfg: FeatureConfig):
     frames.append(FrameFeatureMatrix(values=rms, family="rms"))
     frames.append(FrameFeatureMatrix(values=zcr, family="zcr"))
 
-    spec.square_bins()
-    chroma_by_variant = {v: chroma_features(spec, v) for v in ("stft", "cqt", "cens")}
-    frames.extend(chroma_by_variant.values())
-    frames.append(tonnetz(chroma_by_variant["cqt"]))
+    power = np.multiply(spec.bins, spec.bins, out=spec.bins)
+    del spec  # frees the padded frames; no later reader sees the bins as magnitudes
+    rate, n_fft = signal.sample_rate_hz, cfg.stft.n_fft
+    cqt_fold = cqt_fold_matrix(n_fft, rate) @ power  # cqt and cens share it
+    folds = {"stft": stft_fold_matrix(n_fft, rate) @ power, "cqt": cqt_fold, "cens": cqt_fold}
+    chroma = {v: chroma_features(fold, v) for v, fold in folds.items()}
+    frames.extend(chroma.values())
+    frames.append(tonnetz(chroma["cqt"]))
 
     # cepstrum runs on the native frame count to stay aligned with the other
     # families; only the emitted mel matrix is fitted to the fixed width
-    native_db = log_mel_frames(spec)
+    native_db = log_mel_frames(power, rate, n_fft)
     mel = _fit_frames(native_db, MEL_FRAMES, DB_FLOOR)
     frames.append(FrameFeatureMatrix(values=mfcc(native_db), family="mfcc"))
     return {f.family: f for f in frames}, mel

@@ -46,6 +46,10 @@ class TrainConfig:
             raise InvalidConfig("epochs must be >= 0 and bags_per_batch >= 1")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
+        if self.early_stop_patience < 1:
+            raise InvalidConfig(
+                f"early_stop_patience must be >= 1, got {self.early_stop_patience}"
+            )
 
 
 @dataclass

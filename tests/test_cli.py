@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 import matt.dataset
+from matt.checkpoint import load_checkpoint, save_checkpoint
 from matt.cli import _load_config, build_parser, main
 from matt.config import RunConfig, load_run_config
 from matt.dsp import read_feature_csv, read_mel_cache, write_feature_csv, write_wav
 from matt.dsp.cache import _read_sidecar
 from matt.errors import InvalidConfig
 from matt.model import AGGREGATORS
+from matt.numeric import ParamStore
 from matt.synthetic import SynthConfig
 from matt.training import TrainConfig
 
@@ -419,6 +421,42 @@ def test_evaluate_on_a_truncated_checkpoint_fails_validation(tmp_path, capsys):
         assert run("evaluate", "--config", cfg) == 1
         err = capsys.readouterr().err
         assert str(ckpt) in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_a_checkpoint_with_a_nan_fails_validation(tmp_path, capsys, command):
+    """One NaN in out_m used to score as Top@1 = 1 and print as nan."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        CONFIG_TEMPLATE.format(feature_set="synth", epochs=2)
+        + "\n[synth]\nn_genres = 3\nhead_count = 6\nfeature_dim = 5\n"
+        + "bag_size_min = 1\nbag_size_max = 3\nnoise_rate = 0.1\n",
+        encoding="utf-8",
+    )
+    assert run("gen-synth", "--config", cfg) == 0
+    assert run("train", "--config", cfg) == 0
+    ckpt = tmp_path / "ckpt" / "matt.ckpt"
+    store = ParamStore()
+    for name, value in load_checkpoint(ckpt).items():
+        store.add(name, value)
+    store.values["out_m"][1, 0] = np.nan
+    save_checkpoint(ckpt, store)
+    capsys.readouterr()
+    out = ("--out", tmp_path / "p.csv") if command == "predict" else ()
+    assert run(command, "--config", cfg, *out) == 1
+    err = capsys.readouterr().err
+    assert err == f"matt: {ckpt}: parameter 'out_m' holds a non-finite value\n"
+    assert not (tmp_path / "reports").exists() and not (tmp_path / "p.csv").exists()
+
+
+def test_an_early_stop_patience_below_one_fails_validation(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    text = CONFIG_TEMPLATE.format(feature_set="synth", epochs=2)
+    cfg.write_text(text.replace("early_stop_patience = 50", "early_stop_patience = -3"),
+                   encoding="utf-8")
+    assert run("gen-synth", "--config", cfg) == 1
+    assert capsys.readouterr().err == "matt: early_stop_patience must be >= 1, got -3\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 @pytest.mark.parametrize("target", ["feature-cache", "checkpoint"])

@@ -31,8 +31,11 @@ from matt.dsp import (
     time_domain_descriptors,
     write_wav,
 )
+from matt.dsp.chroma import chroma_features, cqt_fold_matrix, stft_fold_matrix, tonnetz
+from matt.dsp.mel import DB_FLOOR, MEL_FRAMES, _fit_frames, log_mel_frames, mfcc
 from matt.dsp.signal import FRAME_BLOCK, SAMPLE_BLOCK
 from matt.dsp.spectral import _AMIN, ROLLOFF_FRACTION, contrast_bands
+from matt.dsp.summarize import extract_frame_features
 from matt.errors import CorruptAudio
 
 RATE = 22050
@@ -148,7 +151,7 @@ def test_blocked_extraction_equals_the_whole_track_forms(n_frames, hop, kind, dt
     assert spec.frames.shape[0] == n_frames
     assert_same(np.asarray(spec.frames), np.asarray(frames), "frames")
     assert_same(spec.bins, mags, "bins")
-    assert_same(spec.power, power, "power")
+    assert_same(spec.bins * spec.bins, power, "power")
 
     rms, zcr = time_domain_descriptors(spec.frames)
     ref_rms, ref_zcr = whole_track_rms_zcr(frames)
@@ -177,12 +180,36 @@ def test_production_geometry_equals_the_whole_track_forms():
     spec = stft(AudioSignal(samples=samples, sample_rate_hz=cfg.sample_rate), cfg.stft)
     frames, mags, power = whole_track_stft(samples, cfg.stft.n_fft, cfg.stft.hop)
     assert_same(spec.bins, mags, "bins")
-    assert_same(spec.power, power, "power")
+    assert_same(spec.bins * spec.bins, power, "power")
     reference = whole_track_spectral(
         mags, spec.bin_frequencies_hz(), contrast_bands(cfg.stft.n_fft, cfg.sample_rate)
     )
     for matrix, ref in zip(spectral_descriptors(spec), reference):
         assert_same(matrix.values, ref.reshape(matrix.values.shape), matrix.family)
+
+
+# -- the power squared in place -- #
+
+@pytest.mark.parametrize("kind", ["noise", "partly-silent", "silent"])
+@pytest.mark.parametrize("n_frames, hop", FRAMINGS)
+def test_power_squared_in_place_equals_a_separate_square(n_frames, hop, kind):
+    """Extraction squares the bins in place and folds cqt once for cqt and
+    cens. Each stage that reads the power must give what it gives on a
+    separate bins * bins, with its own fold per chroma variant."""
+    clip = AudioSignal(samples=samples_for(n_frames, hop, kind, np.float32), sample_rate_hz=RATE)
+    cfg = FeatureConfig(sample_rate=RATE, stft=StftConfig(N_FFT, hop))
+    frames, mel = extract_frame_features(clip, cfg)
+    bins = stft(clip, cfg.stft).bins
+    power = bins * bins
+    fold_matrices = {"stft": stft_fold_matrix, "cqt": cqt_fold_matrix, "cens": cqt_fold_matrix}
+    for variant, fold_matrix in fold_matrices.items():
+        chroma = chroma_features(fold_matrix(N_FFT, RATE) @ power, variant)
+        assert_same(frames[chroma.family].values, chroma.values, chroma.family)
+    cqt = chroma_features(cqt_fold_matrix(N_FFT, RATE) @ power, "cqt")
+    assert_same(frames["tonnetz"].values, tonnetz(cqt).values, "tonnetz")
+    native_db = log_mel_frames(power, RATE, N_FFT)
+    assert_same(frames["mfcc"].values, mfcc(native_db), "mfcc")
+    assert_same(mel, _fit_frames(native_db, MEL_FRAMES, DB_FLOOR), "mel")
 
 
 # -- the block-wise downmix -- #
@@ -239,7 +266,8 @@ def test_a_non_finite_sample_in_the_last_block_wins_over_an_earlier_clip():
 
 def spectrogram_bytes(n, cfg):
     """The padded float32 signal and the one float64 bins matrix (squared in
-    place into the power) a spectrogram of n samples keeps."""
+    place into the power once the padded signal is freed) a spectrogram of
+    n samples keeps."""
     padded = n + 2 * (cfg.stft.n_fft // 2)
     n_frames = 1 + (padded - cfg.stft.n_fft) // cfg.stft.hop
     return 4 * padded + 8 * n_frames * (cfg.stft.n_fft // 2 + 1)
@@ -247,8 +275,9 @@ def spectrogram_bytes(n, cfg):
 
 def test_extraction_peak_stays_near_what_the_spectrogram_keeps():
     """A 36 s clip's extraction allocates little beyond the padded float32
-    signal and bins matrix that the spectrogram keeps (19.1 MB). Keeping a
-    float64 padded signal and separate power peaked at ~2.2x that sum, the
+    signal and bins matrix that the spectrogram keeps (19.1 MB): 1.07x that
+    sum, while RMS/ZCR read the frames. Keeping the padded signal through log-mel peaked at
+    1.28x, a float64 padded signal and separate power at ~2.2x, the
     whole-track forms higher still; allocation sizes do not vary between runs."""
     cfg = FeatureConfig()
     n = 36 * cfg.sample_rate
@@ -261,12 +290,13 @@ def test_extraction_peak_stays_near_what_the_spectrogram_keeps():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.35 * kept, f"peak {peak / 1e6:.1f} MB, kept {kept / 1e6:.1f} MB"
+    assert peak < 1.15 * kept, f"peak {peak / 1e6:.1f} MB, kept {kept / 1e6:.1f} MB"
 
 
 def test_a_stereo_track_extracts_without_its_decoded_channels(tmp_path):
     """Extracting a 36 s int16 stereo WAV peaks at the extraction bound plus
-    the mono float32 signal: the downmix makes no whole-track float64
+    the mono float32 signal (1.07x kept + 4n; 1.23x before the padded signal
+    was freed ahead of log-mel): the downmix makes no whole-track float64
     temporary, and the decoded channels (a second float32 copy of the
     track) are freed after it."""
     cfg = FeatureConfig()
@@ -282,5 +312,5 @@ def test_a_stereo_track_extracts_without_its_decoded_channels(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = 1.35 * spectrogram_bytes(n, cfg) + 4 * n
+    bound = 1.15 * spectrogram_bytes(n, cfg) + 4 * n
     assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"

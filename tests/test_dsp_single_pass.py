@@ -114,16 +114,19 @@ def test_chroma_folds_match_scatter_and_loop_references(rate, n_fft, data):
     spec = spectrogram(data.draw(clips(rate)), n_fft)
     stft_ref = reference_stft_chroma_fold(spec)
     cqt_ref = reference_cqt_chroma_fold(spec)
+    power = spec.bins * spec.bins
+    stft_fold = stft_fold_matrix(n_fft, rate) @ power
+    cqt_fold = cqt_fold_matrix(n_fft, rate) @ power
     # sums of non-negative terms: reassociation keeps every entry within 1e-12
-    np.testing.assert_allclose(stft_fold_matrix(n_fft, rate) @ spec.power, stft_ref, rtol=1e-12)
-    np.testing.assert_allclose(cqt_fold_matrix(n_fft, rate) @ spec.power, cqt_ref, rtol=1e-12)
-    for variant, ref in (
-        ("stft", _max_normalize(stft_ref)),
-        ("cqt", _max_normalize(cqt_ref)),
-        ("cens", _cens(cqt_ref)),
+    np.testing.assert_allclose(stft_fold, stft_ref, rtol=1e-12)
+    np.testing.assert_allclose(cqt_fold, cqt_ref, rtol=1e-12)
+    for variant, fold, ref in (
+        ("stft", stft_fold, _max_normalize(stft_ref)),
+        ("cqt", cqt_fold, _max_normalize(cqt_ref)),
+        ("cens", cqt_fold, _cens(cqt_ref)),
     ):
         np.testing.assert_allclose(
-            chroma_features(spec, variant).values, ref, rtol=1e-12, atol=0.0, err_msg=variant
+            chroma_features(fold, variant).values, ref, rtol=1e-12, atol=0.0, err_msg=variant
         )
 
 
@@ -132,10 +135,11 @@ def test_cqt_and_cens_chroma_share_one_fold_per_track():
     clip = AudioSignal(samples=(0.3 * rng.standard_normal(22050)).astype(np.float32),
                        sample_rate_hz=22050)
     cfg = FeatureConfig(sample_rate=22050)
-    with mock.patch("matt.dsp.chroma.cqt_fold_matrix", wraps=cqt_fold_matrix) as fold:
+    with mock.patch("matt.dsp.summarize.cqt_fold_matrix", wraps=cqt_fold_matrix) as fold:
         frames, _ = extract_frame_features(clip, cfg)
     assert fold.call_count == 1
-    raw = cqt_fold_matrix(cfg.stft.n_fft, 22050) @ stft(clip, cfg.stft).power
+    bins = stft(clip, cfg.stft).bins
+    raw = cqt_fold_matrix(cfg.stft.n_fft, 22050) @ (bins * bins)
     assert frames["chroma_cqt"].values.tobytes() == _max_normalize(raw).tobytes()
     assert frames["chroma_cens"].values.tobytes() == _cens(raw).tobytes()
 

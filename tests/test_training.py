@@ -193,6 +193,13 @@ def test_no_training_bags_rejected():
         train(bags, np.zeros((2, 3), dtype=np.float32), TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("patience", [0, -3])
+def test_an_early_stop_patience_below_one_is_rejected(patience):
+    message = f"early_stop_patience must be >= 1, got {patience}"
+    with pytest.raises(InvalidConfig, match=f"^{message}$"):
+        TrainConfig(early_stop_patience=patience)
+
+
 def test_an_empty_training_bag_is_rejected_once_per_epoch():
     """step_plan checks an epoch's bag sizes before its batches run the
     unchecked engine; an empty bag would otherwise pool another bag's row."""

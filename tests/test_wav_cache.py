@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -181,6 +182,18 @@ def test_checkpoint_corruption_detected(tmp_path):
     body[:4] = b"NOPE"
     path.write_bytes(bytes(body))
     with pytest.raises(BadCheckpoint):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_checkpoint_value_is_bad_checkpoint(tmp_path, value):
+    path = tmp_path / "a.ckpt"
+    store = ParamStore()
+    store.add("w", np.ones((2, 2)))
+    store.add("b", np.array([0.5, value]))
+    save_checkpoint(path, store)
+    message = f"{path}: parameter 'b' holds a non-finite value"
+    with pytest.raises(BadCheckpoint, match=f"^{re.escape(message)}$"):
         load_checkpoint(path)
 
 
