@@ -81,10 +81,15 @@ def power_to_db(power: np.ndarray) -> np.ndarray:
     """10*log10(power/ref) with ref = max(power, epsilon), clamped at DB_FLOOR.
 
     The floor is exact: silence maps to DB_FLOOR everywhere, the peak to 0 dB.
+    The four steps (maximum, divide, log10, x10) overwrite power in place,
+    which is returned.
     """
     ref = max(float(np.max(power)), DB_EPSILON)
     floor_power = ref * 10.0 ** (DB_FLOOR / 10.0)
-    return 10.0 * np.log10(np.maximum(power, floor_power) / ref)
+    np.maximum(power, floor_power, out=power)
+    np.divide(power, ref, out=power)
+    np.log10(power, out=power)
+    return np.multiply(power, 10.0, out=power)
 
 
 def _fit_frames(values: np.ndarray, target: int, fill: float) -> np.ndarray:
@@ -101,9 +106,9 @@ def _fit_frames(values: np.ndarray, target: int, fill: float) -> np.ndarray:
     return out
 
 
-def log_mel_frames(power: np.ndarray, rate: int, n_fft: int) -> np.ndarray:
-    """dB mel matrix of a power spectrogram at its native frame count."""
-    weights, _ = mel_filterbank(rate, n_fft)
+def log_mel_frames(power: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """dB mel matrix of a power spectrogram at its native frame count, from
+    the filterbank weights of mel_filterbank."""
     return power_to_db(weights @ power)
 
 

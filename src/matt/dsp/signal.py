@@ -67,29 +67,88 @@ def downmix_and_validate(channels, rate: int) -> AudioSignal:
     return AudioSignal(samples=mono.astype(np.float32, copy=False), sample_rate_hz=int(rate))
 
 
-def frame_signal(samples: np.ndarray, n_fft: int, hop: int, center: bool) -> np.ndarray:
+@dataclass(frozen=True)
+class PaddedFrames:
+    """The (n_frames, n_fft) frames of a signal, centre-padded or not, with no
+    padded copy of it.
+
+    Frame t covers samples [t*hop - pad, t*hop - pad + n_fft) of the signal,
+    reflected at its edges. The interior frames, which reach no padding, are
+    one read-only strided view of the samples in their own dtype. Only the
+    frames that reach into the reflect padding come from a small padded head
+    and tail. Indexing with a slice of rows gives those frames as an array
+    (a view unless the rows span a head or tail edge); np.asarray gives the
+    whole frame matrix.
+    """
+
+    # frame matrices in order: the head, interior and tail, or for a clip
+    # with no interior frame, all frames of its padded copy
+    parts: tuple
+
+    @property
+    def shape(self):
+        return sum(len(part) for part in self.parts), self.parts[0].shape[1]
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(self.shape[0])
+        pieces, offset = [], 0
+        for part in self.parts:
+            lo, hi = max(start - offset, 0), min(stop - offset, len(part))
+            if lo < hi:
+                pieces.append(part[lo:hi])
+            offset += len(part)
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("the frame matrix is always a copy")
+        return np.asarray(np.concatenate(self.parts), dtype=dtype)
+
+
+def _strided_frames(x: np.ndarray, n_frames: int, n_fft: int, hop: int) -> np.ndarray:
+    return np.lib.stride_tricks.as_strided(
+        x, shape=(n_frames, n_fft), strides=(hop * x.strides[0], x.strides[0]), writeable=False
+    )
+
+
+def frame_signal(samples: np.ndarray, n_fft: int, hop: int, center: bool) -> PaddedFrames:
     """Slice a 1-D signal into overlapping frames of length n_fft (rows).
 
     With center=True the signal is reflect-padded by n_fft//2 on both sides
-    so frame t is centered on sample t*hop. The result is a read-only strided
-    view of the (padded) signal in its own dtype, float32 in extraction, so
-    overlapping frames share memory; readers widen one block at a time.
+    so frame t is centered on sample t*hop. The padded signal is never built:
+    the interior frames are a strided view of the samples in their own dtype
+    (float32 in extraction), and only the frames that reach into the padding
+    (at n_fft 2048 and hop 1024, one at the start and one or two at the end)
+    are read from small reflect-padded copies of the edges. Readers take
+    blocks of rows and widen one block at a time (see PaddedFrames).
     """
     x = np.asarray(samples)
-    if center:
-        pad = n_fft // 2
-        if x.size <= pad:
-            raise AudioTooShort(
-                f"signal of {x.size} samples too short for reflect pad {pad}"
-            )
-        x = np.pad(x, pad, mode="reflect")
-    if x.size < n_fft:
-        raise AudioTooShort(f"padded signal ({x.size}) shorter than frame ({n_fft})")
-    n_frames = 1 + (x.size - n_fft) // hop
-    strides = (hop * x.strides[0], x.strides[0])
-    return np.lib.stride_tricks.as_strided(
-        x, shape=(n_frames, n_fft), strides=strides, writeable=False
-    )
+    pad = n_fft // 2 if center else 0
+    if center and x.size <= pad:
+        raise AudioTooShort(f"signal of {x.size} samples too short for reflect pad {pad}")
+    if x.size + 2 * pad < n_fft:
+        raise AudioTooShort(f"padded signal ({x.size + 2 * pad}) shorter than frame ({n_fft})")
+    n_frames = 1 + (x.size + 2 * pad - n_fft) // hop
+    # frames [first, stop) read no padding
+    first = -(-pad // hop)
+    stop = (x.size + pad - n_fft) // hop + 1
+    if stop <= first:
+        # a clip this short has no interior frame: its padded copy is small
+        padded = np.pad(x, pad, mode="reflect")
+        return PaddedFrames((_strided_frames(padded, n_frames, n_fft, hop),))
+    # the reflection of x[1:pad + 1] before the start, of x[-pad - 1:-1] after the end
+    flipped = x[::-1]
+    head = tail = x[:0]
+    if first:
+        head = np.concatenate([flipped[-1 - pad : -1], x[: (first - 1) * hop + n_fft - pad]])
+    if stop < n_frames:
+        end = (n_frames - 1) * hop + n_fft - pad  # past the last sample
+        tail = np.concatenate([x[stop * hop - pad :], flipped[1 : 1 + end - x.size]])
+    return PaddedFrames((
+        _strided_frames(head, first, n_fft, hop),
+        _strided_frames(x[first * hop - pad :], stop - first, n_fft, hop),
+        _strided_frames(tail, n_frames - stop, n_fft, hop),
+    ))
 
 
 def frame_blocks(n_frames: int):
@@ -97,15 +156,15 @@ def frame_blocks(n_frames: int):
     return (slice(i, min(i + FRAME_BLOCK, n_frames)) for i in range(0, n_frames, FRAME_BLOCK))
 
 
-def time_domain_descriptors(frames: np.ndarray):
-    """Per-frame RMS and zero-crossing rate of an (n_frames, n) frame matrix.
+def time_domain_descriptors(frames: PaddedFrames):
+    """Per-frame RMS and zero-crossing rate of (n_frames, n) frames.
 
     Extraction passes the STFT's unwindowed frames (MagnitudeSpectrogram.frames),
     so a track is framed once. Returns two (1, n_frames) matrices. ZCR counts
     sign changes between consecutive samples as a fraction of the n - 1
     adjacent pairs, so a perfectly alternating signal scores exactly 1.0.
-    Zero samples count as non-negative. Frames are read a block at a time,
-    each block widened to float64 (exact from float32 or int16).
+    Zero samples count as non-negative. Frames are read FRAME_BLOCK rows at a
+    time, each block widened to float64 (exact from float32 or int16).
     """
     n_frames, n = frames.shape
     mean_square = np.empty(n_frames)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidConfig
-from .signal import FRAME_BLOCK, AudioSignal, frame_blocks, frame_signal
+from .signal import FRAME_BLOCK, AudioSignal, PaddedFrames, frame_blocks, frame_signal
 
 
 @dataclass(frozen=True)
@@ -26,14 +26,15 @@ class MagnitudeSpectrogram:
     """One track's STFT, shared by every feature family.
 
     bins (|X|, float64) has (n_fft/2 + 1) frequency rows by n_frames
-    columns; frames is the (n_frames, n_fft) matrix of unwindowed frames
-    they were computed from, a view of the padded signal in its own dtype.
-    extract_frame_features squares bins in place into the power once its
-    magnitude readers are done.
+    columns; frames holds the (n_frames, n_fft) unwindowed frames they were
+    computed from, read in blocks (see frame_signal): views of the signal in
+    its own dtype, with a few KB of reflect-padded edge frames, so keeping it
+    costs no padded copy. extract_frame_features squares bins in place into
+    the power once its magnitude readers are done.
     """
 
     bins: np.ndarray
-    frames: np.ndarray
+    frames: PaddedFrames
     config: StftConfig
     sample_rate_hz: int
 
@@ -49,11 +50,12 @@ def hann_window(n: int) -> np.ndarray:
 def stft(signal: AudioSignal, cfg: StftConfig) -> MagnitudeSpectrogram:
     """Magnitude spectrogram of Hann-windowed frames, float64 from the window on.
 
-    The signal is framed once, in its own dtype. Each block of FRAME_BLOCK
-    frames is widened and windowed into one float64 block buffer (widening
-    float32 is exact), transformed, and written as magnitudes into its rows,
-    so no float64 copy of the signal, windowed copy or complex spectrum of
-    the whole track is made.
+    The signal is framed once, in its own dtype and without a padded copy.
+    Each block of FRAME_BLOCK frames is read from the frames, widened and
+    windowed into one float64 block buffer (widening float32 is exact),
+    transformed, and written as magnitudes into its rows, so the bins matrix
+    is the only whole-track array made: no padded or float64 copy of the
+    signal, windowed copy or complex spectrum.
     """
     frames = frame_signal(signal.samples, cfg.n_fft, cfg.hop, cfg.center_pad)
     window = hann_window(cfg.n_fft)

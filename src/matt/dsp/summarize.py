@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import EmptyFeature, InvalidConfig
 from .chroma import chroma_features, cqt_fold_matrix, stft_fold_matrix, tonnetz
 from .frames import FAMILY_BASE_DIMS, FrameFeatureMatrix
-from .mel import DB_FLOOR, MEL_FRAMES, _fit_frames, log_mel_frames, mfcc
+from .mel import DB_FLOOR, MEL_FRAMES, _fit_frames, log_mel_frames, mel_filterbank, mfcc
 from .signal import AudioSignal, time_domain_descriptors
 from .spectral import contrast_bands, spectral_descriptors
 from .stft import StftConfig, stft
@@ -127,30 +127,36 @@ class ExtractionResult:
 def extract_frame_features(signal: AudioSignal, cfg: FeatureConfig):
     """Per-frame matrices for all 11 families, plus the fitted mel spectrogram.
 
-    Every family reads the one STFT, in the order set here. The magnitude
-    readers run first: the spectral descriptors, then RMS/ZCR from the frame
-    matrix. The magnitudes are then squared in place into the power, and the
-    spectrogram is dropped to free the padded frames, so the track keeps one
-    spectrogram-sized matrix. Chroma, tonnetz and log-mel/MFCC read the power.
+    Every family reads the one STFT, in the order set here. The cached fold
+    and mel matrices are fetched first, so building them on a process's
+    first track does not add to the peak of the spectrogram. The magnitude
+    readers run next: the spectral descriptors, then RMS/ZCR from the
+    frames. The magnitudes are then squared in place into the power, which
+    chroma, tonnetz and log-mel/MFCC read. Since the frames are views of the
+    signal (see frame_signal), the track keeps the caller's signal and one
+    spectrogram-sized matrix throughout.
     """
+    rate, n_fft = signal.sample_rate_hz, cfg.stft.n_fft
+    stft_fold, cqt_fold = stft_fold_matrix(n_fft, rate), cqt_fold_matrix(n_fft, rate)
+    mel_weights, _ = mel_filterbank(rate, n_fft)
+
     spec = stft(signal, cfg.stft)
     frames: list[FrameFeatureMatrix] = list(spectral_descriptors(spec))
     rms, zcr = time_domain_descriptors(spec.frames)
     frames.append(FrameFeatureMatrix(values=rms, family="rms"))
     frames.append(FrameFeatureMatrix(values=zcr, family="zcr"))
 
+    # no later reader sees the bins as magnitudes
     power = np.multiply(spec.bins, spec.bins, out=spec.bins)
-    del spec  # frees the padded frames; no later reader sees the bins as magnitudes
-    rate, n_fft = signal.sample_rate_hz, cfg.stft.n_fft
-    cqt_fold = cqt_fold_matrix(n_fft, rate) @ power  # cqt and cens share it
-    folds = {"stft": stft_fold_matrix(n_fft, rate) @ power, "cqt": cqt_fold, "cens": cqt_fold}
+    cqt_raw = cqt_fold @ power  # cqt and cens share it
+    folds = {"stft": stft_fold @ power, "cqt": cqt_raw, "cens": cqt_raw}
     chroma = {v: chroma_features(fold, v) for v, fold in folds.items()}
     frames.extend(chroma.values())
     frames.append(tonnetz(chroma["cqt"]))
 
     # cepstrum runs on the native frame count to stay aligned with the other
     # families; only the emitted mel matrix is fitted to the fixed width
-    native_db = log_mel_frames(power, rate, n_fft)
+    native_db = log_mel_frames(power, mel_weights)
     mel = _fit_frames(native_db, MEL_FRAMES, DB_FLOOR)
     frames.append(FrameFeatureMatrix(values=mfcc(native_db), family="mfcc"))
     return {f.family: f for f in frames}, mel

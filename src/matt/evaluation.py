@@ -113,7 +113,9 @@ def pr_curve(probabilities, golds):
     P = np.asarray(probabilities, dtype=np.float64)
     golds = np.asarray(golds)
     onehot = np.arange(P.shape[1]) == golds[:, np.newaxis]
-    order = np.argsort(-P.ravel(), kind="stable")
+    # tie order never reaches the curve: each tie group emits only its last
+    # index, whose cumulative positive count is the same in any order
+    order = np.argsort(-P.ravel())
     scores = P.ravel()[order]
     labels = onehot.ravel()[order].astype(np.int64)
     total_positive = int(labels.sum())

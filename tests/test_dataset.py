@@ -307,8 +307,12 @@ def assert_table_equals_reference(table, expected):
 
 
 def padded(values):
-    """Cells drawn from values, some padded with spaces or tabs."""
-    pad = st.sampled_from(["", "", " ", "\t", "  "])
+    """Cells drawn from values, some padded with Unicode whitespace. A cell
+    is stripped of all of it, and the vertical tab, form feed, file
+    separator and next line, which str.splitlines breaks at, never split a
+    row."""
+    pad = st.sampled_from(["", "", " ", "\t", "  ", "\x0b", "\x0c", "\x1c", "\x85", "\xa0",
+                           "\u2009", "\u3000", " \x85\u3000"])
     return st.tuples(pad, st.sampled_from(values), pad).map("".join)
 
 
