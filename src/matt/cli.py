@@ -10,6 +10,7 @@ seed). Exit codes: 0 success, 1 validation error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import logging
 import math
@@ -49,6 +50,7 @@ from .evaluation import EVAL_MODES, evaluate
 from .model import AGGREGATORS
 from .numeric import finite_difference_check
 from .synthetic import generate_synthetic
+from .textfmt import BLOCK, WIDTH, float_cells, join_rows, side_by_side, text_cells
 from .training import new_model, nll_losses, train
 
 log = logging.getLogger("matt")
@@ -125,6 +127,16 @@ def _load_config(args) -> RunConfig:
     return with_keys(load_run_config(args.config), flags).validate()
 
 
+def _make_dirs(*paths: Path):
+    """Create each output directory; one that cannot be made is named in a
+    ValidationError (exit 1)."""
+    for path in paths:
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"cannot create directory {path}: {exc.strerror}") from exc
+
+
 # -- extract-features -- #
 
 def _extract_one(task) -> str:
@@ -155,8 +167,7 @@ def cmd_extract_features(args) -> int:
     table = load_metadata(cfg.metadata)
     parts_dir = cfg.feature_dir / "parts"
     mel_dir = cfg.feature_dir / "mel"
-    parts_dir.mkdir(parents=True, exist_ok=True)
-    mel_dir.mkdir(parents=True, exist_ok=True)
+    _make_dirs(parts_dir, mel_dir)
 
     tasks = []
     for track_id in table.track_ids:
@@ -204,7 +215,7 @@ def cmd_build_bags(args) -> int:
     cfg = _load_config(args)
     table = load_metadata(cfg.metadata)
     bags = build_bags(table, label_policy=cfg.label_policy)
-    cfg.report_dir.mkdir(parents=True, exist_ok=True)
+    _make_dirs(cfg.report_dir)
     out = cfg.report_dir / "bags.csv"
     save_bags_csv(out, bags)
     sizes = np.diff(bags.starts, append=len(bags.rows))
@@ -219,8 +230,7 @@ def cmd_gen_synth(args) -> int:
     cfg = _load_config(args)
     synth = replace(cfg.synth, seed=cfg.train.seed)
     data = generate_synthetic(synth)
-    cfg.metadata.parent.mkdir(parents=True, exist_ok=True)
-    cfg.feature_dir.mkdir(parents=True, exist_ok=True)
+    _make_dirs(cfg.metadata.parent, cfg.feature_dir)
 
     cfg.metadata.write_text("\n".join(data.metadata_lines) + "\n", encoding="utf-8")
 
@@ -265,7 +275,7 @@ def cmd_train(args) -> int:
     else:
         bags, name = build_bags(table, label_policy=cfg.label_policy), "matt.ckpt"
     model, train_log = train(bags, X, cfg.train)
-    cfg.checkpoint_dir.mkdir(parents=True, exist_ok=True)
+    _make_dirs(cfg.checkpoint_dir)
     out = cfg.checkpoint_dir / name
     save_checkpoint(out, model.params)
     train_log.write_csv(cfg.checkpoint_dir / f"{out.stem}_trainlog.csv")
@@ -294,7 +304,7 @@ def cmd_evaluate(args) -> int:
     bags = (segment_bags(table) if cfg.eval_mode == "segment"
             else build_bags(table, label_policy=cfg.label_policy))
     report = evaluate(model, bags, X, mode=cfg.eval_mode, subsets=cfg.subsets, ks=cfg.ks)
-    cfg.report_dir.mkdir(parents=True, exist_ok=True)
+    _make_dirs(cfg.report_dir)
     report.write_text(cfg.report_dir / "report.txt")
     report.write_topk_csv(cfg.report_dir / "topk.csv")
     report.write_pr_csv(cfg.report_dir / "pr.csv")
@@ -305,26 +315,32 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def format_predictions(track_ids, names, probabilities, weights) -> str:
-    """One line per track: id, top genre and its probability, the top five
-    as genre:probability pairs joined by ';', and the attention weight.
-
-    The body is one % over a flat (n_tracks, 4 + 2k) cell matrix, with the
-    same %.9g as the feature cache.
-    """
+def write_predictions(fh, track_ids, names, probabilities, weights):
+    """Write to the binary file fh one line per track, a block of tracks at
+    a time: its id, top genre and its probability, the top five as
+    genre:probability pairs joined by ';', and the attention weight, each
+    number as %.9g of its exact double."""
     top = np.argsort(-probabilities, axis=1, kind="stable")[:, :5]
     k = top.shape[1]
-    top_names = np.array(names, dtype=object)[top]
-    top_probabilities = np.take_along_axis(probabilities, top, axis=1)
-    cells = np.empty((len(track_ids), 4 + 2 * k), dtype=object)
-    cells[:, 0] = track_ids
-    cells[:, 1] = top_names[:, 0]
-    cells[:, 2] = top_probabilities[:, 0]
-    cells[:, 3:-1:2] = top_names
-    cells[:, 4::2] = top_probabilities
-    cells[:, -1] = weights
-    line = "%s,%s,%.9g," + ";".join(["%s:%.9g"] * k) + ",%.9g\n"
-    return line * len(track_ids) % tuple(cells.ravel().tolist())
+    name_cells = text_cells(names)
+    weights = np.asarray(weights, dtype=np.float64)[:, np.newaxis]
+    rows = max(1, BLOCK // (k + 1))
+    for i in range(0, len(track_ids), rows):
+        order = top[i : i + rows]
+        scores = float_cells(np.take_along_axis(probabilities[i : i + rows], order, axis=1),
+                             b";" * (k - 1) + b",")
+        fh.write(join_rows(
+            text_cells(track_ids[i : i + rows]), b",", name_cells[order[:, 0]], b",",
+            scores[:, 0, : WIDTH - 1], b",", side_by_side(name_cells[order], b":", scores),
+            float_cells(weights[i : i + rows], b"\n"),
+        ))
+
+
+def format_predictions(track_ids, names, probabilities, weights) -> str:
+    """What write_predictions writes, as one string."""
+    text = io.BytesIO()
+    write_predictions(text, track_ids, names, probabilities, weights)
+    return text.getvalue().decode("utf-8")
 
 
 def cmd_predict(args) -> int:
@@ -339,12 +355,17 @@ def cmd_predict(args) -> int:
     probabilities = model.forward_packed(X, np.arange(len(X)))
     del X, values  # the rows are not needed while formatting
     # a singleton bag's attention weight is exactly 1
-    text = format_predictions(track_ids, names, probabilities, np.ones(len(track_ids)))
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out} ({len(track_ids)} predictions)")
-    else:
-        sys.stdout.write(text)
+    weights = np.ones(len(track_ids))
+    if not args.out:
+        sys.stdout.write(format_predictions(track_ids, names, probabilities, weights))
+        return 0
+    try:
+        fh = open(args.out, "wb")
+    except OSError as exc:
+        raise ValidationError(f"cannot write predictions {args.out}: {exc.strerror}") from exc
+    with fh:
+        write_predictions(fh, track_ids, names, probabilities, weights)
+    print(f"wrote {args.out} ({len(track_ids)} predictions)")
     return 0
 
 

@@ -1,9 +1,10 @@
 """On-disk caches: delimited feature files and binary mel files.
 
 Feature cache: one CSV per feature set, header `track_id,<family>_<stat>_<index>,...`,
-float32 values printed as %.9g (9 significant digits round-trip float32).
-The CSV is the interchange format; the writer also leaves a binary sidecar
-`<set>.csv.bin` beside it: magic "FEAT", version u32=1, the SHA-256 of the
+each float32 value printed as %.9g of its exact double (9 significant digits
+round-trip float32) by the bulk formatter of `matt.textfmt`. The CSV is the
+interchange format; the writer also leaves a binary sidecar `<set>.csv.bin`
+beside it: magic "FEAT", version u32=1, the SHA-256 of the
 CSV's bytes, rows u32, columns u32, id-block length u32, the track ids as
 UTF-8 joined by "\n", row-major little-endian float32 (NaN as the parser
 reads "nan"), then a SHA-256 of everything before it. The reader serves the
@@ -19,11 +20,11 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from itertools import chain
 
 import numpy as np
 
 from ..errors import CorruptAudio, DuplicateTrack, NotUtf8, ShapeError, ValidationError
+from ..textfmt import BLOCK, float_cells, join_rows, text_cells
 
 MEL_MAGIC = b"MELF"
 MEL_VERSION = 1
@@ -33,15 +34,18 @@ FEATURE_VERSION = 1
 SIDECAR_HEAD = struct.Struct("<4sI32sIII")
 
 
-WRITE_BLOCK = 4096  # rows formatted per %
+WRITE_BLOCK = BLOCK  # values formatted and written per block (at least one row)
 
 
 def format_feature_rows(track_ids: list[str], matrix: np.ndarray) -> str:
     """`track_id,v1,...,vn` lines for the rows of a float32 matrix, each value
-    as %.9g of its exact double: one % over a flat (id, values...) tuple."""
-    line = "%s" + ",%.9g" * matrix.shape[1] + "\n"
-    cells = chain.from_iterable((t, *row) for t, row in zip(track_ids, matrix.tolist()))
-    return line * len(track_ids) % tuple(cells)
+    as %.9g of its exact double."""
+    return _feature_rows(track_ids, matrix).decode("utf-8")
+
+
+def _feature_rows(track_ids: list[str], matrix: np.ndarray) -> bytes:
+    separators = b"," * (matrix.shape[1] - 1) + b"\n"
+    return join_rows(text_cells(track_ids), b",", float_cells(matrix, separators))
 
 
 def write_feature_csv(path, columns: list[str], track_ids: list[str], values: np.ndarray):
@@ -51,8 +55,8 @@ def write_feature_csv(path, columns: list[str], track_ids: list[str], values: np
     For a named feature set, pass feature_set_columns(set_name) as columns.
     Values are stored as float32. A repeated id or a values shape other than
     (len(track_ids), len(columns)) is rejected before any file is written.
-    Both files are written block by block; the sidecar's CSV digest and
-    checksum are filled in at the end.
+    Both files are written block by block, WRITE_BLOCK values at a time; the
+    sidecar's CSV digest and checksum are filled in at the end.
     """
     if values.shape != (len(track_ids), len(columns)):
         raise ShapeError(f"{path}: values {values.shape} != {(len(track_ids), len(columns))}")
@@ -67,13 +71,12 @@ def write_feature_csv(path, columns: list[str], track_ids: list[str], values: np
     with open(tmp, "wb") as csv, open(tmp_sidecar, "w+b") as sidecar:
         _write_hashed(csv, csv_digest, ("track_id," + ",".join(columns) + "\n").encode("utf-8"))
         _write_sidecar_head(sidecar, track_ids, len(columns))
-        for i in range(0, len(track_ids), WRITE_BLOCK):
-            block = track_ids[i : i + WRITE_BLOCK]
+        rows = max(1, WRITE_BLOCK // len(columns))
+        for i in range(0, len(track_ids), rows):
+            block = track_ids[i : i + rows]
             # a fancy-index copy: the NaN rewrite below leaves the caller's values as they are
-            matrix = values[order[i : i + WRITE_BLOCK]].astype(np.float32, copy=False)
-            # the text goes straight through: a local would keep it alive
-            # while the next block is formatted, the writer's peak
-            _write_hashed(csv, csv_digest, format_feature_rows(block, matrix).encode("utf-8"))
+            matrix = values[order[i : i + rows]].astype(np.float32, copy=False)
+            _write_hashed(csv, csv_digest, _feature_rows(block, matrix))
             # the text keeps no NaN sign or payload: store the NaN it parses to
             np.copyto(matrix, np.float32(np.nan), where=np.isnan(matrix))
             sidecar.write(np.ascontiguousarray(matrix, dtype="<f4").tobytes())

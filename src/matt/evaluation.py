@@ -16,6 +16,7 @@ import numpy as np
 
 from .dataset import BagSet
 from .errors import EmptyEval, InvalidConfig, InvalidK
+from .textfmt import BLOCK, float_cells, join_rows
 # bag_feature_matrix stays bound here: perfbench/test_perfbench.py requires the
 # benchmark's tracer to find it in this module
 from .training import bag_feature_matrix, pack_bags  # noqa: F401
@@ -42,13 +43,13 @@ class EvalReport:
                 fh.write(f"{subset},{k},{acc:.9g}\n")
 
     def write_pr_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("threshold,precision,recall\n")
-            # one % per block of points: as fast as one % over the whole body,
-            # without holding all of its text and a flat copy at once
-            for i in range(0, len(self.pr_points), 4096):
-                block = np.ravel(self.pr_points[i : i + 4096]).tolist()
-                fh.write("%.9g,%.9g,%.9g\n" * (len(block) // 3) % tuple(block))
+        """One `threshold,precision,recall` line per point, each value as
+        %.9g of its exact double, written BLOCK values at a time."""
+        points = np.asarray(self.pr_points, dtype=np.float64).reshape(-1, 3)
+        with open(path, "wb") as fh:
+            fh.write(b"threshold,precision,recall\n")
+            for i in range(0, len(points), BLOCK // 3):
+                fh.write(join_rows(float_cells(points[i : i + BLOCK // 3], b",,\n")))
 
     def write_text(self, path):
         lines = [

@@ -30,6 +30,7 @@ from matt.dsp.cache import (
 )
 from matt.errors import CorruptAudio, DuplicateTrack, NotUtf8, ShapeError
 from matt.evaluation import EvalReport
+from matt.textfmt import BLOCK
 
 
 def format_value(x: float) -> str:
@@ -213,6 +214,17 @@ def test_part_row_equals_the_per_cell_reference():
     vector = np.array([-0.0, 1e-45, 0.99999994, 1.0 / 3.0, np.nan, -np.inf], dtype=np.float32)
     expected = "trk7," + ",".join(format_value(float(v)) for v in vector) + "\n"
     assert format_feature_rows(["trk7"], vector[np.newaxis, :]) == expected
+
+
+@pytest.mark.parametrize(
+    "ids", [["t\x00", "t"], ["", "t"], ["\x00", ""]], ids=["nul-in-id", "empty-id", "nul-and-empty"]
+)
+def test_feature_csv_write_keeps_nul_and_empty_ids(tmp_path, ids):
+    # the cells are joined by dropping their padding; an id's own bytes stay
+    values = np.float32([[1.5, -0.0], [np.nan, 3e-45]])
+    write_feature_csv(tmp_path / "fast.csv", ["x_0", "x_1"], ids, values)
+    reference_write_feature_csv(tmp_path / "reference.csv", ["x_0", "x_1"], ids, values)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_header_only_feature_csv_is_empty_without_a_warning(tmp_path):
@@ -443,6 +455,28 @@ def test_predictions_equal_the_per_line_reference(n_genres):
     weights = np.concatenate([[1.0, 0.25, 1e-12, 123456.5], rng.uniform(0, 1, 3)])
     names = [f"genre{g}" for g in range(n_genres)]
     track_ids = [f"t{i}" for i in range(7)]
+    assert format_predictions(track_ids, names, probabilities, weights) == (
+        reference_predictions(track_ids, names, probabilities, weights)
+    )
+
+
+@pytest.mark.parametrize("n_points", [0, BLOCK // 3, BLOCK // 3 + 1])
+def test_pr_csv_of_a_list_equals_the_per_line_reference(tmp_path, n_points):
+    # a list of tuples, written BLOCK // 3 points at a time
+    points = [tuple(p) for p in np.random.default_rng(n_points).uniform(size=(n_points, 3))]
+    report = EvalReport(
+        mode="bag", overall_accuracy=0.5, top_k={}, pr_points=points,
+        average_precision=0.5, n_units=4, subset_sizes={},
+    )
+    report.write_pr_csv(tmp_path / "pr.csv")
+    assert (tmp_path / "pr.csv").read_bytes() == reference_pr_csv(points).encode()
+
+
+def test_predictions_keep_nul_in_names_and_track_ids():
+    probabilities = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.0, 1.0, 0.0]])
+    names = ["ro\x00ck", "jazz", "\x00"]
+    track_ids = ["t\x000", "\x00", ""]
+    weights = np.ones(3)
     assert format_predictions(track_ids, names, probabilities, weights) == (
         reference_predictions(track_ids, names, probabilities, weights)
     )

@@ -847,3 +847,53 @@ def test_a_non_finite_feature_value_fails_validation(tmp_path, capsys, monkeypat
     assert sorted((tmp_path / "ckpt").glob("*")) == trained
     assert not (tmp_path / "reports").exists()
     assert not (tmp_path / "predictions.csv").exists()
+
+
+def trained_synth(tmp_path):
+    """A config over a small gen-synth dataset with its checkpoint trained."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        CONFIG_TEMPLATE.format(feature_set="synth", epochs=2)
+        + "\n[synth]\nn_genres = 3\nhead_count = 6\nfeature_dim = 5\n"
+        + "bag_size_min = 1\nbag_size_max = 3\nnoise_rate = 0.1\n",
+        encoding="utf-8",
+    )
+    assert run("gen-synth", "--config", cfg) == 0
+    assert run("train", "--config", cfg) == 0
+    return cfg
+
+
+def tree(root: Path) -> dict:
+    return {p: p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_an_unwritable_predictions_path_fails_validation(tmp_path, capsys, target):
+    cfg = trained_synth(tmp_path)
+    out = tmp_path / "missing" / "p.csv" if target == "missing-directory" else tmp_path / "out"
+    if target == "directory":
+        out.mkdir()
+    before = tree(tmp_path)
+    capsys.readouterr()
+    assert run("predict", "--config", cfg, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"matt: cannot write predictions {out}: ") and "internal error" not in err
+    assert tree(tmp_path) == before  # no partial file
+
+
+@pytest.mark.parametrize("command, directory", [("evaluate", "reports"), ("train", "ckpt")])
+def test_a_file_in_place_of_an_output_directory_fails_validation(tmp_path, capsys, command,
+                                                                  directory):
+    cfg = trained_synth(tmp_path)
+    path = tmp_path / directory
+    if path.is_dir():
+        for p in path.iterdir():
+            p.unlink()
+        path.rmdir()
+    path.write_text("not a directory\n", encoding="utf-8")
+    before = tree(tmp_path)
+    capsys.readouterr()
+    assert run(command, "--config", cfg) == 1
+    err = capsys.readouterr().err
+    assert err == f"matt: cannot create directory {path}: File exists\n"
+    assert tree(tmp_path) == before
