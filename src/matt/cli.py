@@ -127,10 +127,16 @@ def _load_config(args) -> RunConfig:
     return with_keys(load_run_config(args.config), flags).validate()
 
 
-def _make_dirs(*paths: Path):
-    """Create each output directory; one that cannot be made is named in a
-    ValidationError (exit 1)."""
-    for path in paths:
+def _make_dirs(*dirs: Path, files=()):
+    """Set up a command's outputs before its work: check that no output
+    file's path is a directory, then create each output directory and the
+    directory of each output file. A path that fails is named in a
+    ValidationError (exit 1), and a file path that is a directory fails
+    before any directory is made."""
+    for path in files:
+        if path.is_dir():
+            raise ValidationError(f"cannot write {path}: Is a directory")
+    for path in (*dirs, *(path.parent for path in files)):
         try:
             path.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -214,9 +220,9 @@ def cmd_extract_features(args) -> int:
 def cmd_build_bags(args) -> int:
     cfg = _load_config(args)
     table = load_metadata(cfg.metadata)
-    bags = build_bags(table, label_policy=cfg.label_policy)
-    _make_dirs(cfg.report_dir)
     out = cfg.report_dir / "bags.csv"
+    _make_dirs(files=(out,))
+    bags = build_bags(table, label_policy=cfg.label_policy)
     save_bags_csv(out, bags)
     sizes = np.diff(bags.starts, append=len(bags.rows))
     print(
@@ -274,11 +280,12 @@ def cmd_train(args) -> int:
         bags, name = segment_bags(table), "baseline.ckpt"
     else:
         bags, name = build_bags(table, label_policy=cfg.label_policy), "matt.ckpt"
-    model, train_log = train(bags, X, cfg.train)
-    _make_dirs(cfg.checkpoint_dir)
     out = cfg.checkpoint_dir / name
+    log_csv = cfg.checkpoint_dir / f"{out.stem}_trainlog.csv"
+    _make_dirs(files=(out, log_csv))
+    model, train_log = train(bags, X, cfg.train)
     save_checkpoint(out, model.params)
-    train_log.write_csv(cfg.checkpoint_dir / f"{out.stem}_trainlog.csv")
+    train_log.write_csv(log_csv)
     last = train_log.epochs[-1] if train_log.epochs else (0, float("nan"), 0.0, 0.0)
     print(f"wrote {out} after {len(train_log.epochs)} epochs "
           f"(loss {last[1]:.4f}, val acc {last[2]:.4f})")
@@ -303,11 +310,12 @@ def cmd_evaluate(args) -> int:
     # segment mode reads no album or artist metadata, so it builds no album bags
     bags = (segment_bags(table) if cfg.eval_mode == "segment"
             else build_bags(table, label_policy=cfg.label_policy))
+    text, topk, pr = outputs = [cfg.report_dir / f for f in ("report.txt", "topk.csv", "pr.csv")]
+    _make_dirs(files=outputs)
     report = evaluate(model, bags, X, mode=cfg.eval_mode, subsets=cfg.subsets, ks=cfg.ks)
-    _make_dirs(cfg.report_dir)
-    report.write_text(cfg.report_dir / "report.txt")
-    report.write_topk_csv(cfg.report_dir / "topk.csv")
-    report.write_pr_csv(cfg.report_dir / "pr.csv")
+    report.write_text(text)
+    report.write_topk_csv(topk)
+    report.write_pr_csv(pr)
     print(
         f"{cfg.eval_mode} accuracy {report.overall_accuracy:.4f}, "
         f"AP {report.average_precision:.4f}, reports in {cfg.report_dir}"

@@ -12,8 +12,12 @@ the tuning reference:
 
 Each raw fold is one product of a 12 x (n_fft/2 + 1) matrix with the power
 rows; cqt and cens normalize one shared product per track (see
-extract_frame_features). The fold matrices depend only on (n_fft,
-sample_rate); they are built once per pair and returned read-only.
+extract_frame_features). The stft fold is one-hot over every bin but DC, so
+its product stays dense. The cqt fold is non-zero only from just below C1 to
+just above B7 (bins 2-194 at 44.1 kHz and n_fft 2048), so its product
+multiplies that span of bins only (banded_cqt_fold). The fold matrices
+depend only on (n_fft, sample_rate); they are built once per pair and
+returned read-only.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from ..errors import InvalidConfig
 from .frames import FrameFeatureMatrix
-from .mel import triangular_filters
+from .mel import BandedWeights, triangular_filters
 
 # C1; chosen so pseudo-CQT bin k has pitch class k mod 12 with C = 0
 CQT_F_MIN = 32.70319566257483
@@ -71,6 +75,13 @@ def cqt_fold_matrix(n_fft: int, sample_rate: int) -> np.ndarray:
     class (CQT bin k has pitch class k mod 12)."""
     fb = _cqt_filterbank(np.fft.rfftfreq(n_fft, 1.0 / sample_rate))
     return _read_only(fb.reshape(CQT_OCTAVES, CQT_BINS_PER_OCTAVE, -1).sum(axis=0))
+
+
+@lru_cache(maxsize=16)
+def banded_cqt_fold(n_fft: int, sample_rate: int) -> BandedWeights:
+    """cqt_fold_matrix cut to its span of non-zero bins: the fold that
+    extraction multiplies, one block of all 12 rows (see BandedWeights)."""
+    return BandedWeights.of(cqt_fold_matrix(n_fft, sample_rate), CQT_BINS_PER_OCTAVE)
 
 
 def _max_normalize(chroma: np.ndarray) -> np.ndarray:

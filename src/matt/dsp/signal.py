@@ -78,12 +78,17 @@ class PaddedFrames:
     frames that reach into the reflect padding come from a small padded head
     and tail. Indexing with a slice of rows gives those frames as an array
     (a view unless the rows span a head or tail edge); np.asarray gives the
-    whole frame matrix.
+    whole frame matrix. interior gives the interior frames' samples once
+    each, for readers that go by hop-sized chunks (time_domain_descriptors).
     """
 
     # frame matrices in order: the head, interior and tail, or for a clip
     # with no interior frame, all frames of its padded copy
     parts: tuple
+    hop: int
+    # the samples the interior frames cover, a 1-D view of the signal (None
+    # for a clip with no interior frame): interior frame i starts at i * hop
+    interior: np.ndarray | None
 
     @property
     def shape(self):
@@ -135,7 +140,7 @@ def frame_signal(samples: np.ndarray, n_fft: int, hop: int, center: bool) -> Pad
     if stop <= first:
         # a clip this short has no interior frame: its padded copy is small
         padded = np.pad(x, pad, mode="reflect")
-        return PaddedFrames((_strided_frames(padded, n_frames, n_fft, hop),))
+        return PaddedFrames((_strided_frames(padded, n_frames, n_fft, hop),), hop, None)
     # the reflection of x[1:pad + 1] before the start, of x[-pad - 1:-1] after the end
     flipped = x[::-1]
     head = tail = x[:0]
@@ -144,16 +149,76 @@ def frame_signal(samples: np.ndarray, n_fft: int, hop: int, center: bool) -> Pad
     if stop < n_frames:
         end = (n_frames - 1) * hop + n_fft - pad  # past the last sample
         tail = np.concatenate([x[stop * hop - pad :], flipped[1 : 1 + end - x.size]])
-    return PaddedFrames((
-        _strided_frames(head, first, n_fft, hop),
-        _strided_frames(x[first * hop - pad :], stop - first, n_fft, hop),
-        _strided_frames(tail, n_frames - stop, n_fft, hop),
-    ))
+    interior = x[first * hop - pad : (stop - 1) * hop - pad + n_fft]
+    return PaddedFrames(
+        (
+            _strided_frames(head, first, n_fft, hop),
+            _strided_frames(interior, stop - first, n_fft, hop),
+            _strided_frames(tail, n_frames - stop, n_fft, hop),
+        ),
+        hop,
+        interior,
+    )
 
 
-def frame_blocks(n_frames: int):
-    """Slices of at most FRAME_BLOCK consecutive frames covering range(n_frames)."""
-    return (slice(i, min(i + FRAME_BLOCK, n_frames)) for i in range(0, n_frames, FRAME_BLOCK))
+def frame_blocks(stop: int, start: int = 0):
+    """Slices of at most FRAME_BLOCK consecutive frames covering range(start, stop)."""
+    return (slice(i, min(i + FRAME_BLOCK, stop)) for i in range(start, stop, FRAME_BLOCK))
+
+
+def _sums_in_chunks(n: int, chunk: int) -> bool:
+    """Whether numpy's pairwise sum of n float64 values (numpy's
+    pairwise_sum: a run of at most 128 values in 8 partial sums, a longer
+    run split in two at half its length rounded down to a multiple of 8)
+    halves exactly down to runs of chunk values. Then the sum of n values
+    is the same tree over the sums of its chunks, bitwise."""
+    while n > chunk:
+        if n <= 128 or n % 16:
+            return False
+        n //= 2
+    return n == chunk
+
+
+def _chunk_descriptors(samples: np.ndarray, n: int, hop: int):
+    """Sums of squares and sign-change counts of the n-sample frames of
+    samples that start every hop samples, read one hop-sized chunk at a time.
+
+    Each chunk is widened to float64 and squared once, and its sum and its
+    sign changes (the last one across the junction into the next chunk) are
+    kept. A frame's sum adds its n // hop chunk sums in numpy's pairwise
+    tree (see _sums_in_chunks); its count adds its chunks' counts but the
+    last junction, which lies past the frame. The chunks are read FRAME_BLOCK
+    frames' worth at a time into buffers made once.
+    """
+    per_frame = n // hop
+    n_chunks = samples.size // hop
+    sums = np.empty(n_chunks)
+    changes = np.empty(n_chunks, dtype=np.intp)
+    junctions = np.zeros(n_chunks, dtype=bool)  # junction j is between chunks j and j + 1
+    step = FRAME_BLOCK * per_frame
+    wide = np.empty((min(step, n_chunks), hop))
+    nonneg = np.empty(wide.shape, dtype=bool)
+    change = np.empty(wide.shape, dtype=bool)
+    for lo in range(0, n_chunks, step):
+        hi = min(lo + step, n_chunks)
+        block, signs, flips = wide[: hi - lo], nonneg[: hi - lo], change[: hi - lo]
+        np.copyto(block, samples[lo * hop : hi * hop].reshape(-1, hop))
+        np.greater_equal(block, 0.0, out=signs)
+        np.not_equal(signs.ravel()[1:], signs.ravel()[:-1], out=flips.ravel()[:-1])
+        flips[-1, -1] = False  # the next block holds this junction's far side
+        if lo:
+            junctions[lo - 1] = last_sign != signs[0, 0]
+            changes[lo - 1] += junctions[lo - 1]
+        last_sign = signs[-1, -1]
+        changes[lo:hi] = np.count_nonzero(flips, axis=1)
+        junctions[lo:hi] = flips[:, -1]
+        sums[lo:hi] = np.add.reduce(np.square(block, out=block), axis=1)
+    width = 1
+    while width < per_frame:
+        sums = sums[:-width] + sums[width:]
+        width *= 2
+    cum = np.concatenate([[0], np.cumsum(changes)])
+    return sums, cum[per_frame:] - cum[:-per_frame] - junctions[per_frame - 1 :]
 
 
 def time_domain_descriptors(frames: PaddedFrames):
@@ -163,17 +228,32 @@ def time_domain_descriptors(frames: PaddedFrames):
     so a track is framed once. Returns two (1, n_frames) matrices. ZCR counts
     sign changes between consecutive samples as a fraction of the n - 1
     adjacent pairs, so a perfectly alternating signal scores exactly 1.0.
-    Zero samples count as non-negative. Frames are read FRAME_BLOCK rows at a
-    time, each block widened to float64 (exact from float32 or int16).
+    Zero samples count as non-negative. Samples are widened to float64
+    (exact from float32 or int16) and RMS is the root of np.mean of their
+    squares, to the bit.
+
+    Where numpy sums n values as a tree of hop-sized chunks (hop = n/2 or
+    n/4 at n_fft 512 and 2048; see _sums_in_chunks), the interior frames are
+    read as hop-sized chunks of the signal, so each sample is read once
+    rather than n / hop times (see _chunk_descriptors). The edge frames, a
+    clip with no interior frame, and any other hop are read frame by frame,
+    FRAME_BLOCK rows at a time.
     """
     n_frames, n = frames.shape
-    mean_square = np.empty(n_frames)
+    sums = np.empty(n_frames)
     crossings = np.empty(n_frames, dtype=np.intp)
-    for rows in frame_blocks(n_frames):
-        block = frames[rows].astype(np.float64)
-        mean_square[rows] = np.mean(block * block, axis=1)
-        nonneg = block >= 0.0
-        crossings[rows] = np.sum(nonneg[:, 1:] != nonneg[:, :-1], axis=1)
-    rms = np.sqrt(mean_square)[np.newaxis, :]
+    by_frame = [slice(0, n_frames)]
+    if frames.interior is not None and _sums_in_chunks(n, frames.hop):
+        first = len(frames.parts[0])
+        interior = slice(first, first + len(frames.parts[1]))
+        sums[interior], crossings[interior] = _chunk_descriptors(frames.interior, n, frames.hop)
+        by_frame = [slice(0, first), slice(interior.stop, n_frames)]
+    for part in by_frame:
+        for rows in frame_blocks(part.stop, part.start):
+            block = frames[rows].astype(np.float64)
+            sums[rows] = np.add.reduce(block * block, axis=1)
+            nonneg = block >= 0.0
+            crossings[rows] = np.sum(nonneg[:, 1:] != nonneg[:, :-1], axis=1)
+    rms = np.sqrt(sums / n)[np.newaxis, :]
     zcr = (crossings / (n - 1))[np.newaxis, :]
     return rms, zcr

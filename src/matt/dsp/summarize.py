@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import EmptyFeature, InvalidConfig
-from .chroma import chroma_features, cqt_fold_matrix, stft_fold_matrix, tonnetz
+from .chroma import banded_cqt_fold, chroma_features, stft_fold_matrix, tonnetz
 from .frames import FAMILY_BASE_DIMS, FrameFeatureMatrix
-from .mel import DB_FLOOR, MEL_FRAMES, _fit_frames, log_mel_frames, mel_filterbank, mfcc
+from .mel import DB_FLOOR, MEL_FRAMES, _fit_frames, banded_mel_filterbank, log_mel_frames, mfcc
 from .signal import AudioSignal, time_domain_descriptors
 from .spectral import contrast_bands, spectral_descriptors
 from .stft import StftConfig, stft
@@ -129,16 +129,17 @@ def extract_frame_features(signal: AudioSignal, cfg: FeatureConfig):
 
     Every family reads the one STFT, in the order set here. The cached fold
     and mel matrices are fetched first, so building them on a process's
-    first track does not add to the peak of the spectrogram. The magnitude
-    readers run next: the spectral descriptors, then RMS/ZCR from the
-    frames. The magnitudes are then squared in place into the power, which
-    chroma, tonnetz and log-mel/MFCC read. Since the frames are views of the
-    signal (see frame_signal), the track keeps the caller's signal and one
-    spectrogram-sized matrix throughout.
+    first track does not add to the peak of the spectrogram; the cqt fold
+    and the mel filterbank come cut to their non-zero bins (BandedWeights).
+    The magnitude readers run next: the spectral descriptors, then RMS/ZCR
+    from the frames. The magnitudes are then squared in place into the
+    power, which chroma, tonnetz and log-mel/MFCC read. Since the frames are
+    views of the signal (see frame_signal), the track keeps the caller's
+    signal and one spectrogram-sized matrix throughout.
     """
     rate, n_fft = signal.sample_rate_hz, cfg.stft.n_fft
-    stft_fold, cqt_fold = stft_fold_matrix(n_fft, rate), cqt_fold_matrix(n_fft, rate)
-    mel_weights, _ = mel_filterbank(rate, n_fft)
+    stft_fold, cqt_fold = stft_fold_matrix(n_fft, rate), banded_cqt_fold(n_fft, rate)
+    mel_weights = banded_mel_filterbank(rate, n_fft)
 
     spec = stft(signal, cfg.stft)
     frames: list[FrameFeatureMatrix] = list(spectral_descriptors(spec))

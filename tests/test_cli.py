@@ -897,3 +897,32 @@ def test_a_file_in_place_of_an_output_directory_fails_validation(tmp_path, capsy
     err = capsys.readouterr().err
     assert err == f"matt: cannot create directory {path}: File exists\n"
     assert tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("command, output", [
+    ("train", "ckpt/matt.ckpt"),
+    ("train", "ckpt/matt_trainlog.csv"),
+    ("evaluate", "reports/pr.csv"),
+    ("build-bags", "reports/bags.csv"),
+])
+def test_a_directory_in_place_of_an_output_file_fails_before_the_work(tmp_path, capsys,
+                                                                      monkeypatch, command,
+                                                                      output):
+    cfg = trained_synth(tmp_path)
+    if command == "train":
+        for old in (tmp_path / "ckpt").iterdir():
+            old.unlink()  # so a checkpoint or log written before the failure shows
+    path = tmp_path / output
+    path.mkdir(parents=True)
+    before = tree(tmp_path)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} ran its work")
+
+    work = {"train": "train", "evaluate": "evaluate", "build-bags": "build_bags"}[command]
+    monkeypatch.setattr(f"matt.cli.{work}", no_work)
+    capsys.readouterr()
+    assert run(command, "--config", cfg) == 1
+    err = capsys.readouterr().err
+    assert err == f"matt: cannot write {path}: Is a directory\n"
+    assert tree(tmp_path) == before  # no output file, and no other

@@ -34,8 +34,22 @@ from matt.dsp import (
     time_domain_descriptors,
     write_wav,
 )
-from matt.dsp.chroma import chroma_features, cqt_fold_matrix, stft_fold_matrix, tonnetz
-from matt.dsp.mel import DB_FLOOR, MEL_FRAMES, _fit_frames, log_mel_frames, mel_filterbank, mfcc
+from matt.dsp.chroma import (
+    banded_cqt_fold,
+    chroma_features,
+    cqt_fold_matrix,
+    stft_fold_matrix,
+    tonnetz,
+)
+from matt.dsp.mel import (
+    DB_FLOOR,
+    MEL_FRAMES,
+    _fit_frames,
+    banded_mel_filterbank,
+    log_mel_frames,
+    mel_filterbank,
+    mfcc,
+)
 from matt.dsp.signal import FRAME_BLOCK, SAMPLE_BLOCK, frame_blocks
 from matt.dsp.spectral import _AMIN, ROLLOFF_FRACTION, contrast_bands
 from matt.dsp.summarize import extract_frame_features
@@ -250,19 +264,22 @@ def test_production_geometry_equals_the_whole_track_forms():
 def test_power_squared_in_place_equals_a_separate_square(n_frames, hop, kind):
     """Extraction squares the bins in place and folds cqt once for cqt and
     cens. Each stage that reads the power must give what it gives on a
-    separate bins * bins, with its own fold per chroma variant."""
+    separate bins * bins, with its own fold per chroma variant: the folds
+    and filterbank that extraction multiplies (the banded ones for cqt and
+    mel, whose products equal the dense ones only up to reassociation; see
+    test_banded_products_equal_the_dense_products)."""
     clip = AudioSignal(samples=samples_for(n_frames, hop, kind, np.float32), sample_rate_hz=RATE)
     cfg = FeatureConfig(sample_rate=RATE, stft=StftConfig(N_FFT, hop))
     frames, mel = extract_frame_features(clip, cfg)
     bins = stft(clip, cfg.stft).bins
     power = bins * bins
-    fold_matrices = {"stft": stft_fold_matrix, "cqt": cqt_fold_matrix, "cens": cqt_fold_matrix}
+    fold_matrices = {"stft": stft_fold_matrix, "cqt": banded_cqt_fold, "cens": banded_cqt_fold}
     for variant, fold_matrix in fold_matrices.items():
         chroma = chroma_features(fold_matrix(N_FFT, RATE) @ power, variant)
         assert_same(frames[chroma.family].values, chroma.values, chroma.family)
-    cqt = chroma_features(cqt_fold_matrix(N_FFT, RATE) @ power, "cqt")
+    cqt = chroma_features(banded_cqt_fold(N_FFT, RATE) @ power, "cqt")
     assert_same(frames["tonnetz"].values, tonnetz(cqt).values, "tonnetz")
-    native_db = log_mel_frames(power, mel_filterbank(RATE, N_FFT)[0])
+    native_db = log_mel_frames(power, banded_mel_filterbank(RATE, N_FFT))
     assert_same(frames["mfcc"].values, mfcc(native_db), "mfcc")
     assert_same(mel, _fit_frames(native_db, MEL_FRAMES, DB_FLOOR), "mel")
 
@@ -336,7 +353,8 @@ PEAK_OVER_KEPT = 1.35
 def traced_peak(run):
     """Peak traced bytes of run(), from empty matrix caches as on a
     process's first track; allocation sizes do not vary between runs."""
-    for cached in (stft_fold_matrix, cqt_fold_matrix, mel_filterbank, contrast_bands):
+    for cached in (stft_fold_matrix, cqt_fold_matrix, mel_filterbank, contrast_bands,
+                   banded_cqt_fold, banded_mel_filterbank):
         cached.cache_clear()
     tracemalloc.start()
     try:

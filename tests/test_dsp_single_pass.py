@@ -33,9 +33,11 @@ from matt.dsp.chroma import (
     _cqt_filterbank,
     _max_normalize,
     _pitch_class_of_hz,
+    banded_cqt_fold,
     cqt_fold_matrix,
     stft_fold_matrix,
 )
+from matt.dsp.mel import banded_mel_filterbank
 from matt.dsp.spectral import contrast_bands
 from matt.dsp.summarize import extract_frame_features
 
@@ -135,11 +137,11 @@ def test_cqt_and_cens_chroma_share_one_fold_per_track():
     clip = AudioSignal(samples=(0.3 * rng.standard_normal(22050)).astype(np.float32),
                        sample_rate_hz=22050)
     cfg = FeatureConfig(sample_rate=22050)
-    with mock.patch("matt.dsp.summarize.cqt_fold_matrix", wraps=cqt_fold_matrix) as fold:
+    with mock.patch("matt.dsp.summarize.banded_cqt_fold", wraps=banded_cqt_fold) as fold:
         frames, _ = extract_frame_features(clip, cfg)
     assert fold.call_count == 1
     bins = stft(clip, cfg.stft).bins
-    raw = cqt_fold_matrix(cfg.stft.n_fft, 22050) @ (bins * bins)
+    raw = banded_cqt_fold(cfg.stft.n_fft, 22050) @ (bins * bins)
     assert frames["chroma_cqt"].values.tobytes() == _max_normalize(raw).tobytes()
     assert frames["chroma_cens"].values.tobytes() == _cens(raw).tobytes()
 
@@ -196,15 +198,20 @@ def test_median_selection_matches_sort_with_ties(rows, cols, values):
 
 def test_cached_matrices_are_read_only():
     weights, centers = mel_filterbank(44100, 2048)
-    for matrix in (stft_fold_matrix(2048, 44100), cqt_fold_matrix(2048, 44100), weights, centers):
+    banded = (banded_cqt_fold(2048, 44100), banded_mel_filterbank(44100, 2048))
+    blocks = [block for product in banded for _, _, block in product.blocks]
+    for matrix in (stft_fold_matrix(2048, 44100), cqt_fold_matrix(2048, 44100), weights, centers,
+                   *blocks):
         assert not matrix.flags.writeable
         with pytest.raises(ValueError):
             matrix[0] = 1.0
     assert stft_fold_matrix(2048, 44100) is stft_fold_matrix(2048, 44100)
+    assert banded_mel_filterbank(44100, 2048) is banded_mel_filterbank(44100, 2048)
 
 
 def _clear_caches():
-    for cached in (stft_fold_matrix, cqt_fold_matrix, mel_filterbank, contrast_bands):
+    for cached in (stft_fold_matrix, cqt_fold_matrix, mel_filterbank, contrast_bands,
+                   banded_cqt_fold, banded_mel_filterbank):
         cached.cache_clear()
 
 
