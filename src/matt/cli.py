@@ -36,7 +36,7 @@ from .dsp import (
     write_feature_csv,
     write_mel_cache,
 )
-from .dsp.cache import format_feature_rows, parse_feature_rows
+from .dsp.cache import format_feature_rows, parse_feature_rows, sidecar_path
 from .dsp.summarize import set_columns
 from .errors import (
     EmptyFeature,
@@ -173,7 +173,8 @@ def cmd_extract_features(args) -> int:
     table = load_metadata(cfg.metadata)
     parts_dir = cfg.feature_dir / "parts"
     mel_dir = cfg.feature_dir / "mel"
-    _make_dirs(parts_dir, mel_dir)
+    out = cfg.feature_csv()
+    _make_dirs(parts_dir, mel_dir, files=(out, sidecar_path(out)))
 
     tasks = []
     for track_id in table.track_ids:
@@ -208,7 +209,6 @@ def cmd_extract_features(args) -> int:
         except UnicodeDecodeError:
             raise NotUtf8.in_file(part) from None
     track_ids, vectors = parse_feature_rows(lines, feature_set_length("1to9"), parts_dir)
-    out = cfg.feature_csv()
     write_feature_csv(out, feature_set_columns(cfg.feature_set), track_ids,
                       vectors[:, set_columns(cfg.feature_set)])
     print(f"wrote {out} ({len(track_ids)} tracks) and {len(track_ids)} mel caches")
@@ -235,22 +235,21 @@ def cmd_build_bags(args) -> int:
 def cmd_gen_synth(args) -> int:
     cfg = _load_config(args)
     synth = replace(cfg.synth, seed=cfg.train.seed)
+    csv, manifest_path = cfg.feature_dir / "synth.csv", cfg.feature_dir / "synth.json"
+    _make_dirs(files=(cfg.metadata, csv, sidecar_path(csv), manifest_path))
     data = generate_synthetic(synth)
-    _make_dirs(cfg.metadata.parent, cfg.feature_dir)
 
     cfg.metadata.write_text("\n".join(data.metadata_lines) + "\n", encoding="utf-8")
 
     columns = [f"synth_dim_{i}" for i in range(synth.feature_dim)]
-    write_feature_csv(cfg.feature_dir / "synth.csv", columns, data.bags.table.track_ids,
-                      data.features)
+    write_feature_csv(csv, columns, data.bags.table.track_ids, data.features)
     manifest = dict(sorted(vars(synth).items()))
     manifest["bag_size_range"] = list(synth.bag_size_range)
-    (cfg.feature_dir / "synth.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
+                             encoding="utf-8")
     print(
         f"wrote {cfg.metadata} ({len(data.bags.rows)} segments, "
-        f"{len(data.bags.starts)} bags) and {cfg.feature_dir / 'synth.csv'}"
+        f"{len(data.bags.starts)} bags) and {csv}"
     )
     return 0
 
@@ -328,8 +327,15 @@ def write_predictions(fh, track_ids, names, probabilities, weights):
     a time: its id, top genre and its probability, the top five as
     genre:probability pairs joined by ';', and the attention weight, each
     number as %.9g of its exact double."""
-    top = np.argsort(-probabilities, axis=1, kind="stable")[:, :5]
-    k = top.shape[1]
+    # five argmax passes, each pick masked out; argmax returns the lowest
+    # genre id among equal maxima, as a stable descending sort would
+    k = min(5, probabilities.shape[1])
+    top = np.empty((len(probabilities), k), dtype=np.intp)
+    rest = probabilities.copy()
+    every = np.arange(len(rest))
+    for j in range(k):
+        top[:, j] = rest.argmax(axis=1)
+        rest[every, top[:, j]] = -np.inf
     name_cells = text_cells(names)
     weights = np.asarray(weights, dtype=np.float64)[:, np.newaxis]
     rows = max(1, BLOCK // (k + 1))

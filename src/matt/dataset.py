@@ -9,10 +9,8 @@ shared album.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, groupby, repeat
-from operator import itemgetter
+from itertools import repeat
 
 import numpy as np
 
@@ -116,30 +114,38 @@ def parse_metadata_lines(lines, source: str = "<memory>"):
         raise BadHeader(f"{source}: expected header {METADATA_HEADER!r}")
     # rows before the first one with a wrong field count are checked first, so
     # an earlier bad row wins; the header has five fields and is skipped below
-    n = next((i for i, ln in enumerate(rows) if ln.count(",") != 4), len(rows))
+    commas = np.fromiter(map(str.count, rows, repeat(",")), np.intp, len(rows))
+    wrong = np.flatnonzero(commas != 4)
+    n = int(wrong[0]) if len(wrong) else len(rows)
     fields = ",".join(rows[:n]).split(",")
     track_ids, album_ids, artist_ids, genres, splits = (
         tuple(map(str.strip, fields[c::5])) for c in range(5, 10)
     )
-    _check_columns(source, track_ids, genres, splits)
+    # one pass over each column: every genre's first row, every split's code
+    # (-1 if unknown) and the set of track ids; a failed check scans the rows
+    first_row = {}
+    firsts = np.fromiter(map(first_row.setdefault, genres, range(len(genres))), np.intp,
+                         len(genres))
+    codes = np.fromiter(map(SPLIT_CODES.get, splits, repeat(-1)), np.int8, len(splits))
+    unique = set(track_ids)
+    if len(unique) < len(track_ids) or "" in unique or "" in first_row or (codes < 0).any():
+        _raise_first_bad_row(source, track_ids, genres, splits)
     if n < len(rows):
         ln = rows[n].rstrip("\n")
         raise BadHeader(f"{source}: row has {ln.count(',') + 1} fields: {ln!r}")
     if not track_ids:
         raise BadHeader(f"{source}: no rows after the header")
-    genre_index = {name: i for i, name in enumerate(dict.fromkeys(genres))}
-    train = Counter(compress(genres, map("train".__eq__, splits)))
-    vocabulary = GenreVocabulary(tuple(genre_index), tuple(map(train.__getitem__, genre_index)))
-    genre_ids = tuple(map(genre_index.__getitem__, genres))
-    return SegmentTable(track_ids, album_ids, artist_ids, genre_ids, splits, vocabulary)
+    # genre ids follow first appearance, which is the order of the first rows
+    genre_ids = np.searchsorted(np.fromiter(first_row.values(), np.intp, len(first_row)), firsts)
+    train_counts = np.bincount(genre_ids[codes == SPLIT_CODES["train"]], minlength=len(first_row))
+    vocabulary = GenreVocabulary(tuple(first_row), tuple(train_counts.tolist()))
+    return SegmentTable(track_ids, album_ids, artist_ids, tuple(genre_ids.tolist()), splits,
+                        vocabulary)
 
 
-def _check_columns(source: str, track_ids, genres, splits):
-    """Check whole columns; when one fails, raise for the first bad row."""
-    unique = set(track_ids)
-    if (len(unique) == len(track_ids) and "" not in unique and "" not in genres
-            and set(splits).issubset(SPLITS)):
-        return
+def _raise_first_bad_row(source: str, track_ids, genres, splits):
+    """Raise for the first row with a missing or repeated id, an unknown split
+    or a missing genre."""
     seen: set[str] = set()
     for track_id, genre, split in zip(track_ids, genres, splits):
         if not track_id:
@@ -154,8 +160,10 @@ def _check_columns(source: str, track_ids, genres, splits):
 
 
 def load_metadata(path) -> SegmentTable:
+    """The table of a metadata file; a UTF-8 byte-order mark before the
+    header, as spreadsheet programs write one, is skipped."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return parse_metadata_lines(fh, source=str(path))
     except OSError as exc:
         raise ValidationError(f"cannot read metadata {path}: {exc}") from exc
@@ -166,49 +174,77 @@ def load_metadata(path) -> SegmentTable:
 def build_bags(table: SegmentTable, label_policy: str = "majority") -> BagSet:
     """Group segments into album-artist bags within each split.
 
-    Segments with an empty artist or album id become singleton bags. When a
-    bag's members disagree on genre, "majority" picks the most common label
-    (ties broken by lowest genre_id, with a warning); "strict" raises.
+    Bags come in (artist_id, album_id, split) order and members in track id
+    order. Segments with an empty artist or album id become singleton bags.
+    When a bag's members disagree on genre, "majority" picks the most common
+    label (ties broken by lowest genre_id, with a warning); "strict" raises.
     """
     if label_policy not in LABEL_POLICIES:
         raise InvalidConfig(f"unknown label policy {label_policy!r}")
-    # one sort orders bags by (artist, album, split) and members by track id;
-    # track ids are unique, so the row index is never compared
-    order = sorted(zip(table.artist_ids, table.album_ids, table.splits, table.track_ids,
-                       range(len(table))))
-    rows, sizes, genre_ids = [], [], []
-    for key, run in groupby(order, itemgetter(0, 1, 2)):
-        members = [r[4] for r in run]
-        labels = list(map(table.genre_ids.__getitem__, members))
-        rows += members
-        if not (key[0] and key[1]):
-            # missing metadata: every segment is its own bag
-            sizes += repeat(1, len(members))
-            genre_ids += labels
-            continue
-        distinct = sorted(set(labels))
-        if len(distinct) == 1:
-            genre_id = distinct[0]
-        elif label_policy == "strict":
+    n = len(table)
+    # one hash per row names each row's key by the key's first row; ranking
+    # the distinct keys in sorted order leaves only integers to compare
+    first_row = {}
+    keyed = zip(table.artist_ids, table.album_ids, table.splits)
+    firsts = np.fromiter(map(first_row.setdefault, keyed, range(n)), np.intp, n)
+    keys = sorted(first_row)
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.fromiter(map(first_row.__getitem__, keys), np.intp, len(keys))] = range(len(keys))
+    key_rank = rank[firsts]
+    # members in track id order, then bags in key order by a stable sort
+    by_track = _track_order(table)
+    rows = by_track[np.argsort(key_rank[by_track], kind="stable")]
+    ranks = key_rank[rows]
+    # a bag starts where the key changes, and at every row missing its artist
+    # or album: such a segment is its own bag
+    complete = np.fromiter((bool(artist and album) for artist, album, _ in keys), bool,
+                           len(keys))
+    start = ~complete[ranks]
+    start[:1] = True
+    start[1:] |= ranks[1:] != ranks[:-1]
+    starts = np.flatnonzero(start)
+    bag_of = np.cumsum(start) - 1
+    genres = np.fromiter(table.genre_ids, np.intp, n)[rows]
+    genre_ids = genres[starts]
+    mixed = np.flatnonzero(np.bincount(bag_of[genres != genre_ids[bag_of]], minlength=len(starts)))
+    if len(mixed):
+        genre_ids[mixed] = _majority_labels(table, rows[starts[mixed]], mixed, bag_of, genres,
+                                            label_policy)
+    return BagSet(table, rows, starts, genre_ids)
+
+
+def _majority_labels(table, first_rows, mixed, bag_of, genres, label_policy) -> list[int]:
+    """The majority label of each mixed bag (first_rows[i] is a row of bag
+    mixed[i]), warning for each in bag order; "strict" raises for the first
+    instead. One (mixed bag, genre) count table holds them all, its genres in
+    id order, so argmax keeps the lowest id on a tie; bags whose members agree
+    take no room in it."""
+    members = np.isin(bag_of, mixed)
+    ids, codes = np.unique(genres[members], return_inverse=True)
+    slots = np.searchsorted(mixed, bag_of[members]) * len(ids) + codes
+    counts = np.bincount(slots, minlength=len(mixed) * len(ids)).reshape(len(mixed), len(ids))
+    labels = ids[counts.argmax(axis=1)].tolist()
+    for first, label, bag_counts in zip(first_rows.tolist(), labels, counts):
+        key = (table.artist_ids[first], table.album_ids[first], table.splits[first])
+        distinct = ids[bag_counts > 0].tolist()
+        if label_policy == "strict":
             raise InconsistentBagLabel(
-                f"bag {key} mixes genres {distinct} across {len(labels)} segments"
+                f"bag {key} mixes genres {distinct} across {int(bag_counts.sum())} segments"
             )
-        else:
-            genre_id = max(distinct, key=labels.count)  # a tie keeps the first, lowest id
-            log.warning(
-                "bag %s mixes genres %s; majority label %d chosen", key, distinct, genre_id
-            )
-        sizes.append(len(members))
-        genre_ids.append(genre_id)
-    sizes = np.array(sizes, dtype=np.intp)
-    return BagSet(table, np.array(rows, dtype=np.intp), np.cumsum(sizes) - sizes,
-                  np.array(genre_ids, dtype=np.intp))
+        log.warning("bag %s mixes genres %s; majority label %d chosen", key, distinct, label)
+    return labels
 
 
 def segment_bags(table: SegmentTable) -> BagSet:
     """Every segment as its own bag with its own genre, in track id order."""
-    rows = np.array(sorted(range(len(table)), key=table.track_ids.__getitem__), dtype=np.intp)
-    return BagSet(table, rows, np.arange(len(rows)), np.array(table.genre_ids)[rows])
+    rows = _track_order(table)
+    return BagSet(table, rows, np.arange(len(rows)), np.fromiter(table.genre_ids, np.intp)[rows])
+
+
+def _track_order(table: SegmentTable) -> np.ndarray:
+    """The table's rows in track id order."""
+    return np.fromiter(sorted(range(len(table)), key=table.track_ids.__getitem__), np.intp,
+                       len(table))
 
 
 def align_features(wanted_ids, track_ids, values: np.ndarray) -> np.ndarray:
@@ -216,9 +252,10 @@ def align_features(wanted_ids, track_ids, values: np.ndarray) -> np.ndarray:
     order. A wanted id with no row raises MissingFeature naming the first."""
     row_of = dict(zip(track_ids, range(len(track_ids))))
     try:
-        return values[list(map(row_of.__getitem__, wanted_ids))]
+        index = np.fromiter(map(row_of.__getitem__, wanted_ids), np.intp, len(wanted_ids))
     except KeyError as exc:
         raise MissingFeature(f"no features for segment {exc.args[0]!r}") from None
+    return values[index]
 
 
 def save_bags_csv(path, bags: BagSet):

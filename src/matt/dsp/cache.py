@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +36,11 @@ SIDECAR_HEAD = struct.Struct("<4sI32sIII")
 
 
 WRITE_BLOCK = BLOCK  # values formatted and written per block (at least one row)
+
+
+def sidecar_path(csv_path) -> Path:
+    """The binary sidecar that write_feature_csv leaves beside csv_path."""
+    return Path(f"{csv_path}.bin")
 
 
 def format_feature_rows(track_ids: list[str], matrix: np.ndarray) -> str:
@@ -85,7 +91,7 @@ def write_feature_csv(path, columns: list[str], track_ids: list[str], values: np
         sidecar.seek(0)
         sidecar.write(hashlib.file_digest(sidecar, "sha256").digest())
     os.replace(tmp, path)
-    os.replace(tmp_sidecar, f"{path}.bin")
+    os.replace(tmp_sidecar, sidecar_path(path))
 
 
 def _check_names(path, columns: list[str], track_ids: list[str]):
@@ -117,13 +123,14 @@ def read_feature_csv(path) -> tuple[list[str], np.ndarray]:
     """Returns (track_ids, (n, D) float32 rows); the header is not checked against a set.
 
     The sidecar `<path>.bin` is served when it is valid for the CSV's current
-    bytes; any other CSV, edited or hand-written, is parsed as text.
+    bytes; any other CSV, edited or hand-written, is parsed as text, skipping
+    a UTF-8 byte-order mark before the header.
     """
     try:
         table = _read_sidecar(path)
         if table is not None:
             return table
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     except UnicodeDecodeError:
         raise NotUtf8.in_file(path) from None
@@ -139,7 +146,7 @@ def _read_sidecar(csv_path) -> tuple[list[str], np.ndarray] | None:
     version, size, stored CSV digest and checksum all match and it holds
     `rows` distinct UTF-8 ids. Only an error reading the CSV itself is raised."""
     try:
-        fh = open(f"{csv_path}.bin", "rb")
+        fh = open(sidecar_path(csv_path), "rb")
     except OSError:
         return None
     with fh:

@@ -272,6 +272,24 @@ def test_non_utf8_text_names_the_file_and_line(tmp_path, reader):
         reader(path)
 
 
+def test_metadata_with_a_utf8_byte_order_mark_reads_as_without(tmp_path):
+    # spreadsheet programs save "CSV UTF-8" with a byte-order mark
+    text = "track_id,album_id,artist_id,genre,split\nt1,a,p,rock,train\nt2,,p,jazz,test\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_metadata(marked) == load_metadata(plain)
+
+
+def test_feature_csv_text_with_a_utf8_byte_order_mark_reads_as_without(tmp_path):
+    text = "track_id,x_0,x_1\nt1,1,2\nt2,3.5,-4\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert_same_table(read_parsed(marked), read_parsed(plain))
+
+
 sidecar_cells = st.one_of(
     st.sampled_from(SPECIAL_FLOAT32),
     st.floats(width=32, allow_nan=True),
@@ -452,6 +470,10 @@ def test_predictions_equal_the_per_line_reference(n_genres):
     probabilities /= probabilities.sum(axis=1, keepdims=True)
     probabilities[0] = 1.0 / n_genres  # every genre tied
     probabilities[1, 0] = 1e-300
+    # partly tied: with nine genres, 2, 5 and 8 share the top value and the
+    # other six share a lower one, so the five picks cross two ties
+    shares = np.where(np.arange(n_genres) % 3 == 2, 3.0, 1.0)
+    probabilities[2] = shares / shares.sum()
     weights = np.concatenate([[1.0, 0.25, 1e-12, 123456.5], rng.uniform(0, 1, 3)])
     names = [f"genre{g}" for g in range(n_genres)]
     track_ids = [f"t{i}" for i in range(7)]

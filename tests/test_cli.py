@@ -904,6 +904,10 @@ def test_a_file_in_place_of_an_output_directory_fails_validation(tmp_path, capsy
     ("train", "ckpt/matt_trainlog.csv"),
     ("evaluate", "reports/pr.csv"),
     ("build-bags", "reports/bags.csv"),
+    ("gen-synth", "metadata.csv"),
+    ("gen-synth", "features/synth.csv"),
+    ("gen-synth", "features/synth.csv.bin"),
+    ("gen-synth", "features/synth.json"),
 ])
 def test_a_directory_in_place_of_an_output_file_fails_before_the_work(tmp_path, capsys,
                                                                       monkeypatch, command,
@@ -913,16 +917,37 @@ def test_a_directory_in_place_of_an_output_file_fails_before_the_work(tmp_path, 
         for old in (tmp_path / "ckpt").iterdir():
             old.unlink()  # so a checkpoint or log written before the failure shows
     path = tmp_path / output
+    path.unlink(missing_ok=True)
     path.mkdir(parents=True)
     before = tree(tmp_path)
 
     def no_work(*args, **kwargs):
         raise AssertionError(f"{command} ran its work")
 
-    work = {"train": "train", "evaluate": "evaluate", "build-bags": "build_bags"}[command]
+    work = {"train": "train", "evaluate": "evaluate", "build-bags": "build_bags",
+            "gen-synth": "generate_synthetic"}[command]
     monkeypatch.setattr(f"matt.cli.{work}", no_work)
     capsys.readouterr()
     assert run(command, "--config", cfg) == 1
     err = capsys.readouterr().err
     assert err == f"matt: cannot write {path}: Is a directory\n"
     assert tree(tmp_path) == before  # no output file, and no other
+
+
+@pytest.mark.parametrize("output", ["3+6.csv", "3+6.csv.bin"])
+def test_extract_features_checks_its_output_files_before_the_work(corpus, capsys, monkeypatch,
+                                                                  output):
+    root, cfg = corpus
+    path = root / "features" / output
+    path.mkdir(parents=True)
+    before = tree(root)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("extract-features ran its work")
+
+    monkeypatch.setattr("matt.cli._extract_one", no_work)
+    capsys.readouterr()
+    assert run("extract-features", "--config", cfg, "--workers", 1) == 1
+    err = capsys.readouterr().err
+    assert err == f"matt: cannot write {path}: Is a directory\n"
+    assert tree(root) == before  # no parts, no mel caches and no .tmp file
