@@ -61,11 +61,7 @@ class SegmentTable:
     genre_ids: tuple[int, ...]
     splits: tuple[str, ...]
     vocabulary: GenreVocabulary
-    split_codes: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        codes = map(SPLIT_CODES.__getitem__, self.splits)
-        object.__setattr__(self, "split_codes", np.fromiter(codes, np.int8, len(self.splits)))
+    split_codes: np.ndarray = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.track_ids)
@@ -140,7 +136,7 @@ def parse_metadata_lines(lines, source: str = "<memory>"):
     train_counts = np.bincount(genre_ids[codes == SPLIT_CODES["train"]], minlength=len(first_row))
     vocabulary = GenreVocabulary(tuple(first_row), tuple(train_counts.tolist()))
     return SegmentTable(track_ids, album_ids, artist_ids, tuple(genre_ids.tolist()), splits,
-                        vocabulary)
+                        vocabulary, codes)
 
 
 def _raise_first_bad_row(source: str, track_ids, genres, splits):

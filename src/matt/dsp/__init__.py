@@ -31,37 +31,3 @@ from .cache import (
     write_feature_csv,
     write_mel_cache,
 )
-
-__all__ = [
-    "AudioSignal",
-    "downmix_and_validate",
-    "frame_signal",
-    "time_domain_descriptors",
-    "StftConfig",
-    "hann_window",
-    "stft",
-    "DB_FLOOR",
-    "dct_matrix",
-    "hz_to_mel",
-    "mel_filterbank",
-    "mel_to_hz",
-    "mfcc",
-    "FAMILY_BASE_DIMS",
-    "FrameFeatureMatrix",
-    "chroma_features",
-    "tonnetz",
-    "spectral_descriptors",
-    "FAMILY_ORDER",
-    "FEATURE_SETS",
-    "FeatureConfig",
-    "extract_feature_sets",
-    "feature_set_columns",
-    "feature_set_length",
-    "summarize",
-    "read_wav",
-    "write_wav",
-    "read_feature_csv",
-    "read_mel_cache",
-    "write_feature_csv",
-    "write_mel_cache",
-]

@@ -35,9 +35,6 @@ FEATURE_VERSION = 1
 SIDECAR_HEAD = struct.Struct("<4sI32sIII")
 
 
-WRITE_BLOCK = BLOCK  # values formatted and written per block (at least one row)
-
-
 def sidecar_path(csv_path) -> Path:
     """The binary sidecar that write_feature_csv leaves beside csv_path."""
     return Path(f"{csv_path}.bin")
@@ -61,8 +58,9 @@ def write_feature_csv(path, columns: list[str], track_ids: list[str], values: np
     For a named feature set, pass feature_set_columns(set_name) as columns.
     Values are stored as float32. A repeated id or a values shape other than
     (len(track_ids), len(columns)) is rejected before any file is written.
-    Both files are written block by block, WRITE_BLOCK values at a time; the
-    sidecar's CSV digest and checksum are filled in at the end.
+    Both files are written block by block, textfmt.BLOCK values (at least one
+    row) at a time; the sidecar's CSV digest and checksum are filled in at
+    the end.
     """
     if values.shape != (len(track_ids), len(columns)):
         raise ShapeError(f"{path}: values {values.shape} != {(len(track_ids), len(columns))}")
@@ -77,7 +75,7 @@ def write_feature_csv(path, columns: list[str], track_ids: list[str], values: np
     with open(tmp, "wb") as csv, open(tmp_sidecar, "w+b") as sidecar:
         _write_hashed(csv, csv_digest, ("track_id," + ",".join(columns) + "\n").encode("utf-8"))
         _write_sidecar_head(sidecar, track_ids, len(columns))
-        rows = max(1, WRITE_BLOCK // len(columns))
+        rows = max(1, BLOCK // len(columns))
         for i in range(0, len(track_ids), rows):
             block = track_ids[i : i + rows]
             # a fancy-index copy: the NaN rewrite below leaves the caller's values as they are

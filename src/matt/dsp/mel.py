@@ -72,20 +72,17 @@ def triangular_filters(edges_hz: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def mel_filterbank(rate: int, n_fft: int):
-    """Triangular Slaney-scale filterbank spanning 0 Hz to Nyquist.
-
-    Returns (weights, centers_hz): weights is (N_MELS, n_fft//2 + 1) with
-    area-normalized non-negative rows, centers_hz the designed peak frequency
-    of each filter (strictly increasing). Both are built once per argument
-    tuple and returned read-only.
+    """Triangular Slaney-scale filterbank spanning 0 Hz to Nyquist: the
+    (N_MELS, n_fft//2 + 1) weights, with area-normalized non-negative rows.
+    Filter i peaks at the (i + 1)-th of N_MELS + 2 mel-spaced edges. Built
+    once per argument tuple and returned read-only.
     """
     edges_hz = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(rate / 2.0), N_MELS + 2))
     weights = triangular_filters(edges_hz, np.fft.rfftfreq(n_fft, 1.0 / rate))
     area = 2.0 / (edges_hz[2:] - edges_hz[:-2])
     weights *= area[:, np.newaxis]
-    centers = edges_hz[1:-1].copy()
-    weights.flags.writeable = centers.flags.writeable = False
-    return weights, centers
+    weights.flags.writeable = False
+    return weights
 
 
 @dataclass(frozen=True)
@@ -125,7 +122,7 @@ class BandedWeights:
 def banded_mel_filterbank(rate: int, n_fft: int) -> BandedWeights:
     """The weights of mel_filterbank as blocks of BAND_ROWS filters (see
     BandedWeights), built once per argument tuple."""
-    return BandedWeights.of(mel_filterbank(rate, n_fft)[0], BAND_ROWS)
+    return BandedWeights.of(mel_filterbank(rate, n_fft), BAND_ROWS)
 
 
 def power_to_db(power: np.ndarray) -> np.ndarray:

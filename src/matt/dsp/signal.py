@@ -77,7 +77,7 @@ class PaddedFrames:
     one read-only strided view of the samples in their own dtype. Only the
     frames that reach into the reflect padding come from a small padded head
     and tail. Indexing with a slice of rows gives those frames as an array
-    (a view unless the rows span a head or tail edge); np.asarray gives the
+    (a view unless the rows span a head or tail edge), so frames[:] is the
     whole frame matrix. interior gives the interior frames' samples once
     each, for readers that go by hop-sized chunks (time_domain_descriptors).
     """
@@ -103,11 +103,6 @@ class PaddedFrames:
                 pieces.append(part[lo:hi])
             offset += len(part)
         return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-
-    def __array__(self, dtype=None, copy=None):
-        if copy is False:
-            raise ValueError("the frame matrix is always a copy")
-        return np.asarray(np.concatenate(self.parts), dtype=dtype)
 
 
 def _strided_frames(x: np.ndarray, n_frames: int, n_fft: int, hop: int) -> np.ndarray:

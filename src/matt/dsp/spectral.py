@@ -18,39 +18,6 @@ ROLLOFF_FRACTION = 0.85
 _AMIN = 1e-10
 
 
-def _centroid_bandwidth(S: np.ndarray, freqs: np.ndarray):
-    per_frame = S.T  # (n_frames, bins): contiguous rows for an STFT's magnitudes
-    total = per_frame.sum(axis=1)
-    silent = total <= 0.0
-    safe_total = np.where(silent, 1.0, total)
-    centroid = (per_frame @ freqs) / safe_total
-    centroid[silent] = 0.0
-    # deviation form: the expanded sum(f^2 S) - c^2 sum(S) cancels badly on
-    # narrowband frames
-    spread = np.empty_like(centroid)
-    for rows in frame_blocks(centroid.size):
-        deviation = np.subtract.outer(centroid[rows], freqs)
-        np.square(deviation, out=deviation)
-        spread[rows] = np.einsum("tf,tf->t", deviation, per_frame[rows])
-    bandwidth = np.sqrt(spread / safe_total)
-    bandwidth[silent] = 0.0
-    return centroid, bandwidth
-
-
-def _rolloff(S: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    per_frame = S.T
-    idx = np.empty(per_frame.shape[0], dtype=np.intp)
-    silent = np.empty(per_frame.shape[0], dtype=bool)
-    for rows in frame_blocks(per_frame.shape[0]):
-        cum = np.cumsum(per_frame[rows], axis=1)
-        total = cum[:, -1]
-        silent[rows] = total <= 0.0
-        idx[rows] = (cum >= (ROLLOFF_FRACTION * total)[:, np.newaxis]).argmax(axis=1)
-    out = freqs[idx]
-    out[silent] = 0.0
-    return out
-
-
 @lru_cache(maxsize=16)
 def contrast_bands(n_fft: int, sample_rate: int) -> tuple[tuple[int, int, int], ...]:
     """(start, stop, take) for each of the CONTRAST_BANDS + 1 contrast bands.
@@ -88,35 +55,49 @@ def contrast_bands(n_fft: int, sample_rate: int) -> tuple[tuple[int, int, int], 
     return tuple(bands)
 
 
-def _contrast(S: np.ndarray, bands) -> np.ndarray:
-    """Per-band dB gap between the top and bottom magnitude quantiles."""
-    per_frame = S.T
-    valley = np.empty((len(bands), per_frame.shape[0]))
-    peak = np.empty_like(valley)
-    for rows in frame_blocks(per_frame.shape[0]):
-        for k, (start, stop, take) in enumerate(bands):
-            ordered = np.sort(per_frame[rows, start:stop], axis=1)
-            np.add.reduce(ordered[:, :take], axis=1, out=valley[k, rows])
-            np.add.reduce(ordered[:, -take:], axis=1, out=peak[k, rows])
-    takes = np.array([take for _, _, take in bands], dtype=float)[:, np.newaxis]
-    valley /= takes  # the means, divided as np.mean divides
-    peak /= takes
-    return 10.0 * (np.log10(np.maximum(peak, _AMIN)) - np.log10(np.maximum(valley, _AMIN)))
-
-
 def spectral_descriptors(spec: MagnitudeSpectrogram):
     """Returns (centroid, bandwidth, contrast, rolloff) frame matrices.
 
     Centroid and bandwidth are the magnitude-weighted mean and standard
     deviation of bin frequency in Hz; rolloff is the lowest frequency holding
     85% of the cumulative magnitude. Silent frames yield 0 for all three.
-    Contrast has one row per band of contrast_bands.
+    Contrast has one row per band of contrast_bands: the dB gap between the
+    means of the band's top and bottom magnitude quantiles. All four are
+    read from one pass over blocks of FRAME_BLOCK frames.
     """
-    S = spec.bins
+    per_frame = spec.bins.T  # (n_frames, bins): contiguous rows for an STFT's magnitudes
     freqs = spec.bin_frequencies_hz()
-    centroid, bandwidth = _centroid_bandwidth(S, freqs)
-    contrast = _contrast(S, contrast_bands(spec.config.n_fft, spec.sample_rate_hz))
-    rolloff = _rolloff(S, freqs)
+    bands = contrast_bands(spec.config.n_fft, spec.sample_rate_hz)
+    n_frames = per_frame.shape[0]
+    centroid, bandwidth, rolloff = np.empty((3, n_frames))
+    valley, peak = np.empty((2, len(bands), n_frames))
+    # magnitudes are non-negative, so a frame's sum and its cumulative sum are
+    # both 0 exactly on the silent frames
+    silent = np.empty(n_frames, dtype=bool)
+    for rows in frame_blocks(n_frames):
+        block = per_frame[rows]
+        total = block.sum(axis=1)
+        silent[rows] = total <= 0.0
+        total[silent[rows]] = 1.0
+        centroid[rows] = (block @ freqs) / total
+        # deviation form: the expanded sum(f^2 S) - c^2 sum(S) cancels badly on
+        # narrowband frames
+        deviation = np.subtract.outer(centroid[rows], freqs)
+        np.square(deviation, out=deviation)
+        bandwidth[rows] = np.sqrt(np.einsum("tf,tf->t", deviation, block) / total)
+        cum = np.cumsum(block, axis=1, out=deviation)  # the deviations are done with
+        reached = cum >= (ROLLOFF_FRACTION * cum[:, -1])[:, np.newaxis]
+        rolloff[rows] = freqs[reached.argmax(axis=1)]
+        for k, (start, stop, take) in enumerate(bands):
+            ordered = np.sort(block[:, start:stop], axis=1)
+            np.add.reduce(ordered[:, :take], axis=1, out=valley[k, rows])
+            np.add.reduce(ordered[:, -take:], axis=1, out=peak[k, rows])
+    for values in (centroid, bandwidth, rolloff):
+        values[silent] = 0.0
+    takes = np.array([take for _, _, take in bands], dtype=float)[:, np.newaxis]
+    valley /= takes  # the means, divided as np.mean divides
+    peak /= takes
+    contrast = 10.0 * (np.log10(np.maximum(peak, _AMIN)) - np.log10(np.maximum(valley, _AMIN)))
     return (
         FrameFeatureMatrix(values=centroid[np.newaxis, :], family="spec_centroid"),
         FrameFeatureMatrix(values=bandwidth[np.newaxis, :], family="spec_bandwidth"),

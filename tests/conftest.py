@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from matt.dataset import SPLITS
 from matt.dsp import AudioSignal, FeatureConfig, StftConfig, extract_feature_sets
 
 RATE = 44100
@@ -25,6 +26,11 @@ def noisy_clip(seconds: float = 1.5, seed: int = 0, rate: int = RATE):
     return AudioSignal(
         samples=np.clip(samples, -1.0, 1.0).astype(np.float32), sample_rate_hz=rate
     )
+
+
+def split_codes(splits):
+    """The SegmentTable.split_codes column of a splits column."""
+    return np.array([SPLITS.index(split) for split in splits], dtype=np.int8)
 
 
 def bag_list(bags):

@@ -188,7 +188,7 @@ def test_criterion_5_dsp_analytic_suite():
     sig = tone(997.0, seconds=0.3, amplitude=0.8)
     spec2 = stft(sig, cfg)
     frames = frame_signal(sig.samples, cfg.n_fft, cfg.hop, cfg.center_pad)
-    windowed = frames * hann_window(cfg.n_fft)
+    windowed = frames[:] * hann_window(cfg.n_fft)
     time_energy = cfg.n_fft * np.sum(windowed**2, axis=1)
     mags2 = spec2.bins**2
     freq_energy = 2.0 * mags2.sum(axis=0) - mags2[0] - mags2[-1]

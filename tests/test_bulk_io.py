@@ -24,7 +24,6 @@ from matt.dsp.cache import (
     FEATURE_MAGIC,
     FEATURE_VERSION,
     SIDECAR_HEAD,
-    WRITE_BLOCK,
     format_feature_rows,
     parse_feature_rows,
 )
@@ -191,7 +190,7 @@ def test_feature_csv_write_equals_the_per_cell_reference(tmp_path_factory, value
     assert (out / "fast.csv").read_bytes() == (out / "reference.csv").read_bytes()
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, WRITE_BLOCK, WRITE_BLOCK + 3])
+@pytest.mark.parametrize("n_rows", [0, 1, BLOCK, BLOCK + 3])
 def test_feature_csv_write_blocks_equal_the_per_cell_reference(tmp_path, n_rows):
     # every float32 bit pattern is equally likely, subnormals and -0.0 included
     bits = np.random.default_rng(n_rows).integers(0, 2**32, size=(n_rows, 5), dtype=np.uint32)

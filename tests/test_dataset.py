@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bag_list
+from conftest import bag_list, split_codes
 from matt.dataset import (
     SPLITS,
     BagSet,
@@ -299,6 +299,7 @@ def assert_table_equals_reference(table, expected):
     assert (table.vocabulary.names, table.vocabulary.train_counts) == (names, counts)
     columns = (table.track_ids, table.album_ids, table.artist_ids, table.genre_ids, table.splits)
     assert columns == tuple(zip(*records))
+    assert table.split_codes.tolist() == [SPLITS.index(s) for s in table.splits]
     for policy in ("strict", "majority"):
         assert outcome(build_bags_logged, table, policy) == outcome(
             reference_build_bags, records, policy
@@ -411,18 +412,21 @@ def segment_tables(draw):
     n = len(track_ids)
     column = lambda values: st.lists(st.sampled_from(values), min_size=n, max_size=n)  # noqa: E731
     vocabulary = GenreVocabulary(("rock", "jazz", "pop"), (0, 0, 0))
+    splits = tuple(draw(column(list(SPLITS))))
     return SegmentTable(
         track_ids=tuple(track_ids),
         album_ids=tuple(draw(column(["", "p1", "p2"]))),
         artist_ids=tuple(draw(column(["", "a1", "a2"]))),
         genre_ids=tuple(draw(column([0, 1, 2]))),
-        splits=tuple(draw(column(list(SPLITS)))),
+        splits=splits,
         vocabulary=vocabulary,
+        split_codes=split_codes(splits),
     )
 
 
 ONE_ROW = SegmentTable(("t1",), ("",), ("",), (2,), ("test",),
-                       GenreVocabulary(("rock", "jazz", "pop"), (0, 0, 0)))
+                       GenreVocabulary(("rock", "jazz", "pop"), (0, 0, 0)),
+                       split_codes(["test"]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -439,7 +443,6 @@ def test_segment_bags_equals_the_row_sort_reference(table):
 @example(table=ONE_ROW)
 @given(table=segment_tables())
 def test_split_equals_the_reference_bags_of_that_split(table):
-    assert table.split_codes.tolist() == [SPLITS.index(s) for s in table.splits]
     records = list(zip(table.track_ids, table.album_ids, table.artist_ids, table.genre_ids,
                        table.splits))
     cases = [(segment_bags(table), reference_segment_bags(table))]

@@ -170,7 +170,7 @@ def assert_frames_equal_the_padded_reference(frames, samples, n_fft, hop, center
         assert block.tobytes() == reference[rows].tobytes(), rows
         if rows.start * hop >= pad and (rows.stop - 1) * hop - pad + n_fft <= samples.size:
             assert np.shares_memory(block, samples), rows
-    whole = np.asarray(frames)
+    whole = frames[:]
     assert whole.dtype == samples.dtype
     assert whole.tobytes() == reference.tobytes()
 
@@ -376,6 +376,25 @@ def test_extraction_peak_stays_near_what_the_spectrogram_keeps():
     kept = spectrogram_bytes(n, cfg)
     peak = traced_peak(lambda: extract_feature_sets(clip, cfg))
     assert peak < PEAK_OVER_KEPT * kept, f"peak {peak / 1e6:.1f} MB, kept {kept / 1e6:.1f} MB"
+
+
+# The spectral pass holds 3.7 blocks of FRAME_BLOCK float64 bins beyond its
+# outputs at 36 s: the deviations, reused for the cumulative sums, two
+# sorted contrast bands and the per-band sums. A whole-track temporary, such
+# as a cumulative sum or deviation matrix of every frame, would take 48.
+SPECTRAL_BLOCKS = 5
+
+
+def test_the_spectral_pass_allocates_a_few_blocks_beyond_its_outputs():
+    cfg = FeatureConfig()
+    n = 36 * cfg.sample_rate
+    samples = (0.3 * np.random.default_rng(7).standard_normal(n)).astype(np.float32)
+    spec = stft(AudioSignal(samples=samples, sample_rate_hz=cfg.sample_rate), cfg.stft)
+    n_bins, n_frames = spec.bins.shape
+    outputs = 8 * n_frames * 10  # centroid, bandwidth, rolloff and 7 contrast rows
+    block = 8 * FRAME_BLOCK * n_bins
+    peak = traced_peak(lambda: spectral_descriptors(spec))
+    assert peak - outputs < SPECTRAL_BLOCKS * block, f"{(peak - outputs) / block:.1f} blocks"
 
 
 def test_a_stereo_track_extracts_without_its_decoded_channels(tmp_path):

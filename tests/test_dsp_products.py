@@ -41,7 +41,7 @@ def partly_silent(n, seed, dtype=np.float32):
 
 def dense_and_banded(rate, n_fft):
     return [
-        (mel_filterbank(rate, n_fft)[0], banded_mel_filterbank(rate, n_fft)),
+        (mel_filterbank(rate, n_fft), banded_mel_filterbank(rate, n_fft)),
         (cqt_fold_matrix(n_fft, rate), banded_cqt_fold(n_fft, rate)),
     ]
 

@@ -25,15 +25,19 @@ def test_mel_hz_round_trip():
 
 
 def test_filterbank_rows_positive_and_centers_increasing():
-    weights, centers = mel_filterbank(RATE, 2048)
+    weights = mel_filterbank(RATE, 2048)
     assert weights.shape == (96, 1025)
     assert np.all(weights >= 0.0)
     assert np.all(weights.sum(axis=1) > 0.0)
+    # filter i is designed to peak at the (i + 1)-th of 98 mel-spaced edges
+    centers = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(RATE / 2.0), 98))[1:-1]
     assert np.all(np.diff(centers) > 0.0)
+    peaks = np.fft.rfftfreq(2048, 1.0 / RATE)[weights.argmax(axis=1)]
+    assert np.all(np.abs(peaks - centers) <= RATE / 2048)
 
 
 def test_filterbank_rows_unimodal():
-    weights, _ = mel_filterbank(RATE, 2048)
+    weights = mel_filterbank(RATE, 2048)
     for row in weights:
         peak = row.argmax()
         assert np.all(np.diff(row[: peak + 1]) >= 0.0)

@@ -36,7 +36,7 @@ def test_parseval_identity_against_time_domain_energy(stft_cfg):
     sig = tone(997.0, seconds=0.3, amplitude=0.8)
     spec = stft(sig, stft_cfg)
     frames = frame_signal(sig.samples, stft_cfg.n_fft, stft_cfg.hop, stft_cfg.center_pad)
-    windowed = frames * hann_window(stft_cfg.n_fft)
+    windowed = frames[:] * hann_window(stft_cfg.n_fft)
     time_energy = stft_cfg.n_fft * np.sum(windowed**2, axis=1)
     mags2 = spec.bins**2
     freq_energy = 2.0 * mags2.sum(axis=0) - mags2[0] - mags2[-1]

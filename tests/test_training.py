@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bag_list
+from conftest import bag_list, split_codes
 from matt import training
 from matt.dataset import (
     BagSet,
@@ -382,7 +382,8 @@ def ragged_data(seed=0, dim=6, n_genres=3):
     # the table lists the records in a shuffled order; rows maps bag order onto it
     order = rng.permutation(len(records))
     vocabulary = GenreVocabulary(tuple(f"g{g}" for g in range(n_genres)), (1,) * n_genres)
-    table = SegmentTable(*map(tuple, zip(*(records[i] for i in order))), vocabulary)
+    columns = list(map(tuple, zip(*(records[i] for i in order))))
+    table = SegmentTable(*columns, vocabulary, split_codes(columns[4]))
     starts = np.cumsum(sizes) - sizes
     X = np.array(vectors)[order]  # one feature row per table row
     return BagSet(table, np.argsort(order), starts, np.array(genre_ids)), X
@@ -438,6 +439,7 @@ def test_singleton_bags_train_bitwise_equal_under_matt_and_mean(
         tuple(f"s{i:02d}" for i in range(n_segments)), ("",) * n_segments, ("",) * n_segments,
         tuple(genre_ids.tolist()), tuple(splits),
         GenreVocabulary(tuple(f"g{g}" for g in range(n_genres)), tuple(counts.tolist())),
+        split_codes(splits),
     )
     X = rng.standard_normal((n_segments, 4)).astype(np.float32)
     trained = {}
