@@ -1,13 +1,14 @@
 """Binary checkpoint files for model parameters.
 
-Layout: magic "MATT", version u32=1, parameter count u32, then for each
+Layout: magic "MATT", version u32=2, parameter count u32, then for each
 parameter: name length u16, UTF-8 name bytes, rows u32, cols u32, row-major
-float64 little-endian data. One-dimensional parameters are stored as a
-single column.
+float64 little-endian data, and last the SHA-256 of every byte before it.
+One-dimensional parameters are stored as a single column.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 
@@ -17,7 +18,8 @@ from .errors import ShapeError
 from .numeric import ParamStore
 
 MAGIC = b"MATT"
-VERSION = 1
+VERSION = 2
+DIGEST_BYTES = 32
 
 
 class BadCheckpoint(ShapeError):
@@ -41,6 +43,7 @@ def save_checkpoint(path, store: ParamStore):
         blob += encoded
         blob += struct.pack("<II", rows, cols)
         blob += np.ascontiguousarray(value, dtype="<f8").tobytes()
+    blob += hashlib.sha256(blob).digest()
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         fh.write(bytes(blob))
@@ -50,8 +53,10 @@ def save_checkpoint(path, store: ParamStore):
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read parameters back as a name -> (rows, cols) float64 dict.
 
-    A parameter holding a NaN or infinite value is a BadCheckpoint: scores
-    computed from it would rank and print as if they were numbers."""
+    The trailing digest is checked before anything is parsed, so a cut or
+    altered file is a BadCheckpoint rather than other weights. A parameter
+    holding a NaN or infinite value is a BadCheckpoint too: scores computed
+    from it would rank and print as if they were numbers."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -59,12 +64,15 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         raise BadCheckpoint(f"cannot read checkpoint {path}: {exc}") from exc
     if data[:4] != MAGIC:
         raise BadCheckpoint(f"{path}: bad magic {data[:4]!r}")
-    offset = 4
+    if len(data) >= 8 and (version := struct.unpack_from("<I", data, 4)[0]) != VERSION:
+        raise BadCheckpoint(f"{path}: unsupported version {version}")
+    data, digest = data[:-DIGEST_BYTES], data[-DIGEST_BYTES:]
+    if len(data) < 12 or hashlib.sha256(data).digest() != digest:
+        raise BadCheckpoint(f"{path}: checksum mismatch, the file is cut or altered")
+    offset = 8
     params = {}
     try:
-        version, count = struct.unpack_from("<II", data, offset)
-        if version != VERSION:
-            raise BadCheckpoint(f"{path}: unsupported version {version}")
+        (count,) = struct.unpack_from("<I", data, offset)
         offset = 12
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", data, offset)

@@ -124,7 +124,7 @@ def build_parser() -> CliParser:
 def _load_config(args) -> RunConfig:
     """The config file, then each flag named like a config key that was given."""
     flags = {key: getattr(args, key) for key in KEYS if getattr(args, key, None) is not None}
-    return with_keys(load_run_config(args.config), flags).validate()
+    return with_keys(load_run_config(args.config), flags)
 
 
 def _make_dirs(*dirs: Path, files=()):
@@ -147,15 +147,13 @@ def _make_dirs(*dirs: Path, files=()):
 
 def _extract_one(task) -> str:
     """Worker: read one WAV, write its feature part and mel cache atomically."""
-    track_id, wav_path, part_path, mel_path, feat_cfg = task
+    track_id, wav_path, part_path, mel_path, (sample_rate, stft_cfg) = task
     channels, rate = read_wav(wav_path)
-    if rate != feat_cfg.sample_rate:
-        raise SampleRateMismatch(
-            f"{wav_path}: {rate} Hz, configured {feat_cfg.sample_rate} Hz"
-        )
+    if rate != sample_rate:
+        raise SampleRateMismatch(f"{wav_path}: {rate} Hz, configured {sample_rate} Hz")
     signal = downmix_and_validate(channels, rate)
     del channels  # frees a stereo track's decoded samples before extraction
-    result = extract_feature_sets(signal, feat_cfg)
+    result = extract_feature_sets(signal, stft_cfg)
     vector = result.vector.astype(np.float32)
     tmp = f"{part_path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -169,7 +167,6 @@ def cmd_extract_features(args) -> int:
     cfg = _load_config(args)
     if cfg.feature_set == "synth":
         raise ValidationError("feature_set 'synth' comes from gen-synth, not extraction")
-    feat_cfg = cfg.feature_config()
     table = load_metadata(cfg.metadata)
     parts_dir = cfg.feature_dir / "parts"
     mel_dir = cfg.feature_dir / "mel"
@@ -185,7 +182,7 @@ def cmd_extract_features(args) -> int:
         wav = cfg.audio_dir / f"{track_id}.wav"
         if not wav.exists():
             raise ValidationError(f"missing audio file {wav}")
-        tasks.append((track_id, str(wav), str(part), str(mel), feat_cfg))
+        tasks.append((track_id, str(wav), str(part), str(mel), (cfg.sample_rate, cfg.stft)))
 
     if tasks:
         workers = min(max(1, args.workers or 1), len(tasks))
@@ -257,7 +254,8 @@ def cmd_gen_synth(args) -> int:
 def _load_features(cfg: RunConfig):
     path = cfg.feature_csv()
     if not path.exists():
-        raise ValidationError(f"feature cache {path} not found; run extract-features")
+        writer = "gen-synth" if cfg.feature_set == "synth" else "extract-features"
+        raise ValidationError(f"feature cache {path} not found; run {writer}")
     track_ids, values = read_feature_csv(path)
     if not track_ids:
         raise EmptyFeature(f"feature cache {path} has a header but no tracks")

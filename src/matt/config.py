@@ -16,16 +16,16 @@ from pathlib import Path
 from .dataset import LABEL_POLICIES
 from .errors import InvalidConfig
 from .dsp import FEATURE_SETS
+from .dsp.spectral import contrast_bands
 from .dsp.stft import StftConfig
-from .dsp.summarize import FeatureConfig
 from .evaluation import EVAL_MODES, TAIL_SUBSETS, TOP_KS
-from .model import AGGREGATORS
 from .synthetic import SynthConfig
 from .training import TrainConfig
 
 # config key -> ([section], owner, field[, index]). The owner is the RunConfig
-# (None) or its `train` or `synth` part; an index sets one element of a tuple
-# field. Keys are unique across sections, and a flag is named like its key.
+# (None) or its `stft`, `train` or `synth` part; an index sets one element of
+# a tuple field. Keys are unique across sections, and a flag is named like
+# its key.
 KEYS = {
     "audio_dir": ("paths", None, "audio_dir"),
     "metadata": ("paths", None, "metadata"),
@@ -34,8 +34,8 @@ KEYS = {
     "report_dir": ("paths", None, "report_dir"),
     "feature_set": ("features", None, "feature_set"),
     "sample_rate": ("features", None, "sample_rate"),
-    "n_fft": ("features", None, "n_fft"),
-    "hop": ("features", None, "hop"),
+    "n_fft": ("features", "stft", "n_fft"),
+    "hop": ("features", "stft", "hop"),
     "seed": ("run", "train", "seed"),
     "hidden_dims": ("encoder", "train", "hidden_dims"),
     "embedding_dim": ("encoder", "train", "embedding_dim"),
@@ -65,7 +65,9 @@ SECTIONS = {section for section, *_ in KEYS.values()}
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one command needs. The run seed is `train.seed`; gen-synth
-    passes it to the generator, so `synth.seed` is never read."""
+    passes it to the generator, so `synth.seed` is never read. Each value is
+    checked once, when the part that owns it is made (contrast_bands checks
+    the geometry), so every command rejects a bad value when it loads."""
 
     audio_dir: Path = Path("audio")
     metadata: Path = Path("metadata.csv")
@@ -74,34 +76,27 @@ class RunConfig:
     report_dir: Path = Path("reports")
     feature_set: str = "1to9"
     sample_rate: int = 44100
-    n_fft: int = 2048
-    hop: int = 1024
     label_policy: str = "majority"
     eval_mode: str = "bag"
     subsets: tuple[int, ...] = TAIL_SUBSETS
     ks: tuple[int, ...] = TOP_KS
+    stft: StftConfig = field(default_factory=StftConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
 
-    def validate(self):
+    def __post_init__(self):
         if self.feature_set not in FEATURE_SETS and self.feature_set != "synth":
             raise InvalidConfig(
                 f"unknown feature_set {self.feature_set!r}; "
                 f"expected one of {sorted(FEATURE_SETS)} or 'synth'"
             )
-        if self.train.aggregator not in AGGREGATORS:
-            raise InvalidConfig(f"unknown aggregator {self.train.aggregator!r}")
         if self.eval_mode not in EVAL_MODES:
             raise InvalidConfig(f"unknown eval mode {self.eval_mode!r}")
         if self.label_policy not in LABEL_POLICIES:
             raise InvalidConfig(f"unknown label_policy {self.label_policy!r}")
-        return self
-
-    def feature_config(self) -> FeatureConfig:
-        return FeatureConfig(
-            sample_rate=self.sample_rate,
-            stft=StftConfig(n_fft=self.n_fft, hop=self.hop),
-        )
+        if self.sample_rate <= 0:
+            raise InvalidConfig(f"sample rate must be positive, got {self.sample_rate}")
+        contrast_bands(self.stft.n_fft, self.sample_rate)
 
     def feature_csv(self) -> Path:
         return self.feature_dir / f"{self.feature_set}.csv"
@@ -127,7 +122,7 @@ def _typed(text: str, default, where: str):
 
 def with_keys(cfg: RunConfig, values: dict) -> RunConfig:
     """cfg with the field of each config key in values set to its typed value."""
-    parts = {None: cfg, "train": cfg.train, "synth": cfg.synth}
+    parts = {None: cfg, "stft": cfg.stft, "train": cfg.train, "synth": cfg.synth}
     fields = {owner: {} for owner in parts}  # owner -> {field: value}
     for key, value in values.items():
         _, owner, name, *index = KEYS[key]
@@ -139,8 +134,7 @@ def with_keys(cfg: RunConfig, values: dict) -> RunConfig:
     return replace(
         cfg,
         **fields[None],
-        train=replace(cfg.train, **fields["train"]),
-        synth=replace(cfg.synth, **fields["synth"]),
+        **{owner: replace(parts[owner], **fields[owner]) for owner in parts if owner},
     )
 
 
@@ -173,4 +167,4 @@ def load_run_config(path) -> RunConfig:
     cfg = with_keys(cfg, values)
     # paths are relative to the config file's directory, defaults included
     paths = {name: path.parent / v for name, v in vars(cfg).items() if isinstance(v, Path)}
-    return replace(cfg, **paths).validate()
+    return replace(cfg, **paths)

@@ -18,7 +18,6 @@ from .spectral import spectral_descriptors
 from .summarize import (
     FAMILY_ORDER,
     FEATURE_SETS,
-    FeatureConfig,
     extract_feature_sets,
     feature_set_columns,
     feature_set_length,

@@ -38,8 +38,6 @@ CENS_SMOOTH_FRAMES = 41
 CENS_QUANT_STEPS = (0.05, 0.1, 0.2, 0.4)
 NORM_GUARD = 1e-12
 
-PITCH_CLASSES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
-
 
 def _pitch_class_of_hz(freqs: np.ndarray) -> np.ndarray:
     """Nearest equal-tempered pitch class (C=0, A=440 Hz) for each positive frequency."""

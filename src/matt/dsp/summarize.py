@@ -9,16 +9,16 @@ is a selection of its columns: "3+6" (189), "3+6+4" (196), "1to9" (518).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptyFeature, InvalidConfig
+from ..errors import EmptyFeature
 from .chroma import banded_cqt_fold, chroma_features, stft_fold_matrix, tonnetz
 from .frames import FAMILY_BASE_DIMS, FrameFeatureMatrix
 from .mel import DB_FLOOR, MEL_FRAMES, _fit_frames, banded_mel_filterbank, log_mel_frames, mfcc
 from .signal import AudioSignal, time_domain_descriptors
-from .spectral import contrast_bands, spectral_descriptors
+from .spectral import spectral_descriptors
 from .stft import StftConfig, stft
 
 STATISTICS = ("mean", "std", "skew", "kurtosis", "median", "min", "max")
@@ -100,34 +100,15 @@ def feature_set_columns(set_name: str) -> list[str]:
 
 
 @dataclass(frozen=True)
-class FeatureConfig:
-    """Sample rate and STFT framing; the mel geometry is fixed (see mel.py).
-
-    Construction raises InvalidConfig for a sample_rate that is not positive
-    and InvalidBand when sample_rate and n_fft leave a spectral contrast band
-    without an FFT bin (see contrast_bands), so a bad geometry fails before
-    any track is read.
-    """
-
-    sample_rate: int = 44100
-    stft: StftConfig = field(default_factory=StftConfig)
-
-    def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise InvalidConfig(f"sample rate must be positive, got {self.sample_rate}")
-        contrast_bands(self.stft.n_fft, self.sample_rate)
-
-
-@dataclass(frozen=True)
 class ExtractionResult:
     vector: np.ndarray  # the "1to9" summary vector, families in FAMILY_ORDER
     mel: np.ndarray  # (N_MELS, MEL_FRAMES) dB
 
 
-def extract_frame_features(signal: AudioSignal, cfg: FeatureConfig):
+def extract_frame_features(signal: AudioSignal, cfg: StftConfig):
     """Per-frame matrices for all 11 families, plus the fitted mel spectrogram.
 
-    Every family reads the one STFT, in the order set here. The cached fold
+    cfg sets the STFT framing; the sample rate is the signal's. Every family reads the one STFT, in the order set here. The cached fold
     and mel matrices are fetched first, so building them on a process's
     first track does not add to the peak of the spectrogram; the cqt fold
     and the mel filterbank come cut to their non-zero bins (BandedWeights).
@@ -137,11 +118,11 @@ def extract_frame_features(signal: AudioSignal, cfg: FeatureConfig):
     views of the signal (see frame_signal), the track keeps the caller's
     signal and one spectrogram-sized matrix throughout.
     """
-    rate, n_fft = signal.sample_rate_hz, cfg.stft.n_fft
+    rate, n_fft = signal.sample_rate_hz, cfg.n_fft
     stft_fold, cqt_fold = stft_fold_matrix(n_fft, rate), banded_cqt_fold(n_fft, rate)
     mel_weights = banded_mel_filterbank(rate, n_fft)
 
-    spec = stft(signal, cfg.stft)
+    spec = stft(signal, cfg)
     frames: list[FrameFeatureMatrix] = list(spectral_descriptors(spec))
     rms, zcr = time_domain_descriptors(spec.frames)
     frames.append(FrameFeatureMatrix(values=rms, family="rms"))
@@ -163,7 +144,7 @@ def extract_frame_features(signal: AudioSignal, cfg: FeatureConfig):
     return {f.family: f for f in frames}, mel
 
 
-def extract_feature_sets(signal: AudioSignal, cfg: FeatureConfig) -> ExtractionResult:
+def extract_feature_sets(signal: AudioSignal, cfg: StftConfig) -> ExtractionResult:
     """Extract and summarize all 11 base families plus the mel spectrogram."""
     frames, mel = extract_frame_features(signal, cfg)
     vector = np.concatenate([summarize(frames[family]) for family in FAMILY_ORDER])

@@ -13,7 +13,6 @@ safe to run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -21,30 +20,6 @@ from .errors import EmptyBag, InvalidConfig, ShapeError
 from .numeric import ParamStore, softmax, xavier_uniform
 
 AGGREGATORS = ("matt", "mean")
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    """MLP encoder: tanh hidden layers, affine (no activation) final layer.
-
-    hidden_dims=() gives a single affine map, the logistic-regression-shaped
-    baseline encoder.
-    """
-
-    input_dim: int
-    hidden_dims: tuple[int, ...] = ()
-    output_dim: int = 16
-
-    def __post_init__(self):
-        dims = (self.input_dim, *self.hidden_dims, self.output_dim)
-        if any(d <= 0 for d in dims):
-            raise InvalidConfig(f"encoder dims must be positive, got {dims}")
-
-    @cached_property
-    def layer_dims(self) -> tuple[tuple[int, int], ...]:
-        """(rows, cols) of each layer's weight matrix, built on first use."""
-        dims = (self.input_dim, *self.hidden_dims, self.output_dim)
-        return tuple((dims[i + 1], dims[i]) for i in range(len(dims) - 1))
 
 
 @dataclass(frozen=True)
@@ -57,9 +32,13 @@ class BagPrediction:
 class MattModel:
     """Encoder + attention head + genre scorer over a shared ParamStore.
 
-    aggregator "matt" uses learned attention weights; "mean" averages members
-    uniformly (the attention-free bagging baseline). Parameter names are
-    fixed so checkpoints identify the architecture unambiguously.
+    The encoder is an MLP from input_dim through hidden_dims to
+    embedding_dim: tanh hidden layers and an affine (no activation) final
+    layer, so hidden_dims=() gives a single affine map, the
+    logistic-regression-shaped baseline encoder. Aggregator "matt" uses
+    learned attention weights; "mean" averages members uniformly (the
+    attention-free bagging baseline). Parameter names are fixed so
+    checkpoints identify the architecture unambiguously.
 
     Every pass runs on a packed batch: the members of B bags stacked as
     consecutive rows of one (n_rows, input_dim) matrix, plus each bag's first
@@ -68,32 +47,26 @@ class MattModel:
     layer whatever its bag sizes.
     """
 
-    def __init__(
-        self,
-        encoder: EncoderConfig,
-        n_genres: int,
-        aggregator: str = "matt",
-        seed: int = 0,
-    ):
+    def __init__(self, input_dim: int, n_genres: int, hidden_dims: tuple[int, ...] = (),
+                 embedding_dim: int = 16, aggregator: str = "matt", seed: int = 0):
         if aggregator not in AGGREGATORS:
             raise InvalidConfig(f"unknown aggregator {aggregator!r}")
         if n_genres < 2:
             raise InvalidConfig(f"need at least 2 genres, got {n_genres}")
         if seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {seed}")
-        self.encoder = encoder
+        self.input_dim = input_dim
+        self.embedding_dim = d = embedding_dim
         self.n_genres = n_genres
         self.aggregator = aggregator
-        self.n_layers = len(encoder.layer_dims)
+        dims = (input_dim, *hidden_dims, embedding_dim)
+        self.n_layers = len(dims) - 1
         # (weight, bias) parameter names per encoder layer, named once here
         self.layer_names = tuple((f"enc_w{i}", f"enc_b{i}") for i in range(self.n_layers))
         self.params = ParamStore()
-        d = encoder.output_dim
-        for i, ((rows, cols), (w_name, b_name)) in enumerate(
-            zip(encoder.layer_dims, self.layer_names)
-        ):
-            self.params.add(w_name, xavier_uniform(rows, cols, seed * 1000 + 2 * i))
-            self.params.add(b_name, np.zeros(rows))
+        for i, (w_name, b_name) in enumerate(self.layer_names):
+            self.params.add(w_name, xavier_uniform(dims[i + 1], dims[i], seed * 1000 + 2 * i))
+            self.params.add(b_name, np.zeros(dims[i + 1]))
         self.params.add("att_w", xavier_uniform(1, 2 * d, seed * 1000 + 101))
         self.params.add("att_b", np.zeros(1))
         self.params.add("att_q", xavier_uniform(d, 1, seed * 1000 + 103))
@@ -103,10 +76,8 @@ class MattModel:
 
     def encode(self, features: np.ndarray):
         """Embed (m, input_dim) rows; returns (activations, (m, d) embeddings)."""
-        if features.ndim != 2 or features.shape[1] != self.encoder.input_dim:
-            raise ShapeError(
-                f"features shape {features.shape} != (m, {self.encoder.input_dim})"
-            )
+        if features.ndim != 2 or features.shape[1] != self.input_dim:
+            raise ShapeError(f"features shape {features.shape} != (m, {self.input_dim})")
         values = self.params.values
         h = features
         activations = [h]
@@ -127,7 +98,7 @@ class MattModel:
         if self.aggregator == "mean":
             return None, (1.0 / sizes).repeat(sizes)
         w = self.params.values["att_w"][0]
-        d = self.encoder.output_dim
+        d = self.embedding_dim
         q = self.params.values["att_q"][:, 0]
         squashed = np.tanh(embeddings @ w[:d] + w[d:] @ q)
         logits = squashed + self.params.values["att_b"][0]
@@ -221,7 +192,7 @@ class MattModel:
             grads["att_b"] += d_logits.sum()
             d_pre = d_logits * (1.0 - cache["squashed"] ** 2)
             d_pre_sum = d_pre.sum()
-            d = self.encoder.output_dim
+            d = self.embedding_dim
             w = values["att_w"][0]
             d_w = grads["att_w"][0]
             d_w[:d] += embeddings.T @ d_pre

@@ -108,13 +108,15 @@ class ParamStore:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+OPTIMIZERS = ("sgd", "adam")
 
 
 @dataclass
 class OptimizerState:
     """SGD or Adam state over a ParamStore; Adam's moments and the step's
     two scratch vectors are flat vectors aligned with the store's `flat`,
-    created on the first step."""
+    created on the first step. The algorithm (one of OPTIMIZERS) and the
+    learning rate come from a TrainConfig, which checks them."""
 
     algorithm: str = "adam"
     learning_rate: float = 1e-3
@@ -122,12 +124,6 @@ class OptimizerState:
     moments1: np.ndarray | None = None
     moments2: np.ndarray | None = None
     scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.algorithm not in ("sgd", "adam"):
-            raise InvalidConfig(f"unknown optimizer {self.algorithm!r}")
-        if self.learning_rate <= 0:
-            raise InvalidConfig("learning_rate must be positive")
 
 
 def optimizer_step(state: OptimizerState, store: ParamStore):

@@ -16,8 +16,8 @@ import numpy as np
 
 from .dataset import BagSet
 from .errors import DivergedError, EmptyBag, InvalidConfig
-from .model import EncoderConfig, MattModel
-from .numeric import OptimizerState, optimizer_step
+from .model import AGGREGATORS, MattModel
+from .numeric import OPTIMIZERS, OptimizerState, optimizer_step
 
 log = logging.getLogger(__name__)
 
@@ -26,7 +26,8 @@ PROB_FLOOR = 1e-300
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Conventional defaults; tune per dataset (see benchmark for an example)."""
+    """Conventional defaults; tune per dataset (see benchmark for an example).
+    Every value is checked here, when the config is made."""
 
     epochs: int = 50
     bags_per_batch: int = 32
@@ -50,6 +51,15 @@ class TrainConfig:
             raise InvalidConfig(
                 f"early_stop_patience must be >= 1, got {self.early_stop_patience}"
             )
+        if self.optimizer not in OPTIMIZERS:
+            raise InvalidConfig(f"unknown optimizer {self.optimizer!r}")
+        if self.learning_rate <= 0:
+            raise InvalidConfig("learning_rate must be positive")
+        if self.aggregator not in AGGREGATORS:
+            raise InvalidConfig(f"unknown aggregator {self.aggregator!r}")
+        dims = (*self.hidden_dims, self.embedding_dim)
+        if any(d <= 0 for d in dims):
+            raise InvalidConfig(f"encoder dims must be positive, got {dims}")
 
 
 @dataclass
@@ -103,10 +113,9 @@ def pack_bags(bags: BagSet, X: np.ndarray):
 
 def new_model(cfg: TrainConfig, input_dim: int, n_genres: int) -> MattModel:
     """The configured encoder and aggregator, initialized from cfg.seed."""
-    encoder = EncoderConfig(
-        input_dim=input_dim, hidden_dims=tuple(cfg.hidden_dims), output_dim=cfg.embedding_dim
-    )
-    return MattModel(encoder, n_genres=n_genres, aggregator=cfg.aggregator, seed=cfg.seed)
+    return MattModel(input_dim, n_genres, hidden_dims=tuple(cfg.hidden_dims),
+                     embedding_dim=cfg.embedding_dim, aggregator=cfg.aggregator,
+                     seed=cfg.seed)
 
 
 def _bag_accuracy(model: MattModel, packed, golds: np.ndarray) -> float:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from matt.dataset import SPLITS
-from matt.dsp import AudioSignal, FeatureConfig, StftConfig, extract_feature_sets
+from matt.dsp import AudioSignal, StftConfig, extract_feature_sets
 
 RATE = 44100
 
@@ -46,16 +46,11 @@ def bag_list(bags):
 
 
 @pytest.fixture(scope="session")
-def feature_cfg():
-    return FeatureConfig()
-
-
-@pytest.fixture(scope="session")
 def stft_cfg():
     return StftConfig()
 
 
 @pytest.fixture(scope="session")
-def clip_extraction(feature_cfg):
+def clip_extraction(stft_cfg):
     """One full extraction shared by the dimensionality and totality tests."""
-    return extract_feature_sets(noisy_clip(), feature_cfg)
+    return extract_feature_sets(noisy_clip(), stft_cfg)

@@ -24,7 +24,6 @@ from matt.benchmark import (
 from matt.dsp import (
     FAMILY_ORDER,
     AudioSignal,
-    FeatureConfig,
     StftConfig,
     extract_feature_sets,
     feature_set_length,
@@ -36,7 +35,7 @@ from matt.dsp import (
     time_domain_descriptors,
 )
 from matt.dsp.summarize import extract_frame_features, set_columns
-from matt.model import EncoderConfig, MattModel
+from matt.model import MattModel
 from matt.numeric import finite_difference_check
 from matt.training import nll_loss
 
@@ -56,7 +55,7 @@ def report(criterion: int, passed: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def cached_frames():
-    frames, _ = extract_frame_features(noisy_clip(seconds=1.5), FeatureConfig())
+    frames, _ = extract_frame_features(noisy_clip(seconds=1.5), StftConfig())
     return frames
 
 
@@ -82,7 +81,7 @@ def test_criterion_1_dimensionality_contract(cached_frames):
 
 
 def test_criterion_2_mel_shape_contract():
-    cfg = FeatureConfig()
+    cfg = StftConfig()
     shapes = []
     for seconds in (1.0, 1.37, 8.0, 33.0):
         mel = extract_feature_sets(noisy_clip(seconds=seconds), cfg).mel
@@ -99,7 +98,7 @@ def test_criterion_3_gradient_suite():
         for m in (1, 2, 7):
             for n_genres in (2, 16):
                 model = MattModel(
-                    EncoderConfig(input_dim=6, hidden_dims=hidden, output_dim=5),
+                    input_dim=6, hidden_dims=hidden, embedding_dim=5,
                     n_genres=n_genres,
                     seed=17,
                 )
@@ -124,7 +123,7 @@ def test_criterion_3_gradient_suite():
 
 def test_criterion_4_attention_invariants():
     model = MattModel(
-        EncoderConfig(input_dim=8, hidden_dims=(6,), output_dim=5), n_genres=7, seed=23
+        input_dim=8, hidden_dims=(6,), embedding_dim=5, n_genres=7, seed=23
     )
     rng = np.random.default_rng(99)
     ratio_bound = np.exp(2.0) + 1e-9
@@ -180,7 +179,7 @@ def test_criterion_5_dsp_analytic_suite():
     zcr_ok = bool(np.all(zcr == 1.0))
 
     silence = AudioSignal(samples=np.zeros(RATE, dtype=np.float32), sample_rate_hz=RATE)
-    result = extract_feature_sets(silence, FeatureConfig())
+    result = extract_feature_sets(silence, cfg)
     silence_ok = bool(np.all(np.isfinite(result.vector))) and bool(
         np.all(np.isfinite(result.mel))
     )

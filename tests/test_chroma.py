@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from matt.dsp import AudioSignal, chroma_features, stft, tonnetz
-from matt.dsp.chroma import PITCH_CLASSES, TONNETZ_TRANSFORM, cqt_fold_matrix, stft_fold_matrix
+from matt.dsp.chroma import TONNETZ_TRANSFORM, cqt_fold_matrix, stft_fold_matrix
 from matt.dsp.frames import FrameFeatureMatrix
 from matt.errors import InvalidConfig
 
 from conftest import RATE, tone
 
+PITCH_CLASSES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
 A_INDEX = PITCH_CLASSES.index("A")
 
 

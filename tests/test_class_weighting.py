@@ -44,10 +44,10 @@ def test_mean_aggregator_leaves_attention_params_at_init():
     cfg = TrainConfig(epochs=6, seed=2, embedding_dim=4, aggregator="mean",
                       learning_rate=1e-2)
     model, _ = train(data.bags, data.features, cfg)
-    from matt.model import EncoderConfig, MattModel
+    from matt.model import MattModel
 
     fresh = MattModel(
-        EncoderConfig(input_dim=6, hidden_dims=(), output_dim=4),
+        input_dim=6, hidden_dims=(), embedding_dim=4,
         n_genres=3,
         aggregator="mean",
         seed=2,

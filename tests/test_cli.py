@@ -11,7 +11,7 @@ import matt.dataset
 from matt.checkpoint import load_checkpoint, save_checkpoint
 from matt.cli import _load_config, build_parser, main
 from matt.config import RunConfig, load_run_config
-from matt.dsp import read_feature_csv, read_mel_cache, write_feature_csv, write_wav
+from matt.dsp import StftConfig, read_feature_csv, read_mel_cache, write_feature_csv, write_wav
 from matt.dsp.cache import _read_sidecar
 from matt.errors import InvalidConfig
 from matt.model import AGGREGATORS
@@ -303,6 +303,61 @@ def test_a_negative_seed_fails_validation(tmp_path, capsys, command, source):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
+# (section, key, value, message): each value is invalid for every command
+BAD_VALUES = [
+    ("train", "optimizer", "rmsprop", "unknown optimizer 'rmsprop'"),
+    ("train", "learning_rate", "0", "learning_rate must be positive"),
+    ("encoder", "embedding_dim", "0", "encoder dims must be positive, got (0,)"),
+    ("encoder", "hidden_dims", "8,0", "encoder dims must be positive, got (8, 0, 4)"),
+    ("features", "hop", "0", "need 0 < hop <= n_fft, got hop=0 n_fft=2048"),
+    ("features", "hop", "4096", "need 0 < hop <= n_fft, got hop=4096 n_fft=2048"),
+    ("features", "sample_rate", "0", "sample rate must be positive, got 0"),
+    ("features", "sample_rate", "8000", "sample_rate 8000 Hz with n_fft 2048"),
+]
+
+
+def with_setting(text: str, section: str, key: str, value: str) -> str:
+    """text with key set to value: its line replaced, or added under [section]."""
+    line = re.compile(rf"^{key} =.*$", re.M)
+    if line.search(text):
+        return line.sub(f"{key} = {value}", text)
+    return text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("command", [
+    "gen-synth", "extract-features", "build-bags", "train", "evaluate", "predict", "grad-check",
+])
+@pytest.mark.parametrize("section, key, value, message", BAD_VALUES,
+                         ids=[f"{key}={value}" for _, key, value, _ in BAD_VALUES])
+def test_every_value_is_checked_when_the_config_is_loaded(tmp_path, capsys, command, section,
+                                                          key, value, message):
+    """No command reads its inputs (there are none here) or writes a file
+    before a bad value fails it."""
+    cfg = tmp_path / "run.cfg"
+    text = CONFIG_TEMPLATE.format(feature_set="3+6", epochs=1)
+    cfg.write_text(with_setting(text, section, key, value), encoding="utf-8")
+    out = ("--out", tmp_path / "predictions.csv") if command == "predict" else ()
+    assert run(command, "--config", cfg, *out) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("matt: ") and message in captured.err
+    assert "internal error" not in captured.err and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("feature_set, writer", [
+    ("synth", "gen-synth"), ("3+6", "extract-features"),
+])
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+def test_a_missing_feature_cache_names_the_command_that_writes_it(tmp_path, capsys, command,
+                                                                  feature_set, writer):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG_TEMPLATE.format(feature_set=feature_set, epochs=1), encoding="utf-8")
+    (tmp_path / "metadata.csv").write_text(METADATA, encoding="utf-8")
+    assert run(command, "--config", cfg) == 1
+    path = tmp_path / "features" / f"{feature_set}.csv"
+    assert capsys.readouterr().err == f"matt: feature cache {path} not found; run {writer}\n"
+
+
 def test_evaluate_segment_mode_flag(corpus):
     root, cfg = corpus
     assert run("extract-features", "--config", cfg, "--workers", 1) == 0
@@ -548,8 +603,7 @@ def test_readme_example_config_loads(tmp_path):
         report_dir=tmp_path / "reports",
         feature_set="1to9",
         sample_rate=44100,
-        n_fft=2048,
-        hop=1024,
+        stft=StftConfig(n_fft=2048, hop=1024),
         label_policy="majority",
         eval_mode="bag",
         subsets=(100, 200),
@@ -611,11 +665,11 @@ def test_every_config_key_reaches_its_field(tmp_path):
     assert (cfg.audio_dir, cfg.metadata, cfg.feature_dir, cfg.checkpoint_dir, cfg.report_dir) == (
         tmp_path / "a", tmp_path / "m.csv", tmp_path / "f", tmp_path / "c", tmp_path / "r"
     )
-    assert (cfg.feature_set, cfg.sample_rate, cfg.n_fft, cfg.hop) == ("3+6", 22050, 1024, 512)
+    assert (cfg.feature_set, cfg.sample_rate) == ("3+6", 22050)
+    assert cfg.stft == StftConfig(n_fft=1024, hop=512)
     assert (cfg.label_policy, cfg.eval_mode, cfg.subsets, cfg.ks) == (
         "strict", "segment", (10,), (1, 4)
     )
-    assert cfg.feature_config().stft.n_fft == 1024
     assert cfg.train == TrainConfig(
         epochs=3, bags_per_batch=2, optimizer="sgd", learning_rate=0.5, seed=11,
         early_stop_patience=4, aggregator="mean", hidden_dims=(8, 4), embedding_dim=5,

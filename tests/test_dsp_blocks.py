@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from matt.cli import _extract_one
 from matt.dsp import (
     AudioSignal,
-    FeatureConfig,
     StftConfig,
     downmix_and_validate,
     extract_feature_sets,
@@ -57,6 +56,7 @@ from matt.errors import AudioTooShort, CorruptAudio
 
 RATE = 22050
 N_FFT = 512
+PRODUCTION_RATE = 44100  # with the default StftConfig, the run config's defaults
 
 # -- the whole-track references -- #
 
@@ -245,13 +245,13 @@ def test_frames_equal_the_np_pad_reference(n_samples, n_fft, hop_fraction, cente
 
 def test_production_geometry_equals_the_whole_track_forms():
     samples = samples_for(2 * FRAME_BLOCK + 7, 1024, "partly-silent", np.float32)
-    cfg = FeatureConfig()
-    spec = stft(AudioSignal(samples=samples, sample_rate_hz=cfg.sample_rate), cfg.stft)
-    frames, mags, power = whole_track_stft(samples, cfg.stft.n_fft, cfg.stft.hop)
+    cfg = StftConfig()
+    spec = stft(AudioSignal(samples=samples, sample_rate_hz=PRODUCTION_RATE), cfg)
+    frames, mags, power = whole_track_stft(samples, cfg.n_fft, cfg.hop)
     assert_same(spec.bins, mags, "bins")
     assert_same(spec.bins * spec.bins, power, "power")
     reference = whole_track_spectral(
-        mags, spec.bin_frequencies_hz(), contrast_bands(cfg.stft.n_fft, cfg.sample_rate)
+        mags, spec.bin_frequencies_hz(), contrast_bands(cfg.n_fft, PRODUCTION_RATE)
     )
     for matrix, ref in zip(spectral_descriptors(spec), reference):
         assert_same(matrix.values, ref.reshape(matrix.values.shape), matrix.family)
@@ -269,9 +269,9 @@ def test_power_squared_in_place_equals_a_separate_square(n_frames, hop, kind):
     mel, whose products equal the dense ones only up to reassociation; see
     test_banded_products_equal_the_dense_products)."""
     clip = AudioSignal(samples=samples_for(n_frames, hop, kind, np.float32), sample_rate_hz=RATE)
-    cfg = FeatureConfig(sample_rate=RATE, stft=StftConfig(N_FFT, hop))
+    cfg = StftConfig(N_FFT, hop)
     frames, mel = extract_frame_features(clip, cfg)
-    bins = stft(clip, cfg.stft).bins
+    bins = stft(clip, cfg).bins
     power = bins * bins
     fold_matrices = {"stft": stft_fold_matrix, "cqt": banded_cqt_fold, "cens": banded_cqt_fold}
     for variant, fold_matrix in fold_matrices.items():
@@ -339,8 +339,8 @@ def test_a_non_finite_sample_in_the_last_block_wins_over_an_earlier_clip():
 def spectrogram_bytes(n, cfg):
     """The one float64 bins matrix (squared in place into the power) that a
     spectrogram of n samples keeps; its frames are views of the signal."""
-    n_frames = 1 + n // cfg.stft.hop
-    return 8 * n_frames * (cfg.stft.n_fft // 2 + 1)
+    n_frames = 1 + n // cfg.hop
+    return 8 * n_frames * (cfg.n_fft // 2 + 1)
 
 
 # The per-frame outputs (74 feature rows and 96 mel rows against 1 025 bins)
@@ -369,10 +369,10 @@ def test_extraction_peak_stays_near_what_the_spectrogram_keeps():
     MB) and its outputs. It peaked at 1.60x that matrix while the track kept a
     padded float32 copy of its signal (a 1.15x bound on the two together),
     and the whole-track forms higher still."""
-    cfg = FeatureConfig()
-    n = 36 * cfg.sample_rate
+    cfg = StftConfig()
+    n = 36 * PRODUCTION_RATE
     samples = (0.3 * np.random.default_rng(7).standard_normal(n)).astype(np.float32)
-    clip = AudioSignal(samples=samples, sample_rate_hz=cfg.sample_rate)
+    clip = AudioSignal(samples=samples, sample_rate_hz=PRODUCTION_RATE)
     kept = spectrogram_bytes(n, cfg)
     peak = traced_peak(lambda: extract_feature_sets(clip, cfg))
     assert peak < PEAK_OVER_KEPT * kept, f"peak {peak / 1e6:.1f} MB, kept {kept / 1e6:.1f} MB"
@@ -386,10 +386,10 @@ SPECTRAL_BLOCKS = 5
 
 
 def test_the_spectral_pass_allocates_a_few_blocks_beyond_its_outputs():
-    cfg = FeatureConfig()
-    n = 36 * cfg.sample_rate
+    cfg = StftConfig()
+    n = 36 * PRODUCTION_RATE
     samples = (0.3 * np.random.default_rng(7).standard_normal(n)).astype(np.float32)
-    spec = stft(AudioSignal(samples=samples, sample_rate_hz=cfg.sample_rate), cfg.stft)
+    spec = stft(AudioSignal(samples=samples, sample_rate_hz=PRODUCTION_RATE), cfg)
     n_bins, n_frames = spec.bins.shape
     outputs = 8 * n_frames * 10  # centroid, bandwidth, rolloff and 7 contrast rows
     block = 8 * FRAME_BLOCK * n_bins
@@ -402,13 +402,14 @@ def test_a_stereo_track_extracts_without_its_decoded_channels(tmp_path):
     the mono float32 signal: the downmix makes no whole-track float64
     temporary, and the decoded channels (a second float32 copy of the
     track) are freed after it."""
-    cfg = FeatureConfig()
-    n = 36 * cfg.sample_rate
+    cfg = StftConfig()
+    n = 36 * PRODUCTION_RATE
     stereo = 0.3 * np.random.default_rng(8).standard_normal((2, n))
     wav = tmp_path / "t.wav"
-    write_wav(wav, stereo, cfg.sample_rate, float32=False)
+    write_wav(wav, stereo, PRODUCTION_RATE, float32=False)
     del stereo
-    task = ("t", str(wav), str(tmp_path / "t.part"), str(tmp_path / "t.mel"), cfg)
+    task = ("t", str(wav), str(tmp_path / "t.part"), str(tmp_path / "t.mel"),
+            (PRODUCTION_RATE, cfg))
     peak = traced_peak(lambda: _extract_one(task))
     bound = PEAK_OVER_KEPT * spectrogram_bytes(n, cfg) + 4 * n
     assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matt.dsp import FeatureConfig, downmix_and_validate, extract_feature_sets, read_wav, write_wav
+from matt.dsp import (StftConfig, downmix_and_validate, extract_feature_sets, read_wav,
+                      write_wav)
 
 RATE = 44100
 HOP = 1024
@@ -85,7 +86,7 @@ def extract_clip(index: int, directory: Path):
     path = directory / f"{name}.wav"
     write_wav(path, channels, RATE, float32=float32)
     samples, rate = read_wav(path)
-    return extract_feature_sets(downmix_and_validate(samples, rate), FeatureConfig())
+    return extract_feature_sets(downmix_and_validate(samples, rate), StftConfig())
 
 
 def golden_record(result) -> dict:

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from matt.dsp import (
     AudioSignal,
-    FeatureConfig,
     FrameFeatureMatrix,
     StftConfig,
     chroma_features,
@@ -136,12 +135,12 @@ def test_cqt_and_cens_chroma_share_one_fold_per_track():
     rng = np.random.default_rng(3)
     clip = AudioSignal(samples=(0.3 * rng.standard_normal(22050)).astype(np.float32),
                        sample_rate_hz=22050)
-    cfg = FeatureConfig(sample_rate=22050)
+    cfg = StftConfig()
     with mock.patch("matt.dsp.summarize.banded_cqt_fold", wraps=banded_cqt_fold) as fold:
         frames, _ = extract_frame_features(clip, cfg)
     assert fold.call_count == 1
-    bins = stft(clip, cfg.stft).bins
-    raw = banded_cqt_fold(cfg.stft.n_fft, 22050) @ (bins * bins)
+    bins = stft(clip, cfg).bins
+    raw = banded_cqt_fold(cfg.n_fft, 22050) @ (bins * bins)
     assert frames["chroma_cqt"].values.tobytes() == _max_normalize(raw).tobytes()
     assert frames["chroma_cens"].values.tobytes() == _cens(raw).tobytes()
 
@@ -164,8 +163,7 @@ def test_time_domain_descriptors_from_stft_frames_match_a_second_framing(rate, n
 @given(data=st.data())
 def test_median_of_each_feature_family_matches_sort(rate, n_fft, data):
     clip = data.draw(clips(rate))
-    cfg = FeatureConfig(sample_rate=rate, stft=StftConfig(n_fft=n_fft, hop=n_fft // 2))
-    frames, _ = extract_frame_features(clip, cfg)
+    frames, _ = extract_frame_features(clip, StftConfig(n_fft=n_fft, hop=n_fft // 2))
     for family, matrix in frames.items():
         assert np.array_equal(median_of(matrix), reference_median(matrix.values)), family
 
@@ -219,7 +217,7 @@ def test_geometry_caches_are_keyed_by_rate():
         t = np.arange(rate) / rate
         samples = 0.3 * np.sin(2 * np.pi * 440.0 * t) + 0.2 * np.sin(2 * np.pi * 1661.0 * t)
         clip = AudioSignal(samples=samples.astype(np.float32), sample_rate_hz=rate)
-        return extract_feature_sets(clip, FeatureConfig(sample_rate=rate)).vector
+        return extract_feature_sets(clip, StftConfig()).vector
 
     alone = {}
     for rate in (22050, 44100):

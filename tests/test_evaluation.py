@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from matt.dataset import build_bags, parse_metadata_lines, segment_bags
 from matt.errors import EmptyEval, InvalidK
 from matt.evaluation import accuracy, evaluate, gold_ranks, pr_curve, top_k_accuracy
-from matt.model import EncoderConfig, MattModel
+from matt.model import MattModel
 from matt.synthetic import SynthConfig, generate_synthetic
 from matt.training import pack_bags
 
@@ -130,7 +130,7 @@ def synth_setup():
         )
     )
     model = MattModel(
-        EncoderConfig(input_dim=5, hidden_dims=(), output_dim=4),
+        input_dim=5, hidden_dims=(), embedding_dim=4,
         n_genres=3,
         seed=1,
     )
@@ -162,7 +162,7 @@ def test_default_topk_grid_is_two_by_three():
         )
     )
     model = MattModel(
-        EncoderConfig(input_dim=5, hidden_dims=(), output_dim=4), n_genres=6, seed=1
+        input_dim=5, hidden_dims=(), embedding_dim=4, n_genres=6, seed=1
     )
     report = evaluate(model, data.bags, data.features)
     assert set(report.top_k) == {
@@ -178,7 +178,7 @@ def test_bag_mode_on_singletons_equals_segment_mode():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((8, 5)).astype(np.float32)  # row i is t{i}'s
     model = MattModel(
-        EncoderConfig(input_dim=5, hidden_dims=(), output_dim=3), n_genres=2, seed=2
+        input_dim=5, hidden_dims=(), embedding_dim=3, n_genres=2, seed=2
     )
     bag_report = evaluate(model, bags, X, mode="bag", ks=(1, 2))
     seg_report = evaluate(model, segment_bags(table), X, mode="segment", ks=(1, 2))
@@ -233,7 +233,7 @@ def test_segment_report_equals_the_bag_member_order_report(hidden_dims):
     (the same as its own genre on strict data), every report figure is equal."""
     bags, X = shuffled_id_bags()
     model = MattModel(
-        EncoderConfig(input_dim=5, hidden_dims=hidden_dims, output_dim=4), n_genres=3, seed=3
+        input_dim=5, hidden_dims=hidden_dims, embedding_dim=4, n_genres=3, seed=3
     )
     report = evaluate(model, segment_bags(bags.table), X, mode="segment", ks=(1, 2))
     test = bags.split("test")

@@ -45,28 +45,28 @@ def test_every_family_summary_is_seven_times_base(clip_extraction):
         assert vec.shape == (7 * FAMILY_BASE_DIMS[family],)
 
 
-def test_silence_produces_finite_features_everywhere(feature_cfg):
+def test_silence_produces_finite_features_everywhere(stft_cfg):
     sig = AudioSignal(samples=np.zeros(RATE, dtype=np.float32), sample_rate_hz=RATE)
-    result = extract_feature_sets(sig, feature_cfg)
+    result = extract_feature_sets(sig, stft_cfg)
     for family, columns in FAMILY_COLUMNS.items():
         assert np.all(np.isfinite(result.vector[columns])), family
     assert np.all(np.isfinite(result.mel))
 
 
-def test_extraction_is_bit_deterministic(feature_cfg):
+def test_extraction_is_bit_deterministic(stft_cfg):
     sig = noisy_clip(seconds=1.0, seed=3)
-    a = extract_feature_sets(sig, feature_cfg)
-    b = extract_feature_sets(sig, feature_cfg)
+    a = extract_feature_sets(sig, stft_cfg)
+    b = extract_feature_sets(sig, stft_cfg)
     assert np.array_equal(a.vector, b.vector)
     assert np.array_equal(a.mel, b.mel)
 
 
-def test_scaling_covariance(feature_cfg):
+def test_scaling_covariance(stft_cfg):
     sig = noisy_clip(seconds=1.0, seed=4)
     scaled = AudioSignal(samples=(2.0 * sig.samples).astype(np.float32),
                          sample_rate_hz=sig.sample_rate_hz)
-    a = extract_feature_sets(sig, feature_cfg)
-    b = extract_feature_sets(scaled, feature_cfg)
+    a = extract_feature_sets(sig, stft_cfg)
+    b = extract_feature_sets(scaled, stft_cfg)
     # rms scales exactly; zcr unchanged; chroma pitch-class ranking unchanged
     rms, zcr, chroma = (FAMILY_COLUMNS[f] for f in ("rms", "zcr", "chroma_stft"))
     assert np.array_equal(b.vector[rms][:1], 2.0 * a.vector[rms][:1])

@@ -45,23 +45,23 @@ def test_filterbank_rows_unimodal():
 
 
 @pytest.mark.parametrize("seconds", [1.0, 2.5, 35.0])
-def test_log_mel_shape_contract(seconds, feature_cfg):
-    mel = extract_feature_sets(noisy_clip(seconds=seconds), feature_cfg).mel
+def test_log_mel_shape_contract(seconds, stft_cfg):
+    mel = extract_feature_sets(noisy_clip(seconds=seconds), stft_cfg).mel
     assert mel.shape == (96, 1360)
     assert np.all(np.isfinite(mel))
     assert np.all(mel >= DB_FLOOR)
 
 
-def test_silence_maps_to_db_floor(feature_cfg):
+def test_silence_maps_to_db_floor(stft_cfg):
     sig = AudioSignal(samples=np.zeros(RATE, dtype=np.float32), sample_rate_hz=RATE)
-    mel = extract_feature_sets(sig, feature_cfg).mel
+    mel = extract_feature_sets(sig, stft_cfg).mel
     assert np.all(mel == DB_FLOOR)
 
 
-def test_center_crop_matches_inner_clip(feature_cfg):
+def test_center_crop_matches_inner_clip(stft_cfg):
     # construct a long clip whose center region is an exact hop-aligned copy of
     # a shorter clip, faded at the edges so both share the same dB reference
-    hop = feature_cfg.stft.hop
+    hop = stft_cfg.hop
     inner_len = 1480 * hop
     shift = 129  # hops
     outer_len = (1480 + 2 * shift) * hop
@@ -72,10 +72,10 @@ def test_center_crop_matches_inner_clip(feature_cfg):
     outer[shift * hop : shift * hop + inner_len] = content.astype(np.float32)
 
     mel_outer = extract_feature_sets(
-        AudioSignal(samples=outer, sample_rate_hz=RATE), feature_cfg
+        AudioSignal(samples=outer, sample_rate_hz=RATE), stft_cfg
     ).mel
     mel_inner = extract_feature_sets(
-        AudioSignal(samples=content.astype(np.float32), sample_rate_hz=RATE), feature_cfg
+        AudioSignal(samples=content.astype(np.float32), sample_rate_hz=RATE), stft_cfg
     ).mel
     # identical up to FFT batch rounding (last ulp)
     assert np.abs(mel_outer - mel_inner).max() <= 1e-9

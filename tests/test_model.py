@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from matt.errors import EmptyBag, InvalidConfig, ShapeError
-from matt.model import EncoderConfig, MattModel
+from matt.model import MattModel
 from matt.numeric import finite_difference_check
 from matt.training import nll_loss, nll_losses
 
@@ -11,7 +11,7 @@ E_SQUARED = np.exp(2.0)
 
 def make_model(input_dim=6, hidden=(), d=5, n_genres=4, aggregator="matt", seed=3):
     return MattModel(
-        EncoderConfig(input_dim=input_dim, hidden_dims=hidden, output_dim=d),
+        input_dim=input_dim, hidden_dims=hidden, embedding_dim=d,
         n_genres=n_genres,
         aggregator=aggregator,
         seed=seed,

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -15,6 +16,7 @@ from matt.numeric import (
     softmax,
     xavier_uniform,
 )
+from matt.training import TrainConfig
 
 
 # -- initialization -- #
@@ -120,8 +122,9 @@ def test_non_finite_gradient_diverges():
 
 
 def test_unknown_optimizer_rejected():
-    with pytest.raises(InvalidConfig):
-        OptimizerState(algorithm="rmsprop")
+    # the optimizer's name is checked where it is configured
+    with pytest.raises(InvalidConfig, match="^unknown optimizer 'rmsprop'$"):
+        TrainConfig(optimizer="rmsprop")
 
 
 # -- gradient checker -- #
@@ -272,10 +275,11 @@ def test_store_built_by_add_saves_the_same_checkpoint_bytes(tmp_path):
     save_checkpoint(tmp_path / "flat.ckpt", store)
     # the checkpoint layout written out by hand from the original arrays
     rng = np.random.default_rng(3)
-    blob = b"MATT" + struct.pack("<II", 1, len(SHAPES))
+    blob = b"MATT" + struct.pack("<II", 2, len(SHAPES))
     for name, shape in SHAPES.items():
         value = rng.standard_normal(shape)
         rows, cols = (shape[0], 1) if len(shape) == 1 else shape
         blob += struct.pack("<H", len(name)) + name.encode() + struct.pack("<II", rows, cols)
         blob += value.astype("<f8").tobytes()
+    blob += hashlib.sha256(blob).digest()
     assert (tmp_path / "flat.ckpt").read_bytes() == blob

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matt.model import EncoderConfig, MattModel
+from matt.model import MattModel
 from matt.training import nll_in_place, nll_losses
 
 RTOL = 1e-12
@@ -96,8 +96,7 @@ def batches(draw, max_size=12):
     seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
     model = MattModel(
-        EncoderConfig(input_dim=input_dim, hidden_dims=hidden,
-                      output_dim=draw(st.integers(1, 4))),
+        input_dim=input_dim, hidden_dims=hidden, embedding_dim=draw(st.integers(1, 4)),
         n_genres=n_genres,
         aggregator=aggregator,
         seed=seed % 97,
@@ -216,7 +215,7 @@ def pooled_reference(model, X, starts, golds, scale):
         d_logits = weights * (d_weights - bag_dot.repeat(sizes))
         grads["att_b"] += d_logits.sum()
         d_pre = d_logits * (1.0 - squashed**2)
-        d = model.encoder.output_dim
+        d = model.embedding_dim
         w = values["att_w"][0]
         grads["att_w"][0, :d] += embeddings.T @ d_pre
         grads["att_w"][0, d:] += d_pre.sum() * values["att_q"][:, 0]
@@ -242,8 +241,7 @@ def singleton_batches(draw, pair=False):
     seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
     model = MattModel(
-        EncoderConfig(input_dim=input_dim, hidden_dims=hidden,
-                      output_dim=draw(st.integers(1, 4))),
+        input_dim=input_dim, hidden_dims=hidden, embedding_dim=draw(st.integers(1, 4)),
         n_genres=n_genres,
         aggregator=draw(st.sampled_from(["matt", "mean"])),
         seed=seed % 97,

@@ -65,7 +65,7 @@ def test_traced_extraction_records_every_dsp_layer(monkeypatch, tmp_path):
         tracer.recording = True
         channels, rate = wav.read_wav(tmp_path / "clip.wav")
         mono = signal.downmix_and_validate(channels, rate)
-        result = summarize.extract_feature_sets(mono, summarize.FeatureConfig())
+        result = summarize.extract_feature_sets(mono, summarize.StftConfig())
         cache.write_mel_cache(tmp_path / "clip.mel", result.mel)
         tracer.recording = False
     finally:

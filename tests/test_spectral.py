@@ -3,12 +3,12 @@ import pytest
 
 from matt.dsp import (
     AudioSignal,
-    FeatureConfig,
     StftConfig,
     extract_feature_sets,
     spectral_descriptors,
     stft,
 )
+from matt.config import RunConfig
 from matt.errors import InvalidBand
 
 from conftest import RATE, noisy_clip, tone
@@ -74,8 +74,8 @@ def test_contrast_band_geometry_is_checked_when_configured(rate, n_fft, valid):
     stft_cfg = StftConfig(n_fft=n_fft, hop=n_fft // 2)
     if not valid:
         with pytest.raises(InvalidBand, match=f"sample_rate {rate} Hz with n_fft {n_fft}"):
-            FeatureConfig(sample_rate=rate, stft=stft_cfg)
+            RunConfig(sample_rate=rate, stft=stft_cfg)
         return
-    cfg = FeatureConfig(sample_rate=rate, stft=stft_cfg)
-    result = extract_feature_sets(noisy_clip(seconds=0.5, rate=rate), cfg)
+    cfg = RunConfig(sample_rate=rate, stft=stft_cfg)
+    result = extract_feature_sets(noisy_clip(seconds=0.5, rate=rate), cfg.stft)
     assert np.all(np.isfinite(result.vector))

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from matt.dsp import (FAMILY_BASE_DIMS, AudioSignal, FeatureConfig, FrameFeatureMatrix,
+from matt.dsp import (FAMILY_BASE_DIMS, AudioSignal, FrameFeatureMatrix, StftConfig,
                       extract_feature_sets, summarize)
 from matt.errors import EmptyFeature, ShapeError
 
@@ -42,7 +42,7 @@ def test_near_silent_clips_extract_finite_features_without_warnings(kind, amplit
                else amplitude * rng.standard_normal(n)).astype(np.float32)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vector = extract_feature_sets(AudioSignal(samples, 22050), FeatureConfig(22050)).vector
+        vector = extract_feature_sets(AudioSignal(samples, 22050), StftConfig()).vector
     assert np.isfinite(vector).all()
 
 

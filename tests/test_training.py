@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,10 +82,10 @@ def test_zero_epochs_returns_initialization():
     data = two_genre_data()
     cfg = TrainConfig(epochs=0, seed=4, embedding_dim=4)
     model, log = train(data.bags, data.features, cfg)
-    from matt.model import MattModel, EncoderConfig
+    from matt.model import MattModel
 
     fresh = MattModel(
-        EncoderConfig(input_dim=6, hidden_dims=(), output_dim=4),
+        input_dim=6, hidden_dims=(), embedding_dim=4,
         n_genres=2,
         aggregator="matt",
         seed=4,
@@ -200,6 +202,18 @@ def test_an_early_stop_patience_below_one_is_rejected(patience):
         TrainConfig(early_stop_patience=patience)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"learning_rate": 0.0}, "learning_rate must be positive"),
+    ({"learning_rate": -1e-3}, "learning_rate must be positive"),
+    ({"aggregator": "max"}, "unknown aggregator 'max'"),
+    ({"embedding_dim": 0}, "encoder dims must be positive, got (0,)"),
+    ({"hidden_dims": (8, 0)}, "encoder dims must be positive, got (8, 0, 16)"),
+])
+def test_every_training_value_is_checked_when_the_config_is_made(fields, message):
+    with pytest.raises(InvalidConfig, match=f"^{re.escape(message)}$"):
+        TrainConfig(**fields)
+
+
 def test_an_empty_training_bag_is_rejected_once_per_epoch():
     """step_plan checks an epoch's bag sizes before its batches run the
     unchecked engine; an empty bag would otherwise pool another bag's row."""
@@ -249,7 +263,7 @@ def reference_forward(model, features, starts):
     if model.aggregator == "mean":
         weights = np.repeat(1.0 / sizes, sizes)
     else:
-        d = model.encoder.output_dim
+        d = model.embedding_dim
         w = values["att_w"][0]
         squashed = np.tanh(embeddings @ w[:d] + w[d:] @ values["att_q"][:, 0])
         logits = squashed + values["att_b"][0]
@@ -281,7 +295,7 @@ def reference_backward(model, cache, d_scores):
         d_logits = weights * (d_weights - np.repeat(bag_dot, sizes))
         reference_add_grad(p, "att_b", np.array([d_logits.sum()]))
         d_pre = d_logits * (1.0 - squashed**2)
-        d = model.encoder.output_dim
+        d = model.embedding_dim
         w = p.values["att_w"][0]
         q = p.values["att_q"][:, 0]
         d_w = np.concatenate([embeddings.T @ d_pre, d_pre.sum() * q])

@@ -1,10 +1,14 @@
-"""Every function, class and method that matt defines is used by matt.
+"""Every function, class, method and module-level name that matt defines
+is used by matt.
 
 A definition passes when a module of src/matt refers to it by name (outside
 its own body; an import alone is no use), when a probe of the benchmark's
 perfbench/layers.py targets it, or when ALLOWED gives the reason it stays.
-Code that only tests use fails, so it is deleted with its tests rather than
-kept for them. Dunder methods, which Python calls, are skipped.
+A name that a module assigns at its top level, such as a constant, passes
+when a module of src/matt or a file of perfbench/ reads it (for perfbench,
+importing it counts). Code that only tests use fails, so it is deleted with
+its tests rather than kept for them. Dunder names, which Python reads, are
+skipped.
 """
 
 import ast
@@ -13,7 +17,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-LAYERS = ROOT / "perfbench" / "layers.py"
+PERFBENCH = ROOT / "perfbench"
+LAYERS = PERFBENCH / "layers.py"
 
 ALLOWED = {
     "read_mel_cache": "reads the .mel cache back, which nothing else does; both go together",
@@ -41,7 +46,8 @@ def references(tree: ast.Module) -> set[str]:
 
     def walk(node, inside):
         if isinstance(node, ast.Name):
-            if node.id not in inside:
+            # an assignment to a name is not a use of it
+            if not isinstance(node.ctx, ast.Store) and node.id not in inside:
                 found.add(node.id)
         elif isinstance(node, ast.Attribute) and node.attr not in inside:
             found.add(node.attr)
@@ -73,12 +79,45 @@ def unused(modules: dict[str, str], targets: set[str]) -> list[str]:
     )
 
 
-def test_every_definition_is_used_by_the_program():
-    modules = {
+def top_level_names(tree: ast.Module):
+    """Names that the module's own statements assign, outside any def or class."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def unused_names(modules: dict[str, str], outside: list[str]) -> list[str]:
+    """"module:name" of each top-level name assigned in modules that no
+    module reads and no outside source reads or imports."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    used = set().union(*map(references, trees.values()))
+    for tree in map(ast.parse, outside):
+        used |= references(tree)
+        used |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    return sorted({
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in top_level_names(tree)
+        if not (name.startswith("__") and name.endswith("__")) and name not in used
+    })
+
+
+def matt_modules() -> dict[str, str]:
+    return {
         ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__"):
             path.read_text(encoding="utf-8")
         for path in sorted((SRC / "matt").rglob("*.py"))
     }
+
+
+def test_every_definition_is_used_by_the_program():
+    modules = matt_modules()
     found = unused(modules, probe_targets(LAYERS.read_text(encoding="utf-8")))
     assert [name for name in found if name.rpartition(":")[2] not in ALLOWED] == []
     # an entry that is used again, or gone, leaves the allow-list
@@ -104,3 +143,26 @@ def test_the_check_sees_through_imports_recursion_and_probes():
     assert targets == {"matt.x:f", "matt.y:C.g"}
     assert unused(modules, {"pkg.a:Model.tested"}) == ["pkg.a:recursive"]
     assert unused(modules, set()) == ["pkg.a:Model.tested", "pkg.a:recursive"]
+
+
+def test_every_module_level_name_is_used_by_the_program_or_the_benchmark():
+    outside = [path.read_text(encoding="utf-8") for path in sorted(PERFBENCH.glob("*.py"))]
+    assert unused_names(matt_modules(), outside) == []
+
+
+def test_the_name_check_sees_reads_attributes_and_benchmark_imports():
+    modules = {
+        "pkg.a": (
+            "__version__ = '1'\n"
+            "READ = 1\nVIA_MODULE = 2\nTESTED = 3\nBENCHED = 4\nBENCH_ATTR = 5\n"
+            "PAIR_A, PAIR_B = 6, 7\nCOUNT: int = 0\nCOUNT += READ\n"
+            "def f():\n    LOCAL = 8\n    return LOCAL + PAIR_A\n"
+        ),
+        "pkg": "from .a import TESTED\nimport pkg.a as a\nprint(a.VIA_MODULE, a.f())\n",
+    }
+    bench = "from pkg.a import BENCHED as b\nimport pkg.a\nprint(b, pkg.a.BENCH_ATTR)\n"
+    # assignments, an import inside the package and a name local to a def are no use
+    assert unused_names(modules, []) == [
+        "pkg.a:BENCHED", "pkg.a:BENCH_ATTR", "pkg.a:COUNT", "pkg.a:PAIR_B", "pkg.a:TESTED"
+    ]
+    assert unused_names(modules, [bench]) == ["pkg.a:COUNT", "pkg.a:PAIR_B", "pkg.a:TESTED"]

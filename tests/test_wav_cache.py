@@ -1,4 +1,6 @@
+import hashlib
 import re
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -210,5 +212,20 @@ def test_truncated_or_flipped_checkpoint_is_bad_checkpoint_or_loads(tmp_path):
             load_checkpoint(path)
         except BadCheckpoint as exc:
             assert str(path) in str(exc)
-        else:
-            assert blob not in truncated, f"a cut after {len(blob)} bytes loaded"
+        else:  # the trailing digest catches every cut and every flipped byte
+            kind = "cut" if blob in truncated else "flipped"
+            raise AssertionError(f"a {kind} checkpoint of {len(blob)} bytes loaded")
+
+
+def test_a_version_1_checkpoint_is_unsupported(tmp_path):
+    path = tmp_path / "a.ckpt"
+    store = ParamStore()
+    store.add("w", np.ones((2, 2)))
+    save_checkpoint(path, store)
+    v2 = path.read_bytes()
+    assert v2[4:8] == struct.pack("<I", 2)
+    assert v2[-32:] == hashlib.sha256(v2[:-32]).digest()
+    # the version 1 layout: the same body, no digest
+    path.write_bytes(v2[:4] + struct.pack("<I", 1) + v2[8:-32])
+    with pytest.raises(BadCheckpoint, match=f"^{re.escape(f'{path}: unsupported version 1')}$"):
+        load_checkpoint(path)
