@@ -10,10 +10,10 @@ import pytest
 import matt.dataset
 from matt.checkpoint import load_checkpoint, save_checkpoint
 from matt.cli import _load_config, build_parser, main
-from matt.config import RunConfig, load_run_config
+from matt.config import RunConfig, load_run_config, with_keys
 from matt.dsp import StftConfig, read_feature_csv, read_mel_cache, write_feature_csv, write_wav
 from matt.dsp.cache import _read_sidecar
-from matt.errors import InvalidConfig
+from matt.errors import InvalidBand, InvalidConfig
 from matt.model import AGGREGATORS
 from matt.numeric import ParamStore
 from matt.synthetic import SynthConfig
@@ -342,6 +342,28 @@ def test_every_value_is_checked_when_the_config_is_loaded(tmp_path, capsys, comm
     assert captured.err.startswith("matt: ") and message in captured.err
     assert "internal error" not in captured.err and captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+# (config key -> value, error, message): with_keys sets these over the defaults
+OVERRIDES = [
+    ({"sample_rate": 0}, InvalidConfig, "sample rate must be positive, got 0"),
+    ({"sample_rate": 8000}, InvalidBand,
+     "sample_rate 8000 Hz with n_fft 2048 leaves spectral contrast band 6 (6400-12800 Hz) "
+     "without an FFT bin (Nyquist 4000 Hz, bins 3.90625 Hz apart)"),
+    ({"hop": 4096}, InvalidConfig, "need 0 < hop <= n_fft, got hop=4096 n_fft=2048"),
+    ({"n_fft": 512, "hop": 1024}, InvalidConfig, "need 0 < hop <= n_fft, got hop=1024 n_fft=512"),
+    ({"optimizer": "rmsprop"}, InvalidConfig, "unknown optimizer 'rmsprop'"),
+]
+
+
+@pytest.mark.parametrize("values, error, message", OVERRIDES,
+                         ids=[",".join(f"{k}={v}" for k, v in values.items())
+                              for values, *_ in OVERRIDES])
+def test_a_value_set_over_a_valid_config_is_checked_like_a_loaded_one(values, error, message):
+    """Flags override the file through with_keys, which rebuilds each part it
+    sets, so the new value meets the same check as one read from the file."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        with_keys(RunConfig(), values)
 
 
 @pytest.mark.parametrize("feature_set, writer", [

@@ -208,6 +208,7 @@ def test_an_early_stop_patience_below_one_is_rejected(patience):
     ({"aggregator": "max"}, "unknown aggregator 'max'"),
     ({"embedding_dim": 0}, "encoder dims must be positive, got (0,)"),
     ({"hidden_dims": (8, 0)}, "encoder dims must be positive, got (8, 0, 16)"),
+    ({"optimizer": "rmsprop"}, "unknown optimizer 'rmsprop'"),
 ])
 def test_every_training_value_is_checked_when_the_config_is_made(fields, message):
     with pytest.raises(InvalidConfig, match=f"^{re.escape(message)}$"):

@@ -229,3 +229,41 @@ def test_a_version_1_checkpoint_is_unsupported(tmp_path):
     path.write_bytes(v2[:4] + struct.pack("<I", 1) + v2[8:-32])
     with pytest.raises(BadCheckpoint, match=f"^{re.escape(f'{path}: unsupported version 1')}$"):
         load_checkpoint(path)
+
+
+def small_checkpoint(path) -> bytes:
+    """The bytes of a saved one-parameter checkpoint: a 55-byte body, then
+    its 32-byte SHA-256."""
+    store = ParamStore()
+    store.add("w", np.ones((2, 2)))
+    save_checkpoint(path, store)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda blob: blob[:20] + bytes([blob[20] ^ 0x01]) + blob[21:],
+    lambda blob: blob[:-1] + bytes([blob[-1] ^ 0x01]),
+    lambda blob: blob[:8],
+], ids=["a body byte flipped", "a digest byte flipped", "cut to the version word"])
+def test_a_digest_mismatch_is_reported_as_a_cut_or_altered_file(tmp_path, edit):
+    path = tmp_path / "a.ckpt"
+    path.write_bytes(edit(small_checkpoint(path)))
+    message = f"{path}: checksum mismatch, the file is cut or altered"
+    with pytest.raises(BadCheckpoint, match=f"^{re.escape(message)}$"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda body: body[:-8], "truncated data for 'w'"),
+    (lambda body: body + b"\0\0\0", "3 trailing bytes"),
+    (lambda body: body[:8] + struct.pack("<I", 2) + body[12:], "truncated at byte 55 of 55"),
+    (lambda body: body[:14] + b"\xff" + body[15:], "parameter name at byte 14 is not UTF-8"),
+], ids=["data cut", "bytes added", "count raised", "name not UTF-8"])
+def test_a_malformed_body_under_a_matching_digest_is_bad_checkpoint(tmp_path, edit, message):
+    """The digest shows that the bytes are the ones written, not that they
+    parse: a malformed body signed afresh still fails the structural checks."""
+    path = tmp_path / "a.ckpt"
+    body = edit(small_checkpoint(path)[:-32])
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    with pytest.raises(BadCheckpoint, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_checkpoint(path)
