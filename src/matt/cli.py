@@ -72,6 +72,18 @@ class CliParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def worker_count(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 worker, got {text}")
+    return int(text)
+
+
+def tolerance(text: str) -> float:
+    if not 0 < float(text) < math.inf:  # nan fails every comparison
+        raise argparse.ArgumentTypeError(f"need a finite tolerance > 0, got {text}")
+    return float(text)
+
+
 def build_parser() -> CliParser:
     parser = CliParser(prog="matt", description=__doc__)
     parser.add_argument("--version", action="version", version=f"matt {__version__}")
@@ -85,7 +97,7 @@ def build_parser() -> CliParser:
 
     p = add("extract-features", "extract and cache audio features for every track")
     p.add_argument("--feature-set", help="feature set to assemble (default from config)")
-    p.add_argument("--workers", type=int, default=os.cpu_count(),
+    p.add_argument("--workers", type=worker_count, default=os.cpu_count(),
                    help="parallel extraction workers (default: logical cores)")
 
     p = add("build-bags", "group segments into album-artist bags and write bags.csv")
@@ -117,7 +129,7 @@ def build_parser() -> CliParser:
 
     p = add("grad-check", "finite-difference check the model gradients")
     p.add_argument("--feature-set", help="feature set fixing the input width")
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=tolerance, default=1e-4)
     return parser
 
 
@@ -185,7 +197,7 @@ def cmd_extract_features(args) -> int:
         tasks.append((track_id, str(wav), str(part), str(mel), (cfg.sample_rate, cfg.stft)))
 
     if tasks:
-        workers = min(max(1, args.workers or 1), len(tasks))
+        workers = min(args.workers or 1, len(tasks))
         if workers == 1:
             for task in tasks:
                 _extract_one(task)

@@ -94,6 +94,10 @@ class RunConfig:
             raise InvalidConfig(f"unknown eval mode {self.eval_mode!r}")
         if self.label_policy not in LABEL_POLICIES:
             raise InvalidConfig(f"unknown label_policy {self.label_policy!r}")
+        if any(k < 1 for k in self.ks):
+            raise InvalidConfig(f"each K of ks must be >= 1, got {self.ks}")
+        if any(subset < 1 for subset in self.subsets):
+            raise InvalidConfig(f"each tail subset of subsets must be >= 1, got {self.subsets}")
         if self.sample_rate <= 0:
             raise InvalidConfig(f"sample rate must be positive, got {self.sample_rate}")
         contrast_bands(self.stft.n_fft, self.sample_rate)

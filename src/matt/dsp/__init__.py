@@ -12,10 +12,10 @@ from .mel import (
     mel_to_hz,
     mfcc,
 )
-from .frames import FAMILY_BASE_DIMS, FrameFeatureMatrix
 from .chroma import chroma_features, tonnetz
 from .spectral import spectral_descriptors
 from .summarize import (
+    FAMILY_BASE_DIMS,
     FAMILY_ORDER,
     FEATURE_SETS,
     extract_feature_sets,

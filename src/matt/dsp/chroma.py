@@ -27,7 +27,6 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import InvalidConfig
-from .frames import FrameFeatureMatrix
 from .mel import BandedWeights, triangular_filters
 
 # C1; chosen so pseudo-CQT bin k has pitch class k mod 12 with C = 0
@@ -105,16 +104,14 @@ def _cens(cqt_fold: np.ndarray) -> np.ndarray:
     return smoothed / np.maximum(norms, NORM_GUARD)
 
 
-def chroma_features(fold: np.ndarray, variant: str) -> FrameFeatureMatrix:
+def chroma_features(fold: np.ndarray, variant: str) -> np.ndarray:
     """12-row chroma of the given variant ("stft", "cqt", or "cens"),
     normalized from its raw fold, which it leaves as it is."""
     if variant in ("stft", "cqt"):
-        values = _max_normalize(fold)
-    elif variant == "cens":
-        values = _cens(fold)
-    else:
-        raise InvalidConfig(f"unknown chroma variant {variant!r}")
-    return FrameFeatureMatrix(values=values, family=f"chroma_{variant}")
+        return _max_normalize(fold)
+    if variant == "cens":
+        return _cens(fold)
+    raise InvalidConfig(f"unknown chroma variant {variant!r}")
 
 
 def _tonnetz_transform() -> np.ndarray:
@@ -134,8 +131,6 @@ def _tonnetz_transform() -> np.ndarray:
 TONNETZ_TRANSFORM = _tonnetz_transform()
 
 
-def tonnetz(chroma: FrameFeatureMatrix) -> FrameFeatureMatrix:
+def tonnetz(chroma: np.ndarray) -> np.ndarray:
     """6-row tonal centroid of an L1-normalized chroma (normalized here)."""
-    return FrameFeatureMatrix(
-        values=TONNETZ_TRANSFORM @ _l1_normalize(chroma.values), family="tonnetz"
-    )
+    return TONNETZ_TRANSFORM @ _l1_normalize(chroma)

@@ -7,7 +7,6 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import InvalidBand
-from .frames import FrameFeatureMatrix
 from .signal import frame_blocks
 from .stft import MagnitudeSpectrogram
 
@@ -56,7 +55,8 @@ def contrast_bands(n_fft: int, sample_rate: int) -> tuple[tuple[int, int, int], 
 
 
 def spectral_descriptors(spec: MagnitudeSpectrogram):
-    """Returns (centroid, bandwidth, contrast, rolloff) frame matrices.
+    """Returns (centroid, bandwidth, contrast, rolloff): (1, n_frames),
+    except contrast, which has one row per contrast band.
 
     Centroid and bandwidth are the magnitude-weighted mean and standard
     deviation of bin frequency in Hz; rolloff is the lowest frequency holding
@@ -98,9 +98,4 @@ def spectral_descriptors(spec: MagnitudeSpectrogram):
     valley /= takes  # the means, divided as np.mean divides
     peak /= takes
     contrast = 10.0 * (np.log10(np.maximum(peak, _AMIN)) - np.log10(np.maximum(valley, _AMIN)))
-    return (
-        FrameFeatureMatrix(values=centroid[np.newaxis, :], family="spec_centroid"),
-        FrameFeatureMatrix(values=bandwidth[np.newaxis, :], family="spec_bandwidth"),
-        FrameFeatureMatrix(values=contrast, family="spec_contrast"),
-        FrameFeatureMatrix(values=rolloff[np.newaxis, :], family="spec_rolloff"),
-    )
+    return centroid[np.newaxis, :], bandwidth[np.newaxis, :], contrast, rolloff[np.newaxis, :]

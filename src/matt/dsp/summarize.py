@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptyFeature
+from ..errors import EmptyFeature, ShapeError
 from .chroma import banded_cqt_fold, chroma_features, stft_fold_matrix, tonnetz
-from .frames import FAMILY_BASE_DIMS, FrameFeatureMatrix
 from .mel import DB_FLOOR, MEL_FRAMES, _fit_frames, banded_mel_filterbank, log_mel_frames, mfcc
 from .signal import AudioSignal, time_domain_descriptors
 from .spectral import spectral_descriptors
@@ -24,6 +23,21 @@ from .stft import StftConfig, stft
 STATISTICS = ("mean", "std", "skew", "kurtosis", "median", "min", "max")
 NORMAL_MIN = np.finfo(np.float64).tiny  # smallest positive normal float64
 
+# base (per-frame) dimensionality of each feature family, in the order the
+# families take in the "1to9" summary vector
+FAMILY_BASE_DIMS = {
+    "chroma_stft": 12,
+    "chroma_cqt": 12,
+    "chroma_cens": 12,
+    "tonnetz": 6,
+    "mfcc": 20,
+    "spec_centroid": 1,
+    "spec_bandwidth": 1,
+    "spec_contrast": 7,
+    "spec_rolloff": 1,
+    "rms": 1,
+    "zcr": 1,
+}
 FAMILY_ORDER = tuple(FAMILY_BASE_DIMS)
 
 FEATURE_SETS = {
@@ -42,17 +56,16 @@ FEATURE_SETS = {
 }
 
 
-def summarize(frames: FrameFeatureMatrix) -> np.ndarray:
-    """Reduce (d_base, n_frames) to the 7-statistic summary vector.
+def summarize(x: np.ndarray) -> np.ndarray:
+    """Reduce a (d_base, n_frames) matrix to the 7-statistic summary vector.
 
     std is the population standard deviation; skew is m3/m2^1.5 and kurtosis
     the excess m4/m2^2 - 3, each 0 by convention for a row of zero variance
     or whose denominator is below the smallest normal float; the
     median takes the lower-middle element for even frame counts.
     """
-    x = frames.values
     if x.shape[1] < 1:
-        raise EmptyFeature(f"{frames.family}: no frames to summarize")
+        raise EmptyFeature("no frames to summarize")
     middle = (x.shape[1] - 1) // 2
     mean = x.mean(axis=1)
     centered = x - mean[:, np.newaxis]
@@ -106,42 +119,53 @@ class ExtractionResult:
 
 
 def extract_frame_features(signal: AudioSignal, cfg: StftConfig):
-    """Per-frame matrices for all 11 families, plus the fitted mel spectrogram.
+    """The (FAMILY_BASE_DIMS[family], n_frames) matrix of each of the 11
+    families, keyed by family, plus the fitted mel spectrogram.
 
-    cfg sets the STFT framing; the sample rate is the signal's. Every family reads the one STFT, in the order set here. The cached fold
-    and mel matrices are fetched first, so building them on a process's
-    first track does not add to the peak of the spectrogram; the cqt fold
-    and the mel filterbank come cut to their non-zero bins (BandedWeights).
-    The magnitude readers run next: the spectral descriptors, then RMS/ZCR
-    from the frames. The magnitudes are then squared in place into the
-    power, which chroma, tonnetz and log-mel/MFCC read. Since the frames are
-    views of the signal (see frame_signal), the track keeps the caller's
-    signal and one spectrogram-sized matrix throughout.
+    cfg sets the STFT framing; the sample rate is the signal's. Every family
+    reads the one STFT, in the order set here. The cached fold and mel
+    matrices are fetched first, so building them on a process's first track
+    does not add to the peak of the spectrogram; the cqt fold and the mel
+    filterbank come cut to their non-zero bins (BandedWeights). The
+    magnitude readers run next: the spectral descriptors, then RMS/ZCR from
+    the frames. The magnitudes are then squared in place into the power,
+    which chroma, tonnetz and log-mel/MFCC read. Since the frames are views
+    of the signal (see frame_signal), the track keeps the caller's signal
+    and one spectrogram-sized matrix throughout. A family matrix of another
+    shape or with a non-finite value is a ShapeError naming the family.
     """
     rate, n_fft = signal.sample_rate_hz, cfg.n_fft
     stft_fold, cqt_fold = stft_fold_matrix(n_fft, rate), banded_cqt_fold(n_fft, rate)
     mel_weights = banded_mel_filterbank(rate, n_fft)
 
     spec = stft(signal, cfg)
-    frames: list[FrameFeatureMatrix] = list(spectral_descriptors(spec))
+    centroid, bandwidth, contrast, rolloff = spectral_descriptors(spec)
     rms, zcr = time_domain_descriptors(spec.frames)
-    frames.append(FrameFeatureMatrix(values=rms, family="rms"))
-    frames.append(FrameFeatureMatrix(values=zcr, family="zcr"))
 
     # no later reader sees the bins as magnitudes
     power = np.multiply(spec.bins, spec.bins, out=spec.bins)
     cqt_raw = cqt_fold @ power  # cqt and cens share it
-    folds = {"stft": stft_fold @ power, "cqt": cqt_raw, "cens": cqt_raw}
-    chroma = {v: chroma_features(fold, v) for v, fold in folds.items()}
-    frames.extend(chroma.values())
-    frames.append(tonnetz(chroma["cqt"]))
-
+    chroma_cqt = chroma_features(cqt_raw, "cqt")
     # cepstrum runs on the native frame count to stay aligned with the other
     # families; only the emitted mel matrix is fitted to the fixed width
     native_db = log_mel_frames(power, mel_weights)
-    mel = _fit_frames(native_db, MEL_FRAMES, DB_FLOOR)
-    frames.append(FrameFeatureMatrix(values=mfcc(native_db), family="mfcc"))
-    return {f.family: f for f in frames}, mel
+    frames = {
+        "chroma_stft": chroma_features(stft_fold @ power, "stft"),
+        "chroma_cqt": chroma_cqt,
+        "chroma_cens": chroma_features(cqt_raw, "cens"),
+        "tonnetz": tonnetz(chroma_cqt),
+        "mfcc": mfcc(native_db),
+        "spec_centroid": centroid, "spec_bandwidth": bandwidth,
+        "spec_contrast": contrast, "spec_rolloff": rolloff,
+        "rms": rms, "zcr": zcr,
+    }
+    for family, rows in FAMILY_BASE_DIMS.items():
+        shape, values = (rows, spec.bins.shape[1]), frames[family]
+        if values.shape != shape:
+            raise ShapeError(f"{family}: expected shape {shape}, got {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ShapeError(f"{family}: non-finite frame values")
+    return frames, _fit_frames(native_db, MEL_FRAMES, DB_FLOOR)
 
 
 def extract_feature_sets(signal: AudioSignal, cfg: StftConfig) -> ExtractionResult:

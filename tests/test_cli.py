@@ -313,6 +313,10 @@ BAD_VALUES = [
     ("features", "hop", "4096", "need 0 < hop <= n_fft, got hop=4096 n_fft=2048"),
     ("features", "sample_rate", "0", "sample rate must be positive, got 0"),
     ("features", "sample_rate", "8000", "sample_rate 8000 Hz with n_fft 2048"),
+    ("eval", "ks", "0", "each K of ks must be >= 1, got (0,)"),
+    ("eval", "ks", "-2", "each K of ks must be >= 1, got (-2,)"),
+    ("eval", "subsets", "0", "each tail subset of subsets must be >= 1, got (0,)"),
+    ("eval", "subsets", "-5", "each tail subset of subsets must be >= 1, got (-5,)"),
 ]
 
 
@@ -1027,3 +1031,33 @@ def test_extract_features_checks_its_output_files_before_the_work(corpus, capsys
     err = capsys.readouterr().err
     assert err == f"matt: cannot write {path}: Is a directory\n"
     assert tree(root) == before  # no parts, no mel caches and no .tmp file
+
+
+# (command, flag, value, message): flags that are not config keys, checked by argparse
+BAD_FLAGS = [
+    ("grad-check", "--tolerance", "nan", "need a finite tolerance > 0, got nan"),
+    ("grad-check", "--tolerance", "inf", "need a finite tolerance > 0, got inf"),
+    ("grad-check", "--tolerance", "-1", "need a finite tolerance > 0, got -1"),
+    ("grad-check", "--tolerance", "0", "need a finite tolerance > 0, got 0"),
+    ("extract-features", "--workers", "0", "need at least 1 worker, got 0"),
+    ("extract-features", "--workers", "-3", "need at least 1 worker, got -3"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, message", BAD_FLAGS,
+                         ids=[f"{flag}={value}" for _, flag, value, _ in BAD_FLAGS])
+def test_a_flag_value_outside_its_range_exits_1_before_any_work(corpus, capsys, monkeypatch,
+                                                                command, flag, value, message):
+    root, cfg = corpus
+    before = tree(root)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} ran its work")
+
+    monkeypatch.setattr("matt.cli._extract_one", no_work)
+    monkeypatch.setattr("matt.cli.finite_difference_check", no_work)
+    capsys.readouterr()
+    assert pytest.raises(SystemExit, run, command, "--config", cfg, flag, value).value.code == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"matt {command}: error: argument {flag}: {message}\n")
+    assert tree(root) == before

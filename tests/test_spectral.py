@@ -18,7 +18,7 @@ def test_pure_tone_centroid_within_one_bin(stft_cfg):
     spec = stft(tone(440.0, seconds=0.5), stft_cfg)
     centroid, _, _, _ = spectral_descriptors(spec)
     bin_width = RATE / stft_cfg.n_fft
-    interior = centroid.values[:, 3:-3]  # edge frames see reflect-padding leakage
+    interior = centroid[:, 3:-3]  # edge frames see reflect-padding leakage
     assert np.all(np.abs(interior - 440.0) <= bin_width)
 
 
@@ -26,32 +26,32 @@ def test_pure_tone_bandwidth_within_two_bins(stft_cfg):
     spec = stft(tone(440.0, seconds=0.5), stft_cfg)
     _, bandwidth, _, _ = spectral_descriptors(spec)
     bin_width = RATE / stft_cfg.n_fft
-    assert np.all(bandwidth.values[:, 3:-3] <= 2.0 * bin_width)
+    assert np.all(bandwidth[:, 3:-3] <= 2.0 * bin_width)
 
 
 def test_contrast_has_seven_rows(stft_cfg):
     spec = stft(tone(440.0, seconds=0.5), stft_cfg)
     _, _, contrast, _ = spectral_descriptors(spec)
-    assert contrast.values.shape[0] == 7
+    assert contrast.shape[0] == 7
 
 
 def test_silent_frames_yield_zeros(stft_cfg):
     sig = AudioSignal(samples=np.zeros(RATE, dtype=np.float32), sample_rate_hz=RATE)
     spec = stft(sig, stft_cfg)
     centroid, bandwidth, contrast, rolloff = spectral_descriptors(spec)
-    assert np.all(centroid.values == 0.0)
-    assert np.all(bandwidth.values == 0.0)
-    assert np.all(rolloff.values == 0.0)
-    assert np.all(contrast.values == 0.0)
+    assert np.all(centroid == 0.0)
+    assert np.all(bandwidth == 0.0)
+    assert np.all(rolloff == 0.0)
+    assert np.all(contrast == 0.0)
     for matrix in (centroid, bandwidth, contrast, rolloff):
-        assert np.all(np.isfinite(matrix.values))
+        assert np.all(np.isfinite(matrix))
 
 
 def test_rolloff_sits_at_tone_for_pure_tone(stft_cfg):
     spec = stft(tone(440.0, seconds=0.5), stft_cfg)
     _, _, _, rolloff = spectral_descriptors(spec)
     bin_width = RATE / stft_cfg.n_fft
-    interior = rolloff.values[:, 3:-3]
+    interior = rolloff[:, 3:-3]
     assert np.all(np.abs(interior - 440.0) <= 2.0 * bin_width)
 
 

@@ -1,19 +1,21 @@
+import importlib
 import warnings
 
 import numpy as np
 import pytest
 
-from matt.dsp import (FAMILY_BASE_DIMS, AudioSignal, FrameFeatureMatrix, StftConfig,
-                      extract_feature_sets, summarize)
+from matt.dsp import FAMILY_BASE_DIMS, AudioSignal, StftConfig, extract_feature_sets, summarize
+from matt.dsp.summarize import extract_frame_features
 from matt.errors import EmptyFeature, ShapeError
 
+from conftest import noisy_clip
 
-def frames_for(family, values):
-    return FrameFeatureMatrix(values=np.asarray(values, dtype=np.float64), family=family)
+# the submodule, which the package's summarize function shadows as an attribute
+summarize_module = importlib.import_module("matt.dsp.summarize")
 
 
 def test_constant_row_degenerates_cleanly():
-    frames = frames_for("rms", [[3.0, 3.0, 3.0, 3.0]])
+    frames = np.array([[3.0, 3.0, 3.0, 3.0]])
     out = summarize(frames)
     assert np.array_equal(out, [3.0, 0.0, 0.0, 0.0, 3.0, 3.0, 3.0])
 
@@ -28,7 +30,7 @@ def test_constant_row_degenerates_cleanly():
 def test_a_variance_whose_powers_underflow_takes_the_zero_variance_convention(row):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, std, skew, kurtosis, *_ = summarize(frames_for("zcr", [row]))
+        _, std, skew, kurtosis, *_ = summarize(np.array([row]))
     assert std > 0.0
     assert (skew, kurtosis) == (0.0, 0.0)  # a symmetric two-level row has no skew either
 
@@ -48,7 +50,7 @@ def test_near_silent_clips_extract_finite_features_without_warnings(kind, amplit
 
 def test_hand_computed_four_frame_row():
     # row [1,2,3,4]: population moments by hand; median is the lower middle
-    out = summarize(frames_for("zcr", [[1.0, 2.0, 3.0, 4.0]]))
+    out = summarize(np.array([[1.0, 2.0, 3.0, 4.0]]))
     mean, std, skew, kurtosis, median, lo, hi = out
     assert mean == 2.5
     assert std == pytest.approx(np.sqrt(1.25), abs=1e-15)
@@ -60,7 +62,7 @@ def test_hand_computed_four_frame_row():
 
 def test_mfcc_summary_has_length_140():
     rng = np.random.default_rng(0)
-    frames = frames_for("mfcc", rng.standard_normal((20, 13)))
+    frames = rng.standard_normal((20, 13))
     assert summarize(frames).shape == (140,)
 
 
@@ -69,7 +71,7 @@ def test_moments_match_scipy_oracle():
 
     rng = np.random.default_rng(12)
     values = rng.standard_normal((7, 101)) * 3.0 + 1.0
-    flat = summarize(frames_for("spec_contrast", values))
+    flat = summarize(values)
     mean, std = flat[0:7], flat[7:14]
     skew, kurt = flat[14:21], flat[21:28]
     assert np.allclose(mean, values.mean(axis=1))
@@ -83,7 +85,7 @@ def test_statistic_ordering_invariant_random():
     for _ in range(25):
         n = int(rng.integers(1, 40))
         values = rng.standard_normal((12, n)) * rng.uniform(0.1, 10.0)
-        flat = summarize(frames_for("chroma_stft", values))
+        flat = summarize(values)
         std = flat[12:24]
         median, lo, hi = flat[48:60], flat[60:72], flat[72:84]
         assert np.all(std >= 0.0)
@@ -92,14 +94,43 @@ def test_statistic_ordering_invariant_random():
 
 def test_empty_frames_raise():
     with pytest.raises(EmptyFeature):
-        summarize(frames_for("rms", np.empty((1, 0))))
+        summarize(np.empty((1, 0)))
 
 
-def test_wrong_row_count_rejected_at_construction():
-    with pytest.raises(ShapeError):
-        frames_for("tonnetz", np.zeros((5, 4)))
-    with pytest.raises(ShapeError):
-        frames_for("mystery", np.zeros((5, 4)))
+def _tonnetz_of_five_rows(stage):
+    return lambda chroma: stage(chroma)[:5]
+
+
+def _bandwidth_with_a_nan(stage):
+    def descriptors(spec):
+        centroid, bandwidth, contrast, rolloff = stage(spec)
+        bandwidth[0, 1] = np.nan
+        return centroid, bandwidth, contrast, rolloff
+
+    return descriptors
+
+
+def _cens_one_frame_short(stage):
+    def chroma(fold, variant):
+        values = stage(fold, variant)
+        return values[:, :-1] if variant == "cens" else values
+
+    return chroma
+
+
+@pytest.mark.parametrize(
+    "stage, family, corrupt, message",
+    [
+        ("tonnetz", "tonnetz", _tonnetz_of_five_rows, r"expected shape \(6, \d+\), got \(5, "),
+        ("spectral_descriptors", "spec_bandwidth", _bandwidth_with_a_nan, "non-finite"),
+        ("chroma_features", "chroma_cens", _cens_one_frame_short, r"expected shape \(12, "),
+    ],
+    ids=["tonnetz-rows", "spectral-nan", "chroma-frames"],
+)
+def test_a_malformed_family_is_rejected_naming_it(monkeypatch, stage, family, corrupt, message):
+    monkeypatch.setattr(summarize_module, stage, corrupt(getattr(summarize_module, stage)))
+    with pytest.raises(ShapeError, match=f"^{family}: {message}"):
+        extract_frame_features(noisy_clip(seconds=0.5), StftConfig())
 
 
 def test_family_dims_match_published_table():
